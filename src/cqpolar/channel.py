@@ -5,14 +5,17 @@ A channel maps each group element to a :class:`HybridState`: a list of
 output ``sum_l w_l |l><l| ⊗ rho_l``.  Labels stay symbolic instead of being
 expanded into tensor factors, which is what keeps repeated plus-transforms
 affordable.  All information/fidelity functionals respect the block
-structure exactly.
+structure exactly.  Every fidelity functional (F_d, F, F_max, nested F_max)
+is read off one cached q x q matrix of pairwise fidelities, built with one
+evaluation per unordered pair; each dense branch is eigendecomposed once, for
+both its entropy and its fidelities.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +38,8 @@ from .states import (
     dim_of,
     mix_states,
     pure_state,
-    state_entropy,
-    state_fidelity,
+    factor_fidelity,
+    spectral_factor,
     state_is_diagonal,
     to_dense,
 )
@@ -49,13 +52,14 @@ def _label_key(label):
 class HybridState:
     """A block-diagonal output state: branches of (weight, label, state)."""
 
-    __slots__ = ("branches", "_dict")
+    __slots__ = ("branches", "_dict", "_spectra")
 
     def __init__(self, branches, validate: bool = True, tol: Tolerances = DEFAULT_TOL):
         cleaned = [(float(w), lab, st) for w, lab, st in branches if w > 0.0]
         cleaned.sort(key=lambda b: _label_key(b[1]))
         self.branches = cleaned
         self._dict = None
+        self._spectra = {}  # label key -> spectral_factor of a dense branch
         if validate:
             labels = [lab for _, lab, _ in cleaned]
             if len(set(map(_label_key, labels))) != len(labels):
@@ -79,31 +83,39 @@ class HybridState:
     def labels(self) -> list:
         return [lab for _, lab, _ in self.branches]
 
+    def _spectrum(self, key: str, state, tol: Tolerances):
+        """(eigenvalues, factor rows) of the dense branch ``key``, decomposed once."""
+        if key not in self._spectra:
+            self._spectra[key] = spectral_factor(state, tol)
+        return self._spectra[key]
+
+    def factor(self, key: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Rows V with rho = V^T conj(V) for the branch ``key``."""
+        state = self.as_dict()[key][1]
+        if isinstance(state, PureMixture):
+            return state.scaled_components()
+        return self._spectrum(key, state, tol)[1]
+
     def entropy(self, tol: Tolerances = DEFAULT_TOL) -> float:
         """H(weights) + sum of weighted branch entropies, batched by shape.
 
         Mixture branches sharing a component-array shape go through one
         stacked eigvalsh call; channels with many thousands of classical
         labels are otherwise dominated by per-branch dispatch overhead.
+        Dense branches use their cached eigendecomposition.
         """
         weights = np.array([w for w, _, _ in self.branches])
         total = entropy_of_probs(weights)
         groups: dict = {}
-        for w, _, st in self.branches:
-            if isinstance(st, PureMixture) and st.rank_bound > 1:
+        for w, lab, st in self.branches:
+            if not isinstance(st, PureMixture):
+                total += w * entropy_of_probs(self._spectrum(_label_key(lab), st, tol)[0])
+            elif st.rank_bound > 1:
                 groups.setdefault(st.vecs.shape, []).append((w, st.scaled_components()))
-            elif not isinstance(st, PureMixture):
-                total += w * state_entropy(st, tol)
         for items in groups.values():
             ent = batched_mixture_entropies([c for _, c in items])
             total += float(np.array([w for w, _ in items]) @ ent)
         return total
-
-    def total_components(self) -> int:
-        return sum(
-            st.rank_bound if isinstance(st, PureMixture) else st.shape[0]
-            for _, _, st in self.branches
-        )
 
     def to_dense_block(self, label_order) -> np.ndarray:
         """Flatten into one dense block-diagonal density matrix."""
@@ -121,11 +133,12 @@ class HybridState:
 def hybrid_fidelity(a: HybridState, b: HybridState, tol: Tolerances = DEFAULT_TOL) -> float:
     """Fidelity of two block-diagonal states: sum over shared labels of
     sqrt(w w') F(rho, rho').  Rank-1 branch pairs are batched into one
-    vectorized overlap computation."""
-    da, db = a.as_dict(), b.as_dict()
+    vectorized overlap computation; any other pair is the nuclear norm of
+    the cross-Gram matrix of the two branches' factors."""
+    db = b.as_dict()
     total = 0.0
     left, right = [], []
-    for key, (wa, sa) in da.items():
+    for key, (wa, sa) in a.as_dict().items():
         hit = db.get(key)
         if hit is None:
             continue
@@ -139,11 +152,55 @@ def hybrid_fidelity(a: HybridState, b: HybridState, tol: Tolerances = DEFAULT_TO
             left.append(np.sqrt(wa) * sa.scaled_components()[0])
             right.append(np.sqrt(wb) * sb.scaled_components()[0])
         else:
-            total += np.sqrt(wa * wb) * state_fidelity(sa, sb, tol)
+            total += np.sqrt(wa * wb) * factor_fidelity(a.factor(key, tol), b.factor(key, tol))
     if left:
         overlaps = np.abs((np.stack(left) * np.stack(right).conj()).sum(axis=1))
         total += float(overlaps.sum())
     return float(min(1.0, total))
+
+
+# -- fidelity profile -----------------------------------------------------------------
+# CqChannel and DiagonalChannel each supply ``pairwise_fidelity_matrix`` and
+# ``_index`` and assign these functionals in their own class bodies.
+
+
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    """The pairwise matrix as cached: diagonal exactly 1, read-only."""
+    np.fill_diagonal(mat, 1.0)
+    mat.flags.writeable = False
+    return mat
+
+
+def _profile_fd(W, d) -> float:
+    """F_d = (1/q) sum_x F(rho_x, rho_{x+d})."""
+    shifted = W.alphabet.add_table[:, W._index(d)]
+    return float(W.pairwise_fidelity_matrix()[np.arange(W.q), shifted].mean())
+
+
+def _profile_fd_table(W) -> dict:
+    return {d: _profile_fd(W, d) for d in range(W.q)}
+
+
+def _profile_avg_fidelity(W) -> float:
+    """Average pairwise fidelity; 0 by convention for a single-input channel."""
+    q = W.q
+    if q == 1:
+        return 0.0
+    upper = W.pairwise_fidelity_matrix()[np.triu_indices(q, 1)]
+    return float(2.0 * upper.sum() / (q * (q - 1)))
+
+
+def _profile_f_max(W) -> float:
+    """max of F_d over d != 0; 0 for a single-input channel."""
+    return max((_profile_fd(W, d) for d in range(1, W.q)), default=0.0)
+
+
+def _profile_nested_fmax(W, M: Subgroup, H: Subgroup) -> float:
+    """max of F_d over d in H but not in M."""
+    if not M.is_subset_of(H):
+        raise StructuralError("M must be a subgroup of H")
+    ds = [i for i in H.indices if not M.contains_index(i)]
+    return max((_profile_fd(W, d) for d in ds), default=0.0)
 
 
 class CqChannel:
@@ -168,6 +225,7 @@ class CqChannel:
         self.outputs = list(outputs)
         self.k = dims.pop()
         self.tol = tol
+        self._fidelity_matrix = None
 
     # -- conveniences ---------------------------------------------------------
     @property
@@ -210,9 +268,6 @@ class CqChannel:
         """Map label key -> position in the sorted label union."""
         return {_label_key(lab): i for i, lab in enumerate(self.label_union())}
 
-    def total_components(self) -> int:
-        return sum(h.total_components() for h in self.outputs)
-
     def is_diagonal(self) -> bool:
         flag = getattr(self, "_diag_flag", None)
         if flag is None:
@@ -224,19 +279,7 @@ class CqChannel:
 
     # -- information functionals ----------------------------------------------
     def average_output(self) -> HybridState:
-        q = self.q
-        per_label: dict = {}
-        for h in self.outputs:
-            for w, lab, st in h.branches:
-                per_label.setdefault(_label_key(lab), [lab, 0.0, []])
-                ent = per_label[_label_key(lab)]
-                ent[1] += w / q
-                ent[2].append((w / q, st))
-        branches = []
-        for lab, wtot, parts in per_label.values():
-            state = mix_states([(w / wtot, st) for w, st in parts])
-            branches.append((wtot, lab, state))
-        return HybridState(branches, tol=self.tol)
+        return _average_hybrid(self.outputs, self.tol)
 
     def holevo_information(self) -> float:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
@@ -272,31 +315,19 @@ class CqChannel:
     def pairwise_fidelity(self, x, y) -> float:
         return hybrid_fidelity(self.output_of(x), self.output_of(y), self.tol)
 
-    def fd(self, d) -> float:
-        """F_d = (1/q) sum_x F(rho_x, rho_{x+d})."""
-        di = self._index(d)
-        g = self.alphabet
-        return float(
-            np.mean([self.pairwise_fidelity(x, g.add_index(x, di)) for x in range(self.q)])
-        )
+    def pairwise_fidelity_matrix(self) -> np.ndarray:
+        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y, cached."""
+        if self._fidelity_matrix is None:
+            mat = np.eye(self.q)
+            for x, y in itertools.combinations(range(self.q), 2):
+                mat[x, y] = mat[y, x] = self.pairwise_fidelity(x, y)
+            self._fidelity_matrix = _frozen(mat)
+        return self._fidelity_matrix
 
-    def fd_table(self) -> dict:
-        return {d: self.fd(d) for d in range(self.q)}
-
-    def avg_fidelity(self) -> float:
-        """Average pairwise fidelity; 0 by convention for a single-input channel."""
-        q = self.q
-        if q == 1:
-            return 0.0
-        total = sum(
-            self.pairwise_fidelity(x, y) for x in range(q) for y in range(q) if x != y
-        )
-        return float(total / (q * (q - 1)))
-
-    def f_max(self) -> float:
-        if self.q == 1:
-            return 0.0
-        return max(self.fd(d) for d in range(1, self.q))
+    fd = _profile_fd
+    fd_table = _profile_fd_table
+    avg_fidelity = _profile_avg_fidelity
+    f_max = _profile_f_max
 
     # -- quotient constructions --------------------------------------------------
     def quotient(self, H: Subgroup) -> "CqChannel":
@@ -324,14 +355,7 @@ class CqChannel:
             return self.alphabet
         raise StructuralError("operation requires a product-group input alphabet")
 
-    def nested_fmax(self, M: Subgroup, H: Subgroup) -> float:
-        """max of F_d over d in H but not in M."""
-        if not M.is_subset_of(H):
-            raise StructuralError("M must be a subgroup of H")
-        ds = [i for i in H.indices if not M.contains_index(i)]
-        if not ds:
-            return 0.0
-        return max(self.fd(d) for d in ds)
+    nested_fmax = _profile_nested_fmax
 
     def nested_information(self, M: Subgroup, H: Subgroup):
         """I(W[M]) - I(W[H]) and its coset decomposition average.
@@ -381,45 +405,6 @@ def _average_hybrid(hybrids, tol: Tolerances) -> HybridState:
             state = mix_states([(w / wtot, st) for w, st in parts])
         branches.append((wtot, lab, state))
     return HybridState(branches, tol=tol)
-
-
-# -- module-level operation names matching the lab's public surface ------------
-
-
-def holevo_information(W) -> float:
-    return W.holevo_information()
-
-
-def fd(W, d) -> float:
-    return W.fd(d)
-
-
-def fd_table(W) -> dict:
-    return W.fd_table()
-
-
-def avg_fidelity(W) -> float:
-    return W.avg_fidelity()
-
-
-def f_max(W) -> float:
-    return W.f_max()
-
-
-def quotient_channel(W, H: Subgroup):
-    return W.quotient(H)
-
-
-def restricted_quotient_channel(W, M: Subgroup, D: Coset):
-    return W.restricted_quotient(M, D)
-
-
-def nested_information(W, M: Subgroup, H: Subgroup):
-    return W.nested_information(M, H)
-
-
-def nested_fmax(W, M: Subgroup, H: Subgroup) -> float:
-    return W.nested_fmax(M, H)
 
 
 # -- presets --------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _ineq(check_id, instance, lhs, rhs, direction="<=", tol=None, hypothesis=Tru
     tol = DEFAULT_TOL.tol_eq if tol is None else tol
     margin = rhs - lhs if direction == "<=" else lhs - rhs
     return CheckReport(
-        check_id, instance, float(lhs), float(rhs), float(margin), hypothesis,
+        check_id, instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
         bool(not hypothesis or margin >= -tol),
     )
 
@@ -86,7 +86,7 @@ def _ineq(check_id, instance, lhs, rhs, direction="<=", tol=None, hypothesis=Tru
 def _eq(check_id, instance, lhs, rhs, tol=EQ_TOL_STRICT, hypothesis=True):
     margin = -abs(lhs - rhs)
     return CheckReport(
-        check_id, instance, float(lhs), float(rhs), float(margin), hypothesis,
+        check_id, instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
         bool(not hypothesis or margin >= -tol),
     )
 

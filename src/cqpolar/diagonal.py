@@ -6,12 +6,25 @@ classes with proportional likelihood columns can be merged without changing
 any information or fidelity functional.  This lossless merging is what makes
 deep scans of classical channels feasible; alphabets that still explode hit
 the column cap and raise a capacity error.
+
+The fidelity functionals are the same code as the hybrid engine's: both read
+one cached pairwise-fidelity matrix, here sqrt(P) sqrt(P)^T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .channel import (
+    CqChannel,
+    _frozen,
+    _label_key,
+    _profile_avg_fidelity,
+    _profile_f_max,
+    _profile_fd,
+    _profile_fd_table,
+    _profile_nested_fmax,
+)
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import (
@@ -24,6 +37,7 @@ from .groups import (
     refine,
 )
 from .linalg import entropy_of_probs
+from .states import to_dense
 
 _MERGE_DECIMALS = 12
 
@@ -43,6 +57,7 @@ class DiagonalChannel:
         self.alphabet = alphabet
         self.table = np.clip(table, 0.0, None)
         self.caps = caps or default_caps()
+        self._fidelity_matrix = None
 
     # -- conveniences ---------------------------------------------------------
     @property
@@ -61,9 +76,6 @@ class DiagonalChannel:
         idx = getattr(x, "index", None)
         return int(idx if idx is not None else x)
 
-    def merged(self) -> "DiagonalChannel":
-        return DiagonalChannel(self.alphabet, merge_columns(self.table), self.caps)
-
     # -- functionals -----------------------------------------------------------
     def holevo_information(self) -> float:
         """Mutual information with uniform input, in nats."""
@@ -75,31 +87,19 @@ class DiagonalChannel:
         )
 
     def pairwise_fidelity(self, x, y) -> float:
-        a, b = self.table[self._index(x)], self.table[self._index(y)]
-        return float(min(1.0, np.sqrt(a * b).sum()))
+        return float(self.pairwise_fidelity_matrix()[self._index(x), self._index(y)])
 
-    def fd(self, d) -> float:
-        di = self._index(d)
-        g = self.alphabet
-        shifted = self.table[[g.add_index(x, di) for x in range(self.q)]]
-        return float(min(1.0, np.mean(np.sqrt(self.table * shifted).sum(axis=1))))
+    def pairwise_fidelity_matrix(self) -> np.ndarray:
+        """Bhattacharyya coefficients sqrt(P) sqrt(P)^T, clipped to 1; cached."""
+        if self._fidelity_matrix is None:
+            root = np.sqrt(self.table)
+            self._fidelity_matrix = _frozen(np.minimum(root @ root.T, 1.0))
+        return self._fidelity_matrix
 
-    def fd_table(self) -> dict:
-        return {d: self.fd(d) for d in range(self.q)}
-
-    def avg_fidelity(self) -> float:
-        q = self.q
-        if q == 1:
-            return 0.0
-        total = sum(
-            self.pairwise_fidelity(x, y) for x in range(q) for y in range(q) if x != y
-        )
-        return float(total / (q * (q - 1)))
-
-    def f_max(self) -> float:
-        if self.q == 1:
-            return 0.0
-        return max(self.fd(d) for d in range(1, self.q))
+    fd = _profile_fd
+    fd_table = _profile_fd_table
+    avg_fidelity = _profile_avg_fidelity
+    f_max = _profile_f_max
 
     # -- transforms --------------------------------------------------------------
     def minus_transform(self) -> "DiagonalChannel":
@@ -147,9 +147,7 @@ class DiagonalChannel:
         rows = np.stack([self.table[c.member_indices()].mean(axis=0) for c in cells])
         return DiagonalChannel(PlainAlphabet(cells), merge_columns(rows), self.caps)
 
-    def nested_fmax(self, M: Subgroup, H: Subgroup) -> float:
-        ds = [i for i in H.indices if not M.contains_index(i)]
-        return max((self.fd(d) for d in ds), default=0.0)
+    nested_fmax = _profile_nested_fmax
 
 
 def merge_columns(table: np.ndarray) -> np.ndarray:
@@ -175,9 +173,6 @@ def merge_columns(table: np.ndarray) -> np.ndarray:
 
 def from_cq_channel(W, caps: ResourceCaps = None) -> DiagonalChannel:
     """Flatten a diagonal hybrid channel into a likelihood table."""
-    from .channel import CqChannel, _label_key
-    from .states import to_dense
-
     if not isinstance(W, CqChannel) or not W.is_diagonal():
         raise StructuralError("channel is not diagonal")
     labels = W.label_union()

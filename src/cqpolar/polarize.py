@@ -139,7 +139,12 @@ def synthesize(W, signs: BranchLabel, caps: ResourceCaps = None):
 
 @dataclass
 class PolarizationRecord:
-    """Evidence record for one synthetic channel W^s."""
+    """Evidence record for one synthetic channel W^s.
+
+    The quotients by the trivial subgroups are exact by definition, so no
+    quotient channel is built for them: W^s[{0}] is W^s itself (its I and F),
+    and W^s[G] has a single input, so its I and F are 0.
+    """
 
     branch: BranchLabel
     I: float
@@ -171,9 +176,14 @@ def make_record(channel, branch: BranchLabel, subgroups) -> PolarizationRecord:
         fmax=channel.f_max(),
     )
     for H in subgroups:
-        quot = channel.quotient(H)
-        rec.quot_I[H] = quot.holevo_information()
-        rec.quot_F[H] = quot.avg_fidelity()
+        if H.order == 1:
+            rec.quot_I[H], rec.quot_F[H] = rec.I, rec.f
+        elif H.order == channel.q:
+            rec.quot_I[H], rec.quot_F[H] = 0.0, 0.0
+        else:
+            quot = channel.quotient(H)
+            rec.quot_I[H] = quot.holevo_information()
+            rec.quot_F[H] = quot.avg_fidelity()
     if subgroups:
         rec.best_H = _classify_best_subgroup(rec, channel.q)
     return rec

@@ -16,14 +16,12 @@ from .errors import StructuralError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    eigh_psd,
     entropy_of_probs,
     fidelity,
     hermitize,
-    trace_distance,
     von_neumann_entropy,
 )
-
-_RCOND = 1e-12
 
 
 class PureMixture:
@@ -104,12 +102,6 @@ def mix_states(weighted):
     return out
 
 
-def state_trace(state) -> float:
-    if isinstance(state, PureMixture):
-        return float(state.weights.sum())
-    return float(np.real(np.trace(state)))
-
-
 def batched_mixture_entropies(mats) -> np.ndarray:
     """Entropies of mixtures given as equal-shape scaled component arrays.
 
@@ -142,11 +134,22 @@ def state_entropy(state, tol: Tolerances = DEFAULT_TOL) -> float:
     return von_neumann_entropy(state, tol)
 
 
-def _fidelity_mixture(va: np.ndarray, vb: np.ndarray) -> float:
-    # With rho = A A† and sigma = B B† for any factorizations, Uhlmann's
-    # theorem gives F = ||A† B||_1.  Columns of A are the scaled component
-    # vectors, so A†B is the ra x rb cross-Gram matrix -- independent of the
-    # ambient dimension.
+def spectral_factor(state: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """(eigenvalues, rows sqrt(lambda_i) v_i^T over lambda_i > 0) of a dense state.
+
+    The rows factor the state as a mixture's scaled components do, so one
+    eigendecomposition serves the entropy and every fidelity of the state.
+    """
+    vals, vecs = eigh_psd(state, tol)
+    keep = vals > 0.0
+    return vals, (vecs[:, keep] * np.sqrt(vals[keep])).T
+
+
+def factor_fidelity(va: np.ndarray, vb: np.ndarray) -> float:
+    """F(A A†, B B†) = ||A† B||_1 (Uhlmann) for any factors, given as rows A^T, B^T.
+
+    A†B is the ra x rb cross-Gram matrix, independent of the ambient dimension.
+    """
     cross = va @ vb.conj().T
     return float(min(1.0, np.linalg.svd(cross, compute_uv=False).sum()))
 
@@ -156,12 +159,8 @@ def state_fidelity(a, b, tol: Tolerances = DEFAULT_TOL) -> float:
     if dim_of(a) != dim_of(b):
         raise StructuralError("states live in different dimensions")
     if isinstance(a, PureMixture) and isinstance(b, PureMixture):
-        return _fidelity_mixture(a.scaled_components(), b.scaled_components())
+        return factor_fidelity(a.scaled_components(), b.scaled_components())
     return fidelity(to_dense(a), to_dense(b), tol)
-
-
-def state_trace_distance(a, b) -> float:
-    return trace_distance(to_dense(a), to_dense(b))
 
 
 def state_is_diagonal(state, atol: float = 0.0) -> bool:

@@ -194,3 +194,17 @@ def test_mac_region_output(tmp_path):
 def test_missing_channel_args_is_validation_error(tmp_path):
     res = run_cli("polarize", "--n", "2", "--out", str(tmp_path / "s.csv"))
     assert res.returncode == 1
+
+
+def test_verify_all_checks(tmp_path):
+    out = tmp_path / "verify.jsonl"
+    res = run_cli("verify", "--checks", "all", "--trials", "3", "--seed", "2", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    from cqpolar.checks import CHECKS
+
+    assert {line["check_id"] for line in lines} >= set(CHECKS)
+    for line in lines:
+        validate_schema(line, "verify_line.schema.json")
+        assert type(line["hypothesis_satisfied"]) is bool
+        assert type(line["passed"]) is bool

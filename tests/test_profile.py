@@ -1,0 +1,281 @@
+"""The pairwise-fidelity profile: one matrix per channel, every functional read off it.
+
+Differential tests compare the matrix-derived functionals with a direct
+pair-by-pair evaluation, the two engines with each other, and the cached
+branch decompositions with the plain linalg routines.  Counting tests pin the
+work the profile saves: each unordered pair once, each dense branch
+decomposed once, no quotient built for the trivial subgroups.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from conftest import random_mixed_channel, random_pure_channel
+from oracles import classical_fd
+
+from cqpolar import channel as channel_mod
+from cqpolar.channel import CqChannel, HybridState, hybrid_fidelity, preset_channel
+from cqpolar.diagonal import DiagonalChannel, from_cq_channel
+from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
+from cqpolar.linalg import entropy_of_probs, von_neumann_entropy
+from cqpolar.polarize import (
+    _classify_best_subgroup,
+    make_record,
+    minus_transform,
+    plus_transform,
+    polarization_scan,
+)
+from cqpolar.states import PureMixture, state_fidelity, to_dense
+
+GROUPS = {"Z4": [4], "Z2xZ2": [2, 2], "Z6": [6]}
+TOL = 1e-12
+
+
+def _mixed_branch_channel(rng, group) -> CqChannel:
+    """Outputs with two classical labels: one dense branch, one pure-mixture branch."""
+    g = FiniteAbelianGroup(group)
+    outputs = []
+    for _ in range(g.order):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        dense = a @ a.conj().T
+        dense /= np.real(np.trace(dense))
+        vecs = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mix = PureMixture([0.3, 0.7], vecs / np.linalg.norm(vecs, axis=1)[:, None])
+        w = float(rng.uniform(0.2, 0.8))
+        outputs.append(HybridState([(w, "dense", dense), (1.0 - w, "mix", mix)]))
+    return CqChannel(g, outputs)
+
+
+def _channels():
+    """(name, channel) over Z4, Z2xZ2 and Z6: pure, Wishart-mixed, multi-branch, hybrid."""
+    out = []
+    for gname, group in GROUPS.items():
+        q = int(np.prod(group))
+        rng = np.random.default_rng([17, q, len(group)])
+        pure = random_pure_channel(rng, q, 2, group)
+        mixed = random_mixed_channel(rng, q, 2, group)
+        out += [
+            (f"{gname}-pure", pure),
+            (f"{gname}-mixed", mixed),
+            (f"{gname}-pure-plus", plus_transform(pure)),
+            (f"{gname}-mixed-plus", plus_transform(mixed)),
+            (f"{gname}-dense-and-mixture", _mixed_branch_channel(rng, group)),
+        ]
+    return out
+
+
+CHANNELS = _channels()
+IDS = [name for name, _ in CHANNELS]
+
+
+def _direct_pairs(W) -> np.ndarray:
+    """F(rho_x, rho_y) evaluated pair by pair on both orders, no cache."""
+    return np.array(
+        [[hybrid_fidelity(W.outputs[x], W.outputs[y], W.tol) for y in range(W.q)]
+         for x in range(W.q)]
+    )
+
+
+def _direct_fd(W, pairs, d) -> float:
+    g = W.alphabet
+    return float(np.mean([pairs[x, g.add_index(x, d)] for x in range(W.q)]))
+
+
+@pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
+def test_matrix_is_a_fidelity_matrix(name, W):
+    mat = W.pairwise_fidelity_matrix()
+    assert mat.shape == (W.q, W.q)
+    assert np.array_equal(mat, mat.T)
+    assert np.all(np.diag(mat) == 1.0)
+    assert np.all((mat >= 0.0) & (mat <= 1.0))
+    assert W.pairwise_fidelity_matrix() is mat  # cached
+    assert not mat.flags.writeable
+
+
+@pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
+def test_functionals_match_pair_by_pair(name, W):
+    pairs = _direct_pairs(W)
+    q = W.q
+    off = ~np.eye(q, dtype=bool)
+    assert np.max(np.abs(W.pairwise_fidelity_matrix() - pairs)[off]) <= TOL
+    table = W.fd_table()
+    for d in range(q):
+        expected = 1.0 if d == 0 else _direct_fd(W, pairs, d)
+        assert W.fd(d) == pytest.approx(expected, abs=TOL)
+        assert table[d] == pytest.approx(expected, abs=TOL)
+    assert W.avg_fidelity() == pytest.approx(pairs[off].mean(), abs=TOL)
+    assert W.f_max() == pytest.approx(
+        max(_direct_fd(W, pairs, d) for d in range(1, q)), abs=TOL
+    )
+    for H in enumerate_subgroups(W.alphabet):
+        for M in enumerate_subgroups(W.alphabet):
+            if not M.is_subset_of(H):
+                continue
+            ds = [d for d in H.indices if not M.contains_index(d)]
+            expected = max((_direct_fd(W, pairs, d) for d in ds), default=0.0)
+            assert W.nested_fmax(M, H) == pytest.approx(expected, abs=TOL)
+
+
+@pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
+def test_branch_fidelities_match_dense_linalg(name, W):
+    # the factor form against the seed's per-branch route (square roots of
+    # densified states); rank-deficient square roots carry ~1e-8 noise
+    for x, y in itertools.combinations(range(W.q), 2):
+        a, b = W.outputs[x].as_dict(), W.outputs[y].as_dict()
+        expected = sum(
+            np.sqrt(wa * b[key][0]) * state_fidelity(sa, b[key][1])
+            for key, (wa, sa) in a.items()
+            if key in b
+        )
+        assert W.pairwise_fidelity(x, y) == pytest.approx(min(1.0, expected), abs=1e-7)
+
+
+@pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
+def test_cached_entropy_matches_von_neumann(name, W):
+    for h in W.outputs:
+        expected = entropy_of_probs(np.array([w for w, _, _ in h.branches]))
+        for w, _, st in h.branches:
+            if isinstance(st, PureMixture):
+                expected += w * von_neumann_entropy(to_dense(st))
+            else:
+                expected += w * von_neumann_entropy(st)
+        # mixtures take the Gram-matrix route, so agreement is to 1e-9;
+        # before and after the fidelities fill the cache
+        assert h.entropy() == pytest.approx(expected, abs=1e-9)
+        W.pairwise_fidelity_matrix()
+        assert h.entropy() == pytest.approx(expected, abs=1e-9)
+        for key, (_, st) in h.as_dict().items():
+            if not isinstance(st, PureMixture):
+                vals, _ = h._spectra[key]
+                assert entropy_of_probs(vals) == pytest.approx(von_neumann_entropy(st), abs=TOL)
+
+
+def _classical_tables():
+    rng = np.random.default_rng(5)
+    out = []
+    for gname, group in GROUPS.items():
+        q = int(np.prod(group))
+        table = rng.dirichlet(np.ones(q + 1), size=q)
+        out.append((gname, FiniteAbelianGroup(group), table))
+    return out
+
+
+@pytest.mark.parametrize("gname,g,table", _classical_tables(), ids=list(GROUPS))
+def test_engines_agree_on_classical_channel(gname, g, table):
+    hybrid = CqChannel(
+        g, [HybridState([(1.0, (), np.diag(row.astype(complex)))]) for row in table]
+    )
+    diag = from_cq_channel(hybrid)
+    for a, b in [(hybrid, diag), (plus_transform(hybrid), plus_transform(diag)),
+                 (minus_transform(hybrid), minus_transform(diag))]:
+        assert np.max(np.abs(a.pairwise_fidelity_matrix() - b.pairwise_fidelity_matrix())) <= TOL
+        for d in range(g.order):
+            assert a.fd(d) == pytest.approx(b.fd(d), abs=TOL)
+        assert a.avg_fidelity() == pytest.approx(b.avg_fidelity(), abs=TOL)
+        assert a.f_max() == pytest.approx(b.f_max(), abs=TOL)
+        full = Subgroup(g, tuple(range(g.order)))
+        trivial = Subgroup(g, (0,))
+        assert a.nested_fmax(trivial, full) == pytest.approx(b.nested_fmax(trivial, full), abs=TOL)
+    add = g.add_index
+    for d in range(g.order):
+        assert diag.fd(d) == pytest.approx(classical_fd(table, add, g.order, d), abs=TOL)
+
+
+# -- work saved -------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, cls, attr):
+    calls = []
+    original = cls.__dict__[attr]
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
+def test_each_pair_evaluated_once(monkeypatch, name, W):
+    W = CqChannel(W.alphabet, W.outputs, W.tol)  # a fresh, uncached channel
+    calls = _count_calls(monkeypatch, CqChannel, "pairwise_fidelity")
+    full = Subgroup(W.alphabet, tuple(range(W.q)))
+    for _ in range(3):
+        W.fd_table()
+        W.avg_fidelity()
+        W.f_max()
+        W.fd(1)
+        W.nested_fmax(Subgroup(W.alphabet, (0,)), full)
+    q = W.q
+    assert len(calls) == q * (q - 1) // 2
+    assert sorted(calls) == list(itertools.combinations(range(q), 2))
+
+
+def test_each_dense_branch_decomposed_once(monkeypatch):
+    W = _mixed_branch_channel(np.random.default_rng(3), [4])
+    seen = []
+    original = channel_mod.spectral_factor
+
+    def counted(state, tol):
+        seen.append(id(state))
+        return original(state, tol)
+
+    monkeypatch.setattr(channel_mod, "spectral_factor", counted)
+    for _ in range(2):
+        W.holevo_information()
+        W.pairwise_fidelity_matrix()
+        make_record(W, (), enumerate_subgroups(W.alphabet))
+    for h in W.outputs:
+        (dense,) = [st for _, _, st in h.branches if not isinstance(st, PureMixture)]
+        assert seen.count(id(dense)) == 1
+
+
+def _scan_inputs():
+    rng = np.random.default_rng(11)
+    return [
+        ("hybrid-Z4", random_pure_channel(rng, 4, 2), 2),
+        ("hybrid-Z2xZ2", random_mixed_channel(rng, 4, 2, [2, 2]), 1),
+        ("diagonal-Z4", preset_channel("classical-symmetric", q=4, p=0.1), 3),
+        ("diagonal-Z6", preset_channel("classical-symmetric", q=6, p=0.2), 2),
+    ]
+
+
+SCANS = _scan_inputs()
+
+
+@pytest.mark.parametrize("name,W,n", SCANS, ids=[s[0] for s in SCANS])
+def test_scan_builds_no_trivial_quotient(monkeypatch, name, W, n):
+    orders = []
+    for cls in (CqChannel, DiagonalChannel):
+        original = cls.__dict__["quotient"]
+
+        def counted(self, H, original=original):
+            orders.append((H.order, self.q))
+            return original(self, H)
+
+        monkeypatch.setattr(cls, "quotient", counted)
+    records = polarization_scan(W, n)
+    assert len(records) == 1 << n
+    assert orders  # the nontrivial quotients are still built
+    assert all(1 < order < q for order, q in orders)
+
+
+@pytest.mark.parametrize("name,W,n", SCANS, ids=[s[0] for s in SCANS])
+def test_trivial_quotient_shortcut_matches_explicit(name, W, n):
+    base = from_cq_channel(W) if name.startswith("diagonal") else W
+    subgroups = enumerate_subgroups(base.alphabet)
+    channels = [base, minus_transform(base), plus_transform(base)]
+    for ch in channels:
+        rec = make_record(ch, (), subgroups)
+        explicit = make_record(ch, (), [])
+        for H in subgroups:
+            quot = ch.quotient(H)
+            explicit.quot_I[H] = quot.holevo_information()
+            explicit.quot_F[H] = quot.avg_fidelity()
+            assert rec.quot_I[H] == pytest.approx(explicit.quot_I[H], abs=TOL)
+            assert rec.quot_F[H] == pytest.approx(explicit.quot_F[H], abs=TOL)
+        assert list(rec.quot_I) == subgroups
+        assert rec.best_H == _classify_best_subgroup(explicit, ch.q)
