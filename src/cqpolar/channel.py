@@ -407,7 +407,30 @@ def _average_hybrid(hybrids, tol: Tolerances) -> HybridState:
     return HybridState(branches, tol=tol)
 
 
-# -- presets --------------------------------------------------------------------
+# -- random channels and presets ---------------------------------------------------
+
+
+def random_density(rng, k: int) -> np.ndarray:
+    """A Wishart-distributed k x k density matrix: A A† / Tr(A A†), A complex Gaussian."""
+    a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    m = a @ a.conj().T
+    return m / np.real(np.trace(m))
+
+
+def random_cq_channel(group, k: int, mixed: bool, rng) -> CqChannel:
+    """One random output per input: Haar-like pure states, or Wishart mixed ones.
+
+    Outputs are drawn from ``rng`` in input-index order; every seeded channel
+    of the package and its tests depends on that order.
+    """
+    outputs = []
+    for _ in range(group.order):
+        if mixed:
+            state = random_density(rng, k)
+        else:
+            state = pure_state(rng.normal(size=k) + 1j * rng.normal(size=k))
+        outputs.append(HybridState([(1.0, (), state)]))
+    return CqChannel(group, outputs)
 
 
 def preset_channel(name: str, seed=None, **params) -> CqChannel:
@@ -449,23 +472,11 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
         return CqChannel(g, outputs)
     if name == "random":
         q, k = int(params["q"]), int(params["k"])
-        mixed = bool(params.get("mixed", False))
-        group_spec = params.get("group", [q])
-        g = FiniteAbelianGroup(group_spec)
+        g = FiniteAbelianGroup(params.get("group", [q]))
         if g.order != q:
             raise LoadError("group order does not match q")
-        rng = np.random.default_rng(seed)
-        outputs = []
-        for _ in range(q):
-            if mixed:
-                a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-                m = a @ a.conj().T
-                m /= np.real(np.trace(m))
-                outputs.append(HybridState([(1.0, (), m)]))
-            else:
-                v = rng.normal(size=k) + 1j * rng.normal(size=k)
-                outputs.append(HybridState([(1.0, (), pure_state(v))]))
-        return CqChannel(g, outputs)
+        mixed = bool(params.get("mixed", False))
+        return random_cq_channel(g, k, mixed, np.random.default_rng(seed))
     raise LoadError(f"unknown preset {name!r}")
 
 

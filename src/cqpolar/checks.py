@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CqChannel, HybridState, preset_channel
+from .channel import CqChannel, HybridState, preset_channel, random_cq_channel, random_density
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import (
@@ -101,18 +101,7 @@ def random_channel(rng, q: int, k: int, flavor: str = None) -> CqChannel:
         return preset_channel("classical-symmetric", q=q, p=float(rng.uniform(0, 0.5)))
     if flavor == "depolarized":
         return preset_channel("depolarized-orthogonal", q=q, lam=float(rng.uniform(0, 1)))
-    g = FiniteAbelianGroup([q])
-    outputs = []
-    for _ in range(q):
-        if flavor == "mixed":
-            a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            m = a @ a.conj().T
-            m /= np.real(np.trace(m))
-            outputs.append(HybridState([(1.0, (), m)]))
-        else:
-            v = rng.normal(size=k) + 1j * rng.normal(size=k)
-            outputs.append(HybridState([(1.0, (), pure_state(v))]))
-    return CqChannel(g, outputs)
+    return random_cq_channel(FiniteAbelianGroup([q]), k, flavor == "mixed", rng)
 
 
 def random_group(rng, q: int) -> FiniteAbelianGroup:
@@ -142,12 +131,6 @@ def coset_structured_channel(
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         outputs.append(HybridState([(1.0, (), pure_state(anchors[x] + eps * noise))]))
     return CqChannel(g, outputs)
-
-
-def random_density(rng, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.real(np.trace(m))
 
 
 def random_subidentity(rng, dim: int) -> np.ndarray:
@@ -640,15 +623,7 @@ CHECKS = {
 
 def _group_channel(rng, q: int, k: int) -> CqChannel:
     g = random_group(rng, q)
-    mixed = bool(rng.integers(2))
-    outputs = []
-    for _ in range(g.order):
-        if mixed:
-            outputs.append(HybridState([(1.0, (), random_density(rng, k))]))
-        else:
-            v = rng.normal(size=k) + 1j * rng.normal(size=k)
-            outputs.append(HybridState([(1.0, (), pure_state(v))]))
-    return CqChannel(g, outputs)
+    return random_cq_channel(g, k, bool(rng.integers(2)), rng)
 
 
 def _run_one(check_id: str, rng, q: int, k: int, caps, tag: str):

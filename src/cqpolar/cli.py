@@ -27,8 +27,7 @@ from .checks import CHECKS, run_all, summarize
 from .codes import CodeParams, build_plan, plan_from_json, plan_to_json, rate_gap
 from .config import default_caps
 from .decoder import error_experiment
-from .errors import CapacityError, CheckFailure, LoadError, StructuralError
-from .groups import FiniteAbelianGroup
+from .errors import CapacityError, LoadError, StructuralError
 from .mac import MacChannel, polarized_region_estimate, random_mac, region
 from .polarize import format_label, polarization_scan
 
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polar-coding laboratory for classical-quantum channels "
         "over finite Abelian groups.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results are order-deterministic regardless)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("channel", help="validate or emit channel files")
@@ -370,9 +367,6 @@ def main(argv=None) -> int:
     except (LoadError, StructuralError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK
 
 
 if __name__ == "__main__":

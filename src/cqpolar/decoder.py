@@ -6,15 +6,24 @@ the already-decoded prefix (later symbols modeled uniform, as the averaged
 section analysis prescribes), samples an outcome with the exact Born
 probabilities, and applies the sqrt(E) . sqrt(E) state update.
 
-Three execution paths share one orchestration:
+One loop, ``SCDecoder.decode``, does that walk for every kind of channel.  It
+skips steps with a single coset, draws the outcome, tracks survival, lifts
+the decoded coset through the plan's section and records each step.  What a
+kind contributes is a step object with two methods: ``probabilities(state)``,
+the outcome probabilities, and ``post_measurement(state, outcome)``, the
+normalized post-measurement state or None when it collapses.  The kinds are
 
 - pure: every channel output is a pure state; states stay weighted pure
-  mixtures and POVMs live in the small subspace spanned by the component
-  vectors (this is what makes N = 8 with 2000 trials cheap),
-- diagonal: classical channels; outputs are sampled and the walk reduces to
-  classical successive cancellation with posterior sampling (exactly the
-  pretty-good measurement restricted to commuting states),
-- dense: anything else, with explicit density matrices, for small N.
+  mixtures and the step is a ``_SubspacePovm`` living in the small subspace
+  spanned by the component vectors (this is what makes N = 8 with 2000
+  trials cheap),
+- dense: anything else, with explicit density matrices, for small N; the
+  step is a ``_DensePovm``,
+- diagonal: classical channels; outputs are sampled, the walk's state is the
+  likelihoods of the sampled outputs and the step is a ``_CosetLikelihoods``
+  that leaves it unchanged.  This is classical successive cancellation with
+  posterior sampling, exactly the pretty-good measurement restricted to
+  commuting states.
 
 Conditional states are computed by the standard polar block recursion and
 memoized; step POVMs are cached by (step, decoded prefix) across trials.
@@ -30,7 +39,7 @@ from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import quotient_cosets
-from .linalg import DEFAULT_TOL, Povm, hermitize, psd_sqrt
+from .linalg import Povm, hermitize, pretty_good_measurement, psd_sqrt
 from .codes import CodePlan, MessageVector, encode, plan_channel, random_message
 from .groups import random_section_map
 from .polarize import decode_index, format_label
@@ -86,12 +95,11 @@ class _BlockStates:
     of a block feeds sum/pass lanes of its first/second half.
     """
 
-    def __init__(self, group, leaf_states, leaf_avg, n, memo_root=False):
+    def __init__(self, group, leaf_states, leaf_avg, n):
         self.group = group
         self.leaf = leaf_states
         self.leaf_avg = leaf_avg
         self.n = n
-        self.memo_root = memo_root
         self._memo = {}
 
     def state(self, level, pos, fixed, head):
@@ -100,12 +108,12 @@ class _BlockStates:
                 return self.leaf[fixed[0]]
             return self.leaf[head] if head is not None else self.leaf_avg
         key = (level, pos, fixed, head)
-        if level < self.n or self.memo_root:
+        if level < self.n:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
         out = self._compute(level, pos, fixed, head)
-        if level < self.n or self.memo_root:
+        if level < self.n:
             self._memo[key] = out
         return out
 
@@ -166,9 +174,7 @@ class _BlockLikelihoods(_BlockStates):
     def __init__(self, group, table, y, n):
         self.table = table
         self.y = y
-        q = group.order
-        leaf_avg = None  # per-leaf averages differ; handled in state()
-        super().__init__(group, None, leaf_avg, n)
+        super().__init__(group, None, None, n)  # per-leaf averages are taken in state()
 
     def state(self, level, pos, fixed, head):
         if level == 0:
@@ -187,7 +193,7 @@ class _BlockLikelihoods(_BlockStates):
         return float(sum(w * v for w, v in parts))
 
 
-# -- step POVMs ---------------------------------------------------------------------
+# -- step objects ------------------------------------------------------------------
 
 
 class _SubspacePovm:
@@ -204,7 +210,7 @@ class _SubspacePovm:
         self.effect_eigs = effect_eigs  # list of (U r x r, vals r)
         self.kernel_share = kernel_share
 
-    def probabilities_pure(self, psi):
+    def probabilities(self, psi):
         coords = self.basis.conj().T @ psi
         norm2 = float(np.real(np.vdot(psi, psi)))
         in2 = float(np.real(np.vdot(coords, coords)))
@@ -215,13 +221,14 @@ class _SubspacePovm:
             out.append(float(np.real(np.sum(vals * np.abs(w) ** 2))) + self.kernel_share * leak)
         return np.clip(np.array(out), 0.0, None)
 
-    def apply_sqrt_pure(self, psi, idx):
+    def post_measurement(self, psi, idx):
         u, vals = self.effect_eigs[idx]
         coords = self.basis.conj().T @ psi
         inside = self.basis @ (u @ (np.sqrt(np.clip(vals, 0, None)) * (u.conj().T @ coords)))
         if self.kernel_share > 0.0:
             inside = inside + np.sqrt(self.kernel_share) * (psi - self.basis @ coords)
-        return inside
+        nrm = float(np.real(np.vdot(inside, inside)))
+        return inside / np.sqrt(nrm) if nrm > _SURVIVAL_FLOOR else None
 
     def to_povm(self) -> Povm:
         d = self.basis.shape[0]
@@ -255,7 +262,6 @@ def _subspace_pgm(sigmas) -> _SubspacePovm:
     inv[pos] = 1.0 / np.sqrt(vals[pos])
     s_isqrt = (vecs * inv) @ vecs.conj().T
     supp = (vecs * pos.astype(float)) @ vecs.conj().T
-    rank_gap = basis.shape[1] - int(pos.sum())
     # remainder inside the subspace (rank-deficient S') plus the full kernel
     inner_rem = (np.eye(basis.shape[1]) - supp) / m
     effect_eigs = []
@@ -266,12 +272,44 @@ def _subspace_pgm(sigmas) -> _SubspacePovm:
     return _SubspacePovm(basis, effect_eigs, kernel_share=1.0 / m)
 
 
-def _dense_pgm(sigmas, tol):
-    from .linalg import pretty_good_measurement
+class _DensePovm:
+    """A dense POVM with the square roots of its effects, for the state update."""
 
+    def __init__(self, povm: Povm, tol):
+        self.povm = povm
+        self.sqrts = [psd_sqrt(e, tol) for e in povm.effects]
+
+    def probabilities(self, rho):
+        return self.povm.outcome_probabilities(rho)
+
+    def post_measurement(self, rho, idx):
+        out = self.sqrts[idx] @ rho @ self.sqrts[idx]
+        tr = float(np.real(np.trace(out)))
+        return out / tr if tr > _SURVIVAL_FLOOR else None
+
+    def to_povm(self) -> Povm:
+        return self.povm
+
+
+def _dense_pgm(sigmas, tol) -> _DensePovm:
     dense = [to_dense(s) for s in sigmas]
-    povm = pretty_good_measurement(dense, tol=tol)
-    return povm, [psd_sqrt(e, tol) for e in povm.effects]
+    return _DensePovm(pretty_good_measurement(dense, tol=tol), tol)
+
+
+class _CosetLikelihoods:
+    """Classical step: coset weights of the realized outputs, which it leaves alone."""
+
+    def __init__(self, members, prefix):
+        self.members = members
+        self.prefix = prefix
+
+    def probabilities(self, lik: _BlockLikelihoods):
+        return np.array(
+            [sum(lik.state(lik.n, 0, self.prefix, v) for v in m) for m in self.members]
+        )
+
+    def post_measurement(self, lik, idx):
+        return lik
 
 
 # -- decoder engine -------------------------------------------------------------------
@@ -326,12 +364,9 @@ class SCDecoder:
         self.caps.check_dim(joint_dim, "joint output state")
         if self.kind == "pure":
             self.leaf = [h.branches[0][2] for h in self.channel.outputs]
-            self.leaf_avg = mix_states([(1.0 / self.group.order, s) for s in self.leaf])
         else:
             self.leaf = [to_dense(h.branches[0][2]) for h in self.channel.outputs]
-            self.leaf_avg = mix_states(
-                [(1.0 / self.group.order, s) for s in self.leaf]
-            )
+        self.leaf_avg = mix_states([(1.0 / self.group.order, s) for s in self.leaf])
         self.blocks = _BlockStates(self.group, self.leaf, self.leaf_avg, self.n)
 
     # -- transmission ---------------------------------------------------------------
@@ -385,106 +420,56 @@ class SCDecoder:
         return rep
 
     # -- decoding ------------------------------------------------------------------------
+    def _initial_state(self, received: JointOutputState):
+        if self.kind == "diagonal":
+            return _BlockLikelihoods(self.group, self.table, received.data, self.n)
+        return received.data.astype(complex)
+
+    def _step(self, i: int, prefix: tuple):
+        if self.kind == "diagonal":
+            return _CosetLikelihoods(self._members[i], prefix)
+        return self.step_povm_rep(i, prefix)
+
     def decode(self, received: JointOutputState, seed) -> tuple:
         rng = np.random.default_rng(seed) if not hasattr(seed, "integers") else seed
-        if self.kind == "diagonal":
-            return self._decode_diagonal(received, rng)
-        return self._decode_quantum(received, rng)
+        state = self._initial_state(received)
+        trace = DecodeTrace()
+        survival = 1.0
+        prefix = ()
+        decoded = []
+        for i, d in enumerate(self.plan.decisions):
+            p_step, pick = 1.0, 0
+            if len(self._cells[i]) > 1:
+                step = self._step(i, prefix)
+                probs = step.probabilities(state)
+                total = probs.sum()
+                if not total > _SURVIVAL_FLOOR:
+                    trace.failed = True
+                    break
+                probs = probs / total
+                pick = int(rng.choice(len(probs), p=probs))
+                p_step = float(probs[pick])
+                state = step.post_measurement(state, pick)
+                if state is None:
+                    trace.failed = True
+                    break
+            survival *= p_step
+            coset, prefix = self._record_and_lift(i, pick, prefix)
+            decoded.append(coset)
+            trace.steps.append(StepRecord(d.branch, coset.rep_index, p_step, survival))
+        message = MessageVector(decoded)
+        if received.message is not None and not trace.failed:
+            trace.success = all(
+                a.rep_index == b.rep_index
+                for a, b in zip(message.cosets, received.message.cosets)
+            )
+        return message, trace
 
     def _record_and_lift(self, i, cell_idx, prefix):
         d = self.plan.decisions[i]
         coset = self._cells[i][cell_idx]
         lifted = d.section(coset).index
         return coset, prefix + (int(lifted),)
-
-    def _decode_quantum(self, received, rng):
-        pure = self.kind == "pure"
-        state = received.data.astype(complex)
-        trace = DecodeTrace()
-        survival = 1.0
-        prefix = ()
-        decoded = []
-        for i, d in enumerate(self.plan.decisions):
-            cells = self._cells[i]
-            if len(cells) == 1:
-                p_step = 1.0
-                pick = 0
-            else:
-                rep = self.step_povm_rep(i, prefix)
-                if pure:
-                    probs = rep.probabilities_pure(state)
-                else:
-                    povm, _ = rep
-                    probs = povm.outcome_probabilities(state)
-                total = probs.sum()
-                if not total > _SURVIVAL_FLOOR:
-                    trace.failed = True
-                    break
-                probs = probs / total
-                pick = int(rng.choice(len(cells), p=probs))
-                p_step = float(probs[pick])
-                if pure:
-                    state = rep.apply_sqrt_pure(state, pick)
-                    nrm = float(np.real(np.vdot(state, state)))
-                    if not nrm > _SURVIVAL_FLOOR:
-                        trace.failed = True
-                        break
-                    state = state / np.sqrt(nrm)
-                else:
-                    _, sqrts = rep
-                    state = sqrts[pick] @ state @ sqrts[pick]
-                    tr = float(np.real(np.trace(state)))
-                    if not tr > _SURVIVAL_FLOOR:
-                        trace.failed = True
-                        break
-                    state = state / tr
-            survival *= p_step
-            coset, prefix = self._record_and_lift(i, pick, prefix)
-            decoded.append(coset)
-            trace.steps.append(StepRecord(d.branch, coset.rep_index, p_step, survival))
-        message = MessageVector(decoded)
-        if received.message is not None and not trace.failed:
-            trace.success = all(
-                a.rep_index == b.rep_index
-                for a, b in zip(message.cosets, received.message.cosets)
-            )
-        return message, trace
-
-    def _decode_diagonal(self, received, rng):
-        lik = _BlockLikelihoods(self.group, self.table, received.data, self.n)
-        trace = DecodeTrace()
-        survival = 1.0
-        prefix = ()
-        decoded = []
-        for i, d in enumerate(self.plan.decisions):
-            cells = self._cells[i]
-            if len(cells) == 1:
-                p_step, pick = 1.0, 0
-            else:
-                weights = np.array(
-                    [
-                        sum(lik.state(self.n, 0, prefix, v) for v in members)
-                        for members in self._members[i]
-                    ]
-                )
-                total = weights.sum()
-                if not total > _SURVIVAL_FLOOR:
-                    trace.failed = True
-                    break
-                probs = weights / total
-                pick = int(rng.choice(len(cells), p=probs))
-                p_step = float(probs[pick])
-            survival *= p_step
-            coset, prefix = self._record_and_lift(i, pick, prefix)
-            decoded.append(coset)
-            trace.steps.append(StepRecord(d.branch, coset.rep_index, p_step, survival))
-        message = MessageVector(decoded)
-        if received.message is not None and not trace.failed:
-            trace.success = all(
-                a.rep_index == b.rep_index
-                for a, b in zip(message.cosets, received.message.cosets)
-            )
-        return message, trace
 
 
 def _as_mixture(state) -> PureMixture:
@@ -511,11 +496,7 @@ def step_povm(plan: CodePlan, i, decoded_prefix, channel: CqChannel = None) -> P
     if len(engine._cells[i]) == 1:
         dim = engine.channel.k**engine.N
         return Povm([np.eye(dim, dtype=complex)])
-    rep = engine.step_povm_rep(i, prefix)
-    if engine.kind == "pure":
-        return rep.to_povm()
-    povm, _ = rep
-    return povm
+    return engine.step_povm_rep(i, prefix).to_povm()
 
 
 def decode(plan: CodePlan, received: JointOutputState, seed, channel: CqChannel = None):

@@ -16,7 +16,3 @@ class CapacityError(RuntimeError):
     quantity feeds an exact inequality check, so silent truncation is worse
     than failure.
     """
-
-
-class CheckFailure(AssertionError):
-    """A verification check found a violated inequality."""

@@ -9,17 +9,24 @@ cross-checked against the direct conditional-information evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 
-from .channel import CqChannel, HybridState
+from .channel import CqChannel, random_cq_channel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import FiniteAbelianGroup, Subgroup
 
 _TOL = 1e-9
+
+
+def _subset_rate(channel, info: float, gs: Subgroup) -> float:
+    """I(W) - I(W[G_S]) given info = I(W); I(W[G]) = 0, so W[G] is never built."""
+    if gs.order == channel.q:
+        return max(0.0, info)
+    return max(0.0, info - channel.quotient(gs).holevo_information())
 
 
 @dataclass
@@ -75,8 +82,7 @@ class MacChannel:
             raise StructuralError("invalid user subset")
         if not users:
             return 0.0
-        gs = self.user_subgroup(users)
-        return max(0.0, ch.holevo_information() - ch.quotient(gs).holevo_information())
+        return _subset_rate(ch, ch.holevo_information(), self.user_subgroup(users))
 
     def subset_information_direct(self, users) -> float:
         """I(X_S; B X_{S^c}) evaluated as an average of restricted channels."""
@@ -167,7 +173,7 @@ def polarized_region_estimate(
         count += 1
         info = channel.holevo_information()
         for key, gs in needed.items():
-            sums[key] += max(0.0, info - channel.quotient(gs).holevo_information())
+            sums[key] += _subset_rate(channel, info, gs)
     out = {frozenset(): 0.0}
     for key, total in sums.items():
         out[key] = total / count
@@ -178,19 +184,5 @@ def polarized_region_estimate(
 
 def random_mac(user_orders, k: int, seed, mixed: bool = False) -> MacChannel:
     """A random MAC: product group inputs, Haar-like pure or Wishart outputs."""
-    from .states import pure_state
-
-    flat = [n for orders in user_orders for n in orders]
-    g = FiniteAbelianGroup(flat)
-    rng = np.random.default_rng(seed)
-    outputs = []
-    for _ in range(g.order):
-        if mixed:
-            a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-            m = a @ a.conj().T
-            m /= np.real(np.trace(m))
-            outputs.append(HybridState([(1.0, (), m)]))
-        else:
-            v = rng.normal(size=k) + 1j * rng.normal(size=k)
-            outputs.append(HybridState([(1.0, (), pure_state(v))]))
-    return MacChannel(user_orders, CqChannel(g, outputs))
+    g = FiniteAbelianGroup([n for orders in user_orders for n in orders])
+    return MacChannel(user_orders, random_cq_channel(g, k, mixed, np.random.default_rng(seed)))

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cqpolar.channel import CqChannel, HybridState, preset_channel
+from cqpolar.channel import CqChannel, HybridState, preset_channel, random_cq_channel
 from cqpolar.groups import FiniteAbelianGroup
 from cqpolar.states import pure_state
 
@@ -27,20 +27,8 @@ def pure_overlap_channel(c: float) -> CqChannel:
 
 
 def random_mixed_channel(rng, q: int, k: int, group=None) -> CqChannel:
-    g = FiniteAbelianGroup(group or [q])
-    outputs = []
-    for _ in range(g.order):
-        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        m = a @ a.conj().T
-        m /= np.real(np.trace(m))
-        outputs.append(HybridState([(1.0, (), m)]))
-    return CqChannel(g, outputs)
+    return random_cq_channel(FiniteAbelianGroup(group or [q]), k, True, rng)
 
 
 def random_pure_channel(rng, q: int, k: int, group=None) -> CqChannel:
-    g = FiniteAbelianGroup(group or [q])
-    outputs = []
-    for _ in range(g.order):
-        v = rng.normal(size=k) + 1j * rng.normal(size=k)
-        outputs.append(HybridState([(1.0, (), pure_state(v))]))
-    return CqChannel(g, outputs)
+    return random_cq_channel(FiniteAbelianGroup(group or [q]), k, False, rng)

@@ -6,11 +6,16 @@ import pytest
 from conftest import pure_overlap_channel, random_mixed_channel
 from oracles import sc_posteriors_bruteforce
 
-from cqpolar.channel import CqChannel, HybridState, preset_channel
+from cqpolar.channel import (
+    CqChannel,
+    HybridState,
+    channel_to_json,
+    load_channel,
+    preset_channel,
+)
 from cqpolar.codes import (
     CodeParams,
     build_plan,
-    message_from_positions,
     polar_encode_indices,
     random_message,
 )
@@ -20,7 +25,7 @@ from cqpolar.decoder import (
     error_experiment,
     step_povm,
 )
-from cqpolar.groups import FiniteAbelianGroup, Subgroup
+from cqpolar.groups import FiniteAbelianGroup
 from cqpolar.polarize import synthesize, reverse_label
 from cqpolar.states import to_dense
 
@@ -274,3 +279,40 @@ def test_group_q4_decoding(z4_homomorphism_channel):
     assert all(d.subgroup.indices == (0, 2) for d in plan.decisions)
     rep = error_experiment(z4_homomorphism_channel, plan, trials=60, seed=3)
     assert rep["block_error"] == 0.0  # the quotient symbol is noiseless
+
+
+def _via_file(w):
+    return load_channel(channel_to_json(w))
+
+
+_BSC = preset_channel("classical-symmetric", q=2, p=0.05)
+_PURE_QUBIT = preset_channel("pure-states", angles=[0.0, 0.9])
+_Z4 = preset_channel("random", q=4, k=2, seed=3)
+
+
+@pytest.mark.parametrize(
+    "built_on, decoded_with, n, tau, trials, kind, errors, first_error, mismatch",
+    [
+        (_BSC, _BSC, 4, 1e-3, 200, "diagonal", 0, [0.0] * 16, [0.0] * 16),
+        (_BSC, _BSC, 6, 1e-3, 40, "diagonal", 0, [0.0] * 64, [0.0] * 64),
+        (_PURE_QUBIT, _PURE_QUBIT, 3, 0.05, 60, "pure", 0, [0.0] * 8, [0.0] * 8),
+        (_PURE_QUBIT, _via_file(_PURE_QUBIT), 3, 0.05, 30, "dense", 0, [0.0] * 8, [0.0] * 8),
+        (_Z4, _via_file(_Z4), 2, 0.3, 200, "dense", 15,
+         [0.0, 0.0, 0.065, 0.01], [0.0, 0.0, 0.065, 0.055]),
+    ],
+    ids=["bsc-n4", "bsc-n6", "pure-qubit-n3", "pure-qubit-n3-file", "z4-n2-file"],
+)
+def test_mixed_plan_with_fixed_sections(
+    built_on, decoded_with, n, tau, trials, kind, errors, first_error, mismatch
+):
+    # plans that mix frozen and info slots, one per decoder kind; errors and
+    # profiles are pinned so that any change to the SC loop's output shows
+    plan = build_plan(built_on, CodeParams(n=n, tau=tau))
+    frozen = [d.subgroup.order == plan.group.order for d in plan.decisions]
+    assert any(frozen) and not all(frozen)
+    assert SCDecoder(plan, decoded_with).kind == kind
+    rep = error_experiment(decoded_with, plan, trials, seed=1, randomize_sections=False)
+    assert rep["errors"] == errors
+    assert rep["first_error_profile"] == first_error
+    assert rep["step_mismatch_profile"] == mismatch
+    assert rep["bound_holds_within_3sigma"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqpolar.channel import random_density
 from cqpolar.errors import StructuralError
 from cqpolar.linalg import (
     Povm,
@@ -32,12 +33,6 @@ from cqpolar.states import (
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
-
-
-def random_density(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.real(np.trace(m))
 
 
 def test_fidelity_examples():

@@ -10,11 +10,12 @@ from cqpolar.groups import FiniteAbelianGroup
 from cqpolar.mac import (
     MacChannel,
     RateRegion,
+    _subsets,
     polarized_region_estimate,
     random_mac,
     region,
 )
-from cqpolar.polarize import minus_transform, plus_transform
+from cqpolar.polarize import iter_synthetic_channels, minus_transform, plus_transform
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "region_loss_fixture.json").read_text())
 
@@ -152,3 +153,39 @@ def test_region_json_shape():
     blob = region(mac).as_json()
     assert blob["num_users"] == 2
     assert set(blob["constraints"]) == {"~", "0", "1", "0,1"}
+
+
+def test_whole_group_quotient_is_never_built(monkeypatch):
+    # G_S = G for the all-users subset: I(W[G]) = 0 is used, not computed
+    macs = [random_mac([[2], [2]], 2, seed=8), random_mac([[2], [3]], 2, seed=9, mixed=True)]
+    explicit = []
+    for mac in macs:
+        subsets = [s for s in _subsets(mac.num_users) if s]
+
+        def rates(ch):
+            info = ch.holevo_information()
+            quotient_info = [ch.quotient(mac.user_subgroup(s)).holevo_information() for s in subsets]
+            return {frozenset(s): max(0.0, info - r) for s, r in zip(subsets, quotient_info)}
+
+        levels = [[rates(mac.channel)]]
+        for n in (1, 2):
+            levels.append([rates(ch) for _, ch in iter_synthetic_channels(mac.channel, n)])
+        explicit.append(
+            [{s: float(np.mean([r[s] for r in level])) for s in level[0]} for level in levels]
+        )
+
+    built = []
+    original = CqChannel.quotient
+
+    def recording_quotient(self, H):
+        built.append((H.order, self.q))
+        return original(self, H)
+
+    monkeypatch.setattr(CqChannel, "quotient", recording_quotient)
+    for mac, expected in zip(macs, explicit):
+        got = [region(mac)] + [polarized_region_estimate(mac, n) for n in (1, 2)]
+        for reg, exp in zip(got, expected):
+            for s, v in exp.items():
+                assert reg.bound(s) == pytest.approx(v, abs=1e-12)
+    assert built
+    assert all(order < q for order, q in built)
