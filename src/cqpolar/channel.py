@@ -4,11 +4,12 @@ A channel maps each group element to a :class:`HybridState`: a list of
 ``(weight, label, quantum state)`` branches representing a block-diagonal
 output ``sum_l w_l |l><l| ⊗ rho_l``.  Labels stay symbolic instead of being
 expanded into tensor factors, which is what keeps repeated plus-transforms
-affordable.  All information/fidelity functionals respect the block
-structure exactly.  Every fidelity functional (F_d, F, F_max, nested F_max)
-is read off one cached q x q matrix of pairwise fidelities, built with one
-evaluation per unordered pair; each dense branch is eigendecomposed once, for
-both its entropy and its fidelities.
+affordable.  Every branch state is a factored :class:`~.states.PureMixture`;
+a dense matrix handed in is factored once, when its ``HybridState`` is built.
+All information/fidelity functionals respect the block structure exactly.
+Every fidelity functional (F_d, F, F_max, nested F_max) is read off one
+cached q x q matrix of pairwise fidelities, built with one evaluation per
+unordered pair.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from .groups import (
 from .linalg import DEFAULT_TOL, Tolerances, entropy_of_probs, validate_density_matrix
 from .states import (
     PureMixture,
+    as_mixture,
     batched_mixture_entropies,
-    dim_of,
+    factor_fidelity,
     mix_states,
     pure_state,
-    factor_fidelity,
-    spectral_factor,
     state_is_diagonal,
     to_dense,
 )
@@ -50,16 +50,19 @@ def _label_key(label):
 
 
 class HybridState:
-    """A block-diagonal output state: branches of (weight, label, state)."""
+    """A block-diagonal output state: branches of (weight, label, state).
 
-    __slots__ = ("branches", "_dict", "_spectra")
+    Branch states may be given as mixtures or dense matrices; each is stored
+    as a :class:`PureMixture`.
+    """
+
+    __slots__ = ("branches", "_dict")
 
     def __init__(self, branches, validate: bool = True, tol: Tolerances = DEFAULT_TOL):
-        cleaned = [(float(w), lab, st) for w, lab, st in branches if w > 0.0]
+        cleaned = [(float(w), lab, as_mixture(st, tol)) for w, lab, st in branches if w > 0.0]
         cleaned.sort(key=lambda b: _label_key(b[1]))
         self.branches = cleaned
         self._dict = None
-        self._spectra = {}  # label key -> spectral_factor of a dense branch
         if validate:
             labels = [lab for _, lab, _ in cleaned]
             if len(set(map(_label_key, labels))) != len(labels):
@@ -67,13 +70,13 @@ class HybridState:
             total = sum(w for w, _, _ in cleaned)
             if abs(total - 1.0) > max(tol.tol_trace, 1e-7):
                 raise StructuralError(f"branch weights sum to {total!r}, not 1")
-            dims = {dim_of(st) for _, _, st in cleaned}
+            dims = {st.dim for _, _, st in cleaned}
             if len(dims) > 1:
                 raise StructuralError("branch states have inconsistent dimensions")
 
     @property
     def dim(self) -> int:
-        return dim_of(self.branches[0][2])
+        return self.branches[0][2].dim
 
     def as_dict(self) -> dict:
         if self._dict is None:
@@ -83,56 +86,28 @@ class HybridState:
     def labels(self) -> list:
         return [lab for _, lab, _ in self.branches]
 
-    def _spectrum(self, key: str, state, tol: Tolerances):
-        """(eigenvalues, factor rows) of the dense branch ``key``, decomposed once."""
-        if key not in self._spectra:
-            self._spectra[key] = spectral_factor(state, tol)
-        return self._spectra[key]
-
-    def factor(self, key: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-        """Rows V with rho = V^T conj(V) for the branch ``key``."""
-        state = self.as_dict()[key][1]
-        if isinstance(state, PureMixture):
-            return state.scaled_components()
-        return self._spectrum(key, state, tol)[1]
-
-    def entropy(self, tol: Tolerances = DEFAULT_TOL) -> float:
+    def entropy(self) -> float:
         """H(weights) + sum of weighted branch entropies, batched by shape.
 
-        Mixture branches sharing a component-array shape go through one
-        stacked eigvalsh call; channels with many thousands of classical
-        labels are otherwise dominated by per-branch dispatch overhead.
-        Dense branches use their cached eigendecomposition.
+        Branches sharing a component-array shape go through one stacked
+        eigvalsh call; channels with many thousands of classical labels are
+        otherwise dominated by per-branch dispatch overhead.
         """
         weights = np.array([w for w, _, _ in self.branches])
         total = entropy_of_probs(weights)
         groups: dict = {}
-        for w, lab, st in self.branches:
-            if not isinstance(st, PureMixture):
-                total += w * entropy_of_probs(self._spectrum(_label_key(lab), st, tol)[0])
-            elif st.rank_bound > 1:
+        for w, _, st in self.branches:
+            if st.rank_bound > 1:
                 groups.setdefault(st.vecs.shape, []).append((w, st.scaled_components()))
         for items in groups.values():
             ent = batched_mixture_entropies([c for _, c in items])
             total += float(np.array([w for w, _ in items]) @ ent)
         return total
 
-    def to_dense_block(self, label_order) -> np.ndarray:
-        """Flatten into one dense block-diagonal density matrix."""
-        d = self.dim
-        lut = self.as_dict()
-        out = np.zeros((len(label_order) * d, len(label_order) * d), dtype=complex)
-        for j, lab in enumerate(label_order):
-            hit = lut.get(_label_key(lab))
-            if hit is not None:
-                w, st = hit
-                out[j * d : (j + 1) * d, j * d : (j + 1) * d] = w * to_dense(st)
-        return out
 
-
-def hybrid_fidelity(a: HybridState, b: HybridState, tol: Tolerances = DEFAULT_TOL) -> float:
+def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
     """Fidelity of two block-diagonal states: sum over shared labels of
-    sqrt(w w') F(rho, rho').  Rank-1 branch pairs are batched into one
+    sqrt(w w') F(rho, rho').  Pairs of pure branches are batched into one
     vectorized overlap computation; any other pair is the nuclear norm of
     the cross-Gram matrix of the two branches' factors."""
     db = b.as_dict()
@@ -143,16 +118,13 @@ def hybrid_fidelity(a: HybridState, b: HybridState, tol: Tolerances = DEFAULT_TO
         if hit is None:
             continue
         wb, sb = hit
-        if (
-            isinstance(sa, PureMixture)
-            and isinstance(sb, PureMixture)
-            and sa.rank_bound == 1
-            and sb.rank_bound == 1
-        ):
+        if sa.rank_bound == 1 and sb.rank_bound == 1:
             left.append(np.sqrt(wa) * sa.scaled_components()[0])
             right.append(np.sqrt(wb) * sb.scaled_components()[0])
         else:
-            total += np.sqrt(wa * wb) * factor_fidelity(a.factor(key, tol), b.factor(key, tol))
+            total += np.sqrt(wa * wb) * factor_fidelity(
+                sa.scaled_components(), sb.scaled_components()
+            )
     if left:
         overlaps = np.abs((np.stack(left) * np.stack(right).conj()).sum(axis=1))
         total += float(overlaps.sum())
@@ -283,13 +255,8 @@ class CqChannel:
 
     def holevo_information(self) -> float:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
-        if all(
-            isinstance(st, PureMixture) for h in self.outputs for _, _, st in h.branches
-        ):
-            avg = self._average_entropy_fast()
-        else:
-            avg = self.average_output().entropy(self.tol)
-        per_input = sum(h.entropy(self.tol) for h in self.outputs) / self.q
+        avg = self._average_entropy_fast()
+        per_input = sum(h.entropy() for h in self.outputs) / self.q
         return max(0.0, avg - per_input)
 
     def _average_entropy_fast(self) -> float:
@@ -313,7 +280,7 @@ class CqChannel:
         return total
 
     def pairwise_fidelity(self, x, y) -> float:
-        return hybrid_fidelity(self.output_of(x), self.output_of(y), self.tol)
+        return hybrid_fidelity(self.output_of(x), self.output_of(y))
 
     def pairwise_fidelity_matrix(self) -> np.ndarray:
         """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y, cached."""
@@ -375,12 +342,24 @@ class CqChannel:
 
     # -- representation changes ---------------------------------------------------
     def flatten_dense(self) -> "CqChannel":
-        """Expand classical labels into one dense block-diagonal output."""
-        order = self.label_union()
-        outputs = [
-            HybridState([(1.0, (), h.to_dense_block(order))], validate=False)
-            for h in self.outputs
-        ]
+        """Expand classical labels into one block-diagonal output state.
+
+        Each branch's factor rows are placed in its label's block of the
+        label-union space, so the result stays factored.
+        """
+        pos = self.label_positions()
+        k = self.k
+        outputs = []
+        for h in self.outputs:
+            weights, rows = [], []
+            for w, lab, st in h.branches:
+                j = pos[_label_key(lab)]
+                block = np.zeros((st.rank_bound, len(pos) * k), dtype=complex)
+                block[:, j * k : (j + 1) * k] = st.vecs
+                weights.append(w * st.weights)
+                rows.append(block)
+            flat = PureMixture(np.concatenate(weights), np.vstack(rows))
+            outputs.append(HybridState([(1.0, (), flat)], validate=False))
         return CqChannel(self.alphabet, outputs, self.tol)
 
 
@@ -389,21 +368,13 @@ def _average_hybrid(hybrids, tol: Tolerances) -> HybridState:
     per_label: dict = {}
     for h in hybrids:
         for w, lab, st in h.branches:
-            per_label.setdefault(_label_key(lab), [lab, 0.0, []])
-            ent = per_label[_label_key(lab)]
+            ent = per_label.setdefault(_label_key(lab), [lab, 0.0, []])
             ent[1] += w / n
             ent[2].append((w / n, st))
-    branches = []
-    for lab, wtot, parts in per_label.values():
-        if all(isinstance(st, PureMixture) for _, st in parts):
-            vecs = np.vstack([st.vecs for _, st in parts])
-            wts = np.concatenate([w / wtot * st.weights for w, st in parts])
-            state = PureMixture(wts, vecs)
-            if state.rank_bound > state.dim:
-                state = to_dense(state)
-        else:
-            state = mix_states([(w / wtot, st) for w, st in parts])
-        branches.append((wtot, lab, state))
+    branches = [
+        (wtot, lab, mix_states([(w / wtot, st) for w, st in parts]))
+        for lab, wtot, parts in per_label.values()
+    ]
     return HybridState(branches, tol=tol)
 
 

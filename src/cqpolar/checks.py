@@ -290,14 +290,6 @@ def check_restricted_fidelity_upper(W: CqChannel, tag: str):
     return out
 
 
-def _delta_q_explicit(q: int) -> float:
-    """Threshold on 1 - Fmax below which the cosine chain arguments apply."""
-    if q < 2:
-        return 0.0
-    c = np.cos(np.pi / (2 * (q - 1))) if q > 2 else 0.0
-    return (1.0 - np.sqrt(max(0.0, 1.0 - (1.0 - c) ** 2))) / q
-
-
 def check_restricted_fidelity_lower(W: CqChannel, tag: str):
     q = W.q
     out = []

@@ -106,9 +106,6 @@ class CodePlan:
     def block_length(self) -> int:
         return self.params.block_length
 
-    def decision_at(self, i: int) -> BranchDecision:
-        return self.decisions[i]
-
     def message_space_sizes(self) -> list:
         return [self.group.order // d.subgroup.order for d in self.decisions]
 

@@ -8,17 +8,21 @@ probabilities, and applies the sqrt(E) . sqrt(E) state update.
 
 One loop, ``SCDecoder.decode``, does that walk for every kind of channel.  It
 skips steps with a single coset, draws the outcome, tracks survival, lifts
-the decoded coset through the plan's section and records each step.  What a
-kind contributes is a step object with two methods: ``probabilities(state)``,
-the outcome probabilities, and ``post_measurement(state, outcome)``, the
-normalized post-measurement state or None when it collapses.  The kinds are
+the decoded coset through the section the encoder used and records each
+step.  What a kind contributes is a step object with two methods:
+``probabilities(state)``, the outcome probabilities, and
+``post_measurement(state, outcome)``, the normalized post-measurement state
+or None when it collapses.  Conditional states are factored mixtures for
+both quantum kinds; a channel whose outputs carry several classical labels
+is first flattened into one block-diagonal state per input.  The kinds are
 
-- pure: every channel output is a pure state; states stay weighted pure
-  mixtures and the step is a ``_SubspacePovm`` living in the small subspace
+- pure: every channel output is a pure state; the received system is a state
+  vector and the step is a ``_SubspacePovm`` living in the small subspace
   spanned by the component vectors (this is what makes N = 8 with 2000
   trials cheap),
-- dense: anything else, with explicit density matrices, for small N; the
-  step is a ``_DensePovm``,
+- dense: mixed outputs, for small N; the received system is a density matrix
+  and the step is a ``_DensePovm`` built from the densified conditional
+  states,
 - diagonal: classical channels; outputs are sampled, the walk's state is the
   likelihoods of the sampled outputs and the step is a ``_CosetLikelihoods``
   that leaves it unchanged.  This is classical successive cancellation with
@@ -43,7 +47,7 @@ from .linalg import Povm, hermitize, pretty_good_measurement, psd_sqrt
 from .codes import CodePlan, MessageVector, encode, plan_channel, random_message
 from .groups import random_section_map
 from .polarize import decode_index, format_label
-from .states import PureMixture, mix_states, tensor_states, to_dense
+from .states import mix_states, tensor_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
 _RCOND = 1e-12
@@ -57,6 +61,7 @@ class JointOutputState:
     data: object  # state vector | sampled column indices | density matrix
     codeword: np.ndarray
     message: MessageVector = None
+    sections: list = None  # the encoder's section maps; None for the plan's own
 
 
 @dataclass
@@ -341,31 +346,23 @@ class SCDecoder:
         ch = self.channel
         if ch.is_diagonal():
             return "diagonal"
-        plain = all(len(h.branches) == 1 and h.branches[0][1] == () for h in ch.outputs)
-        if not plain:
-            flat_dim = len(ch.label_union()) * ch.k
-            self.caps.check_dim(flat_dim, "hybrid flatten")
+        # one shared label (whatever its name) means one branch per output
+        labels = ch.label_union()
+        if len(labels) > 1:
+            self.caps.check_dim(len(labels) * ch.k, "hybrid flatten")
             self.channel = ch.flatten_dense()
-            return "dense"
-        pure = all(
-            isinstance(h.branches[0][2], PureMixture) and h.branches[0][2].rank_bound == 1
-            for h in ch.outputs
-        )
+        pure = all(h.branches[0][2].rank_bound == 1 for h in self.channel.outputs)
         return "pure" if pure else "dense"
 
     def _prepare_states(self):
-        joint_dim = self.channel.k**self.N
         if self.kind == "diagonal":
             from .diagonal import from_cq_channel
 
             diag = from_cq_channel(self.channel, self.caps)
             self.table = diag.table
             return
-        self.caps.check_dim(joint_dim, "joint output state")
-        if self.kind == "pure":
-            self.leaf = [h.branches[0][2] for h in self.channel.outputs]
-        else:
-            self.leaf = [to_dense(h.branches[0][2]) for h in self.channel.outputs]
+        self.caps.check_dim(self.channel.k**self.N, "joint output state")
+        self.leaf = [h.branches[0][2] for h in self.channel.outputs]
         self.leaf_avg = mix_states([(1.0 / self.group.order, s) for s in self.leaf])
         self.blocks = _BlockStates(self.group, self.leaf, self.leaf_avg, self.n)
 
@@ -377,20 +374,25 @@ class SCDecoder:
             for x in codeword:
                 row = self.table[int(x)]
                 y.append(int(rng.choice(row.size, p=row / row.sum())))
-            return JointOutputState("diagonal", tuple(y), codeword, message)
+            return JointOutputState("diagonal", tuple(y), codeword, message, sections)
         if self.kind == "pure":
             psi = np.array([1.0 + 0j])
             for x in codeword:
                 psi = np.kron(psi, self.leaf[int(x)].vecs[0])
-            return JointOutputState("pure", psi, codeword, message)
+            return JointOutputState("pure", psi, codeword, message, sections)
         rho = np.array([[1.0 + 0j]])
         for x in codeword:
-            rho = np.kron(rho, self.leaf[int(x)])
-        return JointOutputState("dense", rho, codeword, message)
+            rho = np.kron(rho, to_dense(self.leaf[int(x)]))
+        return JointOutputState("dense", rho, codeword, message, sections)
 
     # -- conditional states and POVMs ---------------------------------------------------
     def conditional_states(self, i: int, prefix: tuple):
         """The candidate states rho-bar_{coset, prefix} at step i, per coset."""
+        if self.kind == "diagonal":
+            raise StructuralError(
+                "a diagonal plan has no quantum step states: its decoder steps are "
+                "classical likelihoods of sampled outputs"
+            )
         H = self.plan.decisions[i].subgroup
         out = []
         for members in self._members[i]:
@@ -411,9 +413,7 @@ class SCDecoder:
             return hit
         sigmas = self.conditional_states(i, prefix)
         if self.kind == "pure":
-            rep = _subspace_pgm(
-                [s if isinstance(s, PureMixture) else _as_mixture(s) for s in sigmas]
-            )
+            rep = _subspace_pgm(sigmas)
         else:
             rep = _dense_pgm(sigmas, self.tol)
         self._povm_cache[key] = rep
@@ -433,6 +433,7 @@ class SCDecoder:
     def decode(self, received: JointOutputState, seed) -> tuple:
         rng = np.random.default_rng(seed) if not hasattr(seed, "integers") else seed
         state = self._initial_state(received)
+        sections = received.sections or [d.section for d in self.plan.decisions]
         trace = DecodeTrace()
         survival = 1.0
         prefix = ()
@@ -454,7 +455,8 @@ class SCDecoder:
                     trace.failed = True
                     break
             survival *= p_step
-            coset, prefix = self._record_and_lift(i, pick, prefix)
+            coset = self._cells[i][pick]
+            prefix += (int(sections[i](coset).index),)
             decoded.append(coset)
             trace.steps.append(StepRecord(d.branch, coset.rep_index, p_step, survival))
         message = MessageVector(decoded)
@@ -464,18 +466,6 @@ class SCDecoder:
                 for a, b in zip(message.cosets, received.message.cosets)
             )
         return message, trace
-
-    def _record_and_lift(self, i, cell_idx, prefix):
-        d = self.plan.decisions[i]
-        coset = self._cells[i][cell_idx]
-        lifted = d.section(coset).index
-        return coset, prefix + (int(lifted),)
-
-
-def _as_mixture(state) -> PureMixture:
-    vals, vecs = np.linalg.eigh(hermitize(to_dense(state)))
-    keep = vals > 1e-15
-    return PureMixture(vals[keep], vecs[:, keep].T)
 
 
 # -- public operations ------------------------------------------------------------------

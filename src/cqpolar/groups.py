@@ -11,9 +11,7 @@ explicit coset-index tables rather than by recomputing invariant factors.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,13 +85,6 @@ class GroupElement:
 
     def __lt__(self, other: "GroupElement") -> bool:
         return self.residues < other.residues
-
-    def additive_order(self) -> int:
-        return reduce(
-            math.lcm,
-            (n // math.gcd(r, n) for r, n in zip(self.residues, self.group.cyclic_orders)),
-            1,
-        )
 
     def __repr__(self) -> str:
         return "(" + ",".join(str(r) for r in self.residues) + ")"
@@ -193,9 +184,6 @@ class Subgroup:
     def elements(self) -> list[GroupElement]:
         return [self.parent.element_by_index(i) for i in self.indices]
 
-    def contains(self, x: GroupElement) -> bool:
-        return self.contains_index(x.index)
-
     def is_subset_of(self, other: "Subgroup") -> bool:
         return self._index_set <= other._index_set
 
@@ -221,23 +209,6 @@ def add(a: GroupElement, b: GroupElement) -> GroupElement:
     )
 
 
-def _closure(group: GroupOps, seed: Iterable[int]) -> frozenset:
-    # BFS closure under addition; negation is free in a finite group.
-    members = {0}
-    frontier = [i for i in set(seed) if i != 0]
-    members.update(frontier)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in list(members):
-                s = group.add_index(i, j)
-                if s not in members:
-                    members.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return frozenset(members)
-
-
 def generated_subgroup(d: GroupElement) -> Subgroup:
     """The cyclic subgroup {0, d, 2d, ...} generated by ``d``."""
     g = d.group
@@ -254,24 +225,7 @@ def enumerate_subgroups(G: FiniteAbelianGroup, order_cap: int = DEFAULT_ORDER_CA
 
     Exhaustive closure enumeration; refuses groups larger than ``order_cap``.
     """
-    if G.order > order_cap:
-        raise CapacityError(f"subgroup enumeration capped at order {order_cap}, got {G.order}")
-    found = {frozenset({0})}
-    frontier = [frozenset({0})]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for g in range(G.order):
-                if g in sub:
-                    continue
-                new = _extend_subgroup(G, sub, g)
-                if new not in found:
-                    found.add(new)
-                    nxt.append(new)
-        frontier = nxt
-    subs = [Subgroup(G, tuple(s)) for s in found]
-    subs.sort(key=lambda h: (h.order, h.indices))
-    return subs
+    return subgroups_of(Subgroup(G, tuple(range(G.order))), order_cap)
 
 
 def _extend_subgroup(G: GroupOps, sub: frozenset, g: int) -> frozenset:
@@ -453,9 +407,6 @@ class SectionMap:
 
     def __call__(self, coset: Coset) -> GroupElement:
         return self.table[coset]
-
-    def lift_index(self, coset_pos: int, quotient: QuotientGroup) -> int:
-        return self.table[quotient.cosets[coset_pos]].index
 
 
 def random_section_map(H: Subgroup, rng) -> SectionMap:

@@ -15,7 +15,7 @@ import numpy as np
 from .channel import CqChannel, HybridState
 from .config import ResourceCaps, default_caps
 from .diagonal import DiagonalChannel, from_cq_channel
-from .errors import StructuralError
+from .errors import CapacityError, StructuralError
 from .groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
 from .states import tensor_states, mix_states
 
@@ -125,12 +125,23 @@ def plus_transform(W, caps: ResourceCaps = None):
     return CqChannel(g, outputs, W.tol)
 
 
+def _child(W, signs: BranchLabel, caps: ResourceCaps):
+    """W^signs from its parent W; a capacity error names the branch and its depth."""
+    transform = minus_transform if signs[-1] == MINUS else plus_transform
+    try:
+        return transform(W, caps)
+    except CapacityError as exc:
+        raise CapacityError(
+            f"branch {format_label(signs)} at depth {len(signs)}: {exc}"
+        ) from exc
+
+
 def synthesize(W, signs: BranchLabel, caps: ResourceCaps = None):
     """W^s: apply the sign transforms left to right; empty signs returns W."""
     caps = caps or default_caps()
     out = W
-    for s in signs:
-        out = minus_transform(out, caps) if s == MINUS else plus_transform(out, caps)
+    for depth in range(1, len(signs) + 1):
+        out = _child(out, tuple(signs[:depth]), caps)
     return out
 
 
@@ -198,8 +209,8 @@ def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None, engine: str = 
         if len(signs) == n:
             yield signs, channel
             return
-        yield from rec(minus_transform(channel, caps), signs + (MINUS,))
-        yield from rec(plus_transform(channel, caps), signs + (PLUS,))
+        for sign in (MINUS, PLUS):
+            yield from rec(_child(channel, signs + (sign,), caps), signs + (sign,))
 
     yield from rec(base, ())
 

@@ -1,11 +1,17 @@
-"""Internal state representations for hybrid channel outputs.
+"""Branch states of hybrid channel outputs, always in factored form.
 
-A branch state is either a dense density matrix (ndarray) or a
-:class:`PureMixture`, a weighted list of pure vectors.  Mixtures keep the
-synthetic-channel recursion cheap: tensor products and coset averages act on
-component vectors, and spectra come from small Gram matrices instead of
-k^(2^n)-dimensional eigenproblems.  A mixture silently densifies once it has
-more components than the ambient dimension, at which point dense is cheaper.
+Every branch state is a :class:`PureMixture`, a weighted list of unit
+vectors.  The paper's transforms only take tensor products (W^+ keeps u1 as a
+classical register) and uniform mixtures (W^- averages over u2), and this form
+is closed under both: products multiply weights and take Kronecker products of
+the vectors, mixtures concatenate them.  Entropies come from small Gram
+matrices and fidelities from cross-Gram matrices of the scaled vectors, so no
+k^(2^n)-dimensional state is ever decomposed just to be read.
+
+A dense matrix enters only through :func:`as_mixture`, which replaces it by
+its eigen-factor (an exactly diagonal matrix by one-hot rows, without an
+eigendecomposition).  A mixture with more vectors than its dimension is
+re-factored the same way, so the vector count never exceeds the dimension.
 """
 
 from __future__ import annotations
@@ -13,15 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    eigh_psd,
-    entropy_of_probs,
-    fidelity,
-    hermitize,
-    von_neumann_entropy,
-)
+from .linalg import DEFAULT_TOL, Tolerances, eigh_psd, entropy_of_probs, hermitize
+
+_EPS = np.finfo(float).eps
 
 
 class PureMixture:
@@ -59,47 +59,59 @@ def pure_state(vec) -> PureMixture:
     return PureMixture(np.array([1.0]), (v / n)[None, :])
 
 
-def dim_of(state) -> int:
-    return state.dim if isinstance(state, PureMixture) else state.shape[0]
+def _eigen_factor(mat: np.ndarray, tol: Tolerances) -> PureMixture:
+    """A dense state as the mixture of its eigenvectors.
+
+    Eigenvalues at rounding level (at most dim * eps * the largest) are
+    dropped, so a numerically rank-1 matrix becomes a pure state.  An exactly
+    diagonal matrix keeps its positive diagonal as weights of one-hot rows,
+    which reproduces the diagonal bit for bit.
+    """
+    d = mat.shape[0]
+    diag = np.real(np.diag(mat))
+    if not np.any(mat - np.diag(diag)):
+        if diag.size and diag.min() < -tol.tol_psd * max(1.0, float(diag.max())):
+            raise StructuralError(f"matrix is not PSD: min eigenvalue {diag.min():.3e}")
+        keep = diag > 0.0
+        return PureMixture(diag[keep], np.eye(d, dtype=complex)[keep])
+    vals, vecs = eigh_psd(mat, tol)
+    keep = vals > d * _EPS * vals[-1]
+    return PureMixture(vals[keep], vecs[:, keep].T)
 
 
-def to_dense(state) -> np.ndarray:
+def as_mixture(state, tol: Tolerances = DEFAULT_TOL) -> PureMixture:
+    """Any branch state (a mixture or a dense matrix) in factored form."""
     if isinstance(state, PureMixture):
-        v = state.scaled_components()
-        # rho[a, b] = sum_i w_i v_i[a] conj(v_i[b])
-        return v.T @ v.conj()
-    return np.asarray(state, dtype=complex)
+        return state
+    return _eigen_factor(np.asarray(state, dtype=complex), tol)
 
 
-def _maybe_densify(mix: PureMixture):
-    return to_dense(mix) if mix.rank_bound > mix.dim else mix
+def to_dense(state: PureMixture) -> np.ndarray:
+    """rho[a, b] = sum_i w_i v_i[a] conj(v_i[b]); exact on one-hot rows."""
+    return (state.vecs.T * state.weights) @ state.vecs.conj()
 
 
-def tensor_states(a, b):
-    """Tensor product; stays a pure mixture when both factors are."""
-    if isinstance(a, PureMixture) and isinstance(b, PureMixture):
-        w = np.multiply.outer(a.weights, b.weights).reshape(-1)
-        v = (a.vecs[:, None, :, None] * b.vecs[None, :, None, :]).reshape(
-            a.rank_bound * b.rank_bound, a.dim * b.dim
-        )
-        return _maybe_densify(PureMixture(w, v))
-    return np.kron(to_dense(a), to_dense(b))
+def tensor_states(a: PureMixture, b: PureMixture) -> PureMixture:
+    """Tensor product: products of weights, Kronecker products of vectors."""
+    w = np.multiply.outer(a.weights, b.weights).reshape(-1)
+    v = (a.vecs[:, None, :, None] * b.vecs[None, :, None, :]).reshape(
+        a.rank_bound * b.rank_bound, a.dim * b.dim
+    )
+    return PureMixture(w, v)
 
 
-def mix_states(weighted):
+def mix_states(weighted) -> PureMixture:
     """Convex mixture of states given as (weight, state) pairs."""
     weighted = [(w, s) for w, s in weighted if w > 0.0]
     if not weighted:
         raise StructuralError("cannot mix an empty set of states")
-    if all(isinstance(s, PureMixture) for _, s in weighted):
-        ws = np.concatenate([w * s.weights for w, s in weighted])
-        vs = np.vstack([s.vecs for _, s in weighted])
-        return _maybe_densify(PureMixture(ws, vs))
-    dim = dim_of(weighted[0][1])
-    out = np.zeros((dim, dim), dtype=complex)
-    for w, s in weighted:
-        out += w * to_dense(s)
-    return out
+    mix = PureMixture(
+        np.concatenate([w * s.weights for w, s in weighted]),
+        np.vstack([s.vecs for _, s in weighted]),
+    )
+    if mix.rank_bound > mix.dim:
+        return _eigen_factor(to_dense(mix), DEFAULT_TOL)
+    return mix
 
 
 def batched_mixture_entropies(mats) -> np.ndarray:
@@ -124,25 +136,11 @@ def batched_mixture_entropies(mats) -> np.ndarray:
     return np.concatenate(out)
 
 
-def state_entropy(state, tol: Tolerances = DEFAULT_TOL) -> float:
-    """von Neumann entropy in nats; Gram-matrix spectrum for mixtures."""
-    if isinstance(state, PureMixture):
-        v = state.scaled_components()
-        gram = hermitize(v @ v.conj().T)
-        vals = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-        return entropy_of_probs(vals)
-    return von_neumann_entropy(state, tol)
-
-
-def spectral_factor(state: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """(eigenvalues, rows sqrt(lambda_i) v_i^T over lambda_i > 0) of a dense state.
-
-    The rows factor the state as a mixture's scaled components do, so one
-    eigendecomposition serves the entropy and every fidelity of the state.
-    """
-    vals, vecs = eigh_psd(state, tol)
-    keep = vals > 0.0
-    return vals, (vecs[:, keep] * np.sqrt(vals[keep])).T
+def state_entropy(state: PureMixture) -> float:
+    """von Neumann entropy in nats, from the spectrum of the Gram matrix."""
+    v = state.scaled_components()
+    vals = np.clip(np.linalg.eigvalsh(hermitize(v @ v.conj().T)), 0.0, None)
+    return entropy_of_probs(vals)
 
 
 def factor_fidelity(va: np.ndarray, vb: np.ndarray) -> float:
@@ -154,16 +152,14 @@ def factor_fidelity(va: np.ndarray, vb: np.ndarray) -> float:
     return float(min(1.0, np.linalg.svd(cross, compute_uv=False).sum()))
 
 
-def state_fidelity(a, b, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Fidelity between two states of equal dimension, any representation."""
-    if dim_of(a) != dim_of(b):
+def state_fidelity(a: PureMixture, b: PureMixture) -> float:
+    """Fidelity between two states of equal dimension."""
+    if a.dim != b.dim:
         raise StructuralError("states live in different dimensions")
-    if isinstance(a, PureMixture) and isinstance(b, PureMixture):
-        return factor_fidelity(a.scaled_components(), b.scaled_components())
-    return fidelity(to_dense(a), to_dense(b), tol)
+    return factor_fidelity(a.scaled_components(), b.scaled_components())
 
 
-def state_is_diagonal(state, atol: float = 0.0) -> bool:
+def state_is_diagonal(state: PureMixture, atol: float = 0.0) -> bool:
     m = to_dense(state)
     if not m.size:
         return True

@@ -18,8 +18,12 @@ from cqpolar.channel import (
     load_channel,
     preset_channel,
 )
+from cqpolar.codes import CodeParams, build_plan
+from cqpolar.decoder import SCDecoder
+from cqpolar.diagonal import from_cq_channel, merge_columns
 from cqpolar.errors import LoadError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup, quotient_cosets
+from cqpolar.polarize import plus_transform, polarization_scan
 from cqpolar.states import pure_state, to_dense
 
 Z2 = FiniteAbelianGroup([2])
@@ -308,3 +312,52 @@ def test_is_diagonal_flag():
     assert preset_channel("classical-symmetric", q=2, p=0.3).is_diagonal()
     rng = np.random.default_rng(0)
     assert not random_pure_channel(rng, 2, 2).is_diagonal()
+
+
+# -- loaded copies of presets ---------------------------------------------------------
+
+_PRESETS = [
+    ("pure-qubit", preset_channel("pure-states", angles=[0.0, 0.9]), 3, "pure"),
+    ("random-z4", preset_channel("random", q=4, k=2, seed=3), 2, "pure"),
+    ("random-z2xz2", preset_channel("random", q=4, k=2, seed=5, group=[2, 2]), 2, "pure"),
+    ("random-mixed-z2", preset_channel("random", q=2, k=2, seed=4, mixed=True), 2, "dense"),
+    ("classical-q3", preset_channel("classical-symmetric", q=3, p=0.1), 3, "diagonal"),
+    ("depolarized-q4", preset_channel("depolarized-orthogonal", q=4, lam=0.2), 2, "diagonal"),
+]
+
+
+@pytest.mark.parametrize("name,W,n,kind", _PRESETS, ids=[p[0] for p in _PRESETS])
+def test_loaded_copy_matches_preset(name, W, n, kind):
+    loaded = load_channel(channel_to_json(W))
+    for h, g in zip(W.outputs, loaded.outputs):
+        assert [st.rank_bound for _, _, st in g.branches] == [
+            st.rank_bound for _, _, st in h.branches
+        ]
+    if kind == "pure":
+        assert all(st.rank_bound == 1 for h in loaded.outputs for _, _, st in h.branches)
+    for a, b in zip(polarization_scan(W, n), polarization_scan(loaded, n)):
+        assert a.best_H == b.best_H
+        values_a = [a.I, a.f, a.fmax, *a.fd.values(), *a.quot_I.values(), *a.quot_F.values()]
+        values_b = [b.I, b.f, b.fmax, *b.fd.values(), *b.quot_I.values(), *b.quot_F.values()]
+        assert np.max(np.abs(np.subtract(values_a, values_b))) <= 1e-12
+    plan = build_plan(W, CodeParams(n=1, seed=0))
+    assert SCDecoder(plan, W).kind == SCDecoder(plan, loaded).kind == kind
+
+
+def test_classical_tables_read_the_diagonals_exactly():
+    # one-hot factors reproduce every diagonal entry bit for bit, also through a
+    # file and a plus transform (whose states are products of the diagonals)
+    q, p = 3, 0.1
+    rows = np.full((q, q), p / (q - 1))
+    np.fill_diagonal(rows, 1.0 - p)
+    W = preset_channel("classical-symmetric", q=q, p=p)
+    expected = merge_columns(rows)
+    assert np.array_equal(from_cq_channel(W).table, expected)
+    assert np.array_equal(from_cq_channel(load_channel(channel_to_json(W))).table, expected)
+    g = W.alphabet
+    plus_rows = np.zeros((q, q * q * q))
+    for u2 in range(q):
+        for u1 in range(q):
+            prod = np.multiply.outer(rows[g.add_index(u1, u2)], rows[u2]).reshape(-1)
+            plus_rows[u2, u1 * q * q : (u1 + 1) * q * q] = prod / q
+    assert np.array_equal(from_cq_channel(plus_transform(W)).table, merge_columns(plus_rows))

@@ -173,6 +173,34 @@ def test_capacity_exit_code(tmp_path):
     assert "capacity" in res.stderr.lower()
 
 
+def test_capacity_error_names_branch_and_depth(tmp_path):
+    res = run_cli(
+        "polarize", "--preset", "pure-states", "--angles", "0,0.9",
+        "--n", "4", "--out", str(tmp_path / "scan.csv"),
+    )
+    assert res.returncode == 2
+    assert "branch ---- at depth 4" in res.stderr
+
+
+def test_decode_sim_plan_with_frozen_and_info_slots(tmp_path):
+    plan = tmp_path / "plan.json"
+    assert run_cli(
+        "construct", "--preset", "classical-symmetric", "--q", "2", "--p", "0.05",
+        "--n", "4", "--tau", "1e-3", "--seed", "3", "--out", str(plan),
+    ).returncode == 0
+    frozen = [d["info_nats"] == 0.0 for d in json.loads(plan.read_text())["decisions"]]
+    assert any(frozen) and not all(frozen)
+    report = tmp_path / "decode.json"
+    res = run_cli(
+        "decode-sim", "--plan", str(plan), "--trials", "200", "--seed", "4",
+        "--out", str(report),
+    )
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(report.read_text())
+    validate_schema(payload, "decode_report.schema.json")
+    assert payload["bound_holds_within_3sigma"]
+
+
 def test_mac_region_output(tmp_path):
     out = tmp_path / "mac.json"
     csv_out = tmp_path / "mac.csv"

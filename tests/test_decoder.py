@@ -25,6 +25,7 @@ from cqpolar.decoder import (
     error_experiment,
     step_povm,
 )
+from cqpolar.errors import StructuralError
 from cqpolar.groups import FiniteAbelianGroup
 from cqpolar.polarize import synthesize, reverse_label
 from cqpolar.states import to_dense
@@ -296,8 +297,8 @@ _Z4 = preset_channel("random", q=4, k=2, seed=3)
         (_BSC, _BSC, 4, 1e-3, 200, "diagonal", 0, [0.0] * 16, [0.0] * 16),
         (_BSC, _BSC, 6, 1e-3, 40, "diagonal", 0, [0.0] * 64, [0.0] * 64),
         (_PURE_QUBIT, _PURE_QUBIT, 3, 0.05, 60, "pure", 0, [0.0] * 8, [0.0] * 8),
-        (_PURE_QUBIT, _via_file(_PURE_QUBIT), 3, 0.05, 30, "dense", 0, [0.0] * 8, [0.0] * 8),
-        (_Z4, _via_file(_Z4), 2, 0.3, 200, "dense", 15,
+        (_PURE_QUBIT, _via_file(_PURE_QUBIT), 3, 0.05, 30, "pure", 0, [0.0] * 8, [0.0] * 8),
+        (_Z4, _via_file(_Z4), 2, 0.3, 200, "pure", 15,
          [0.0, 0.0, 0.065, 0.01], [0.0, 0.0, 0.065, 0.055]),
     ],
     ids=["bsc-n4", "bsc-n6", "pure-qubit-n3", "pure-qubit-n3-file", "z4-n2-file"],
@@ -316,3 +317,34 @@ def test_mixed_plan_with_fixed_sections(
     assert rep["first_error_profile"] == first_error
     assert rep["step_mismatch_profile"] == mismatch
     assert rep["bound_holds_within_3sigma"]
+
+
+@pytest.mark.parametrize(
+    "W, n, tau, trials",
+    [(_BSC, 4, 1e-3, 200), (_BSC, 6, 1e-3, 60), (_PURE_QUBIT, 3, 0.05, 60)],
+    ids=["bsc-n4", "bsc-n6", "pure-qubit-n3"],
+)
+def test_decoder_lifts_with_the_encoders_sections(W, n, tau, trials):
+    # per-trial random sections reach the decoder with the received state, so
+    # the block error agrees with fixed sections and with the plan's bound
+    plan = build_plan(W, CodeParams(n=n, tau=tau))
+    rand = error_experiment(W, plan, trials, seed=1)
+    fixed = error_experiment(W, plan, trials, seed=1, randomize_sections=False)
+    assert rand["bound_holds_within_3sigma"]
+    (lo_r, hi_r), (lo_f, hi_f) = rand["wilson_3sigma"], fixed["wilson_3sigma"]
+    assert lo_r <= hi_f and lo_f <= hi_r
+
+
+def test_quantum_step_queries_reject_a_diagonal_plan():
+    plan = build_plan(_BSC, CodeParams(n=2, tau=0.5))
+    eng = SCDecoder(plan, _BSC)
+    assert eng.kind == "diagonal"
+    i = next(j for j, cells in enumerate(eng._cells) if len(cells) > 1)
+    prefix = (0,) * i
+    for query in (
+        lambda: eng.conditional_states(i, prefix),
+        lambda: eng.step_povm_rep(i, prefix),
+        lambda: step_povm(plan, i, prefix, _BSC),
+    ):
+        with pytest.raises(StructuralError, match="diagonal plan"):
+            query()

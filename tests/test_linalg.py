@@ -22,6 +22,7 @@ from cqpolar.linalg import (
 )
 from cqpolar.states import (
     PureMixture,
+    as_mixture,
     mix_states,
     pure_state,
     state_entropy,
@@ -245,11 +246,34 @@ def test_mixture_tensor_and_mix():
     assert np.real(np.trace(to_dense(m))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mixture_densifies_when_overcomplete():
+def test_overcomplete_mixture_is_refactored():
     rng = np.random.default_rng(10)
     parts = [(0.25, random_mixture(rng, 2, 2)) for _ in range(4)]
     mixed = mix_states(parts)
-    assert isinstance(mixed, np.ndarray)
+    assert isinstance(mixed, PureMixture)
+    assert mixed.rank_bound <= mixed.dim
+    expected = sum(w * to_dense(s) for w, s in parts)
+    np.testing.assert_allclose(to_dense(mixed), expected, atol=1e-12)
+
+
+def test_dense_state_becomes_its_eigen_factor():
+    rng = np.random.default_rng(12)
+    rho = random_density(rng, 3)
+    mix = as_mixture(rho)
+    assert mix.rank_bound == 3
+    np.testing.assert_allclose(to_dense(mix), rho, atol=1e-12)
+    # a numerically rank-1 matrix becomes a pure state
+    v = pure_state(rng.normal(size=3) + 1j * rng.normal(size=3)).vecs[0]
+    pure = as_mixture(validate_density_matrix(np.outer(v, v.conj())))
+    assert pure.rank_bound == 1
+    assert abs(np.vdot(pure.vecs[0], v)) == pytest.approx(1.0, abs=1e-12)
+    # an exactly diagonal matrix keeps its diagonal bit for bit, zeros dropped
+    diag = np.diag([0.3, 0.0, 0.7]).astype(complex)
+    onehot = as_mixture(diag)
+    assert onehot.rank_bound == 2
+    assert np.array_equal(to_dense(onehot), diag)
+    with pytest.raises(StructuralError):
+        as_mixture(np.diag([1.5, -0.5]).astype(complex))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,10 @@
 """The pairwise-fidelity profile: one matrix per channel, every functional read off it.
 
 Differential tests compare the matrix-derived functionals with a direct
-pair-by-pair evaluation, the two engines with each other, and the cached
-branch decompositions with the plain linalg routines.  Counting tests pin the
-work the profile saves: each unordered pair once, each dense branch
-decomposed once, no quotient built for the trivial subgroups.
+pair-by-pair evaluation, the two engines with each other, and the factored
+branch states with the plain linalg routines.  Counting tests pin the work
+the profile saves: each unordered pair once, each dense branch factored once
+(when it is built), no quotient built for the trivial subgroups.
 """
 
 import itertools
@@ -15,7 +15,7 @@ import pytest
 from conftest import random_mixed_channel, random_pure_channel
 from oracles import classical_fd
 
-from cqpolar import channel as channel_mod
+from cqpolar import states as states_mod
 from cqpolar.channel import CqChannel, HybridState, hybrid_fidelity, preset_channel
 from cqpolar.diagonal import DiagonalChannel, from_cq_channel
 from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
@@ -27,7 +27,7 @@ from cqpolar.polarize import (
     plus_transform,
     polarization_scan,
 )
-from cqpolar.states import PureMixture, state_fidelity, to_dense
+from cqpolar.states import PureMixture, state_entropy, state_fidelity, to_dense
 
 GROUPS = {"Z4": [4], "Z2xZ2": [2, 2], "Z6": [6]}
 TOL = 1e-12
@@ -73,7 +73,7 @@ IDS = [name for name, _ in CHANNELS]
 def _direct_pairs(W) -> np.ndarray:
     """F(rho_x, rho_y) evaluated pair by pair on both orders, no cache."""
     return np.array(
-        [[hybrid_fidelity(W.outputs[x], W.outputs[y], W.tol) for y in range(W.q)]
+        [[hybrid_fidelity(W.outputs[x], W.outputs[y]) for y in range(W.q)]
          for x in range(W.q)]
     )
 
@@ -134,22 +134,30 @@ def test_branch_fidelities_match_dense_linalg(name, W):
 
 @pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
 def test_cached_entropy_matches_von_neumann(name, W):
+    # every branch takes the Gram-matrix route, so agreement is to 1e-9
     for h in W.outputs:
         expected = entropy_of_probs(np.array([w for w, _, _ in h.branches]))
         for w, _, st in h.branches:
-            if isinstance(st, PureMixture):
-                expected += w * von_neumann_entropy(to_dense(st))
-            else:
-                expected += w * von_neumann_entropy(st)
-        # mixtures take the Gram-matrix route, so agreement is to 1e-9;
-        # before and after the fidelities fill the cache
+            dense = von_neumann_entropy(to_dense(st))
+            assert state_entropy(st) == pytest.approx(dense, abs=1e-9)
+            expected += w * dense
         assert h.entropy() == pytest.approx(expected, abs=1e-9)
-        W.pairwise_fidelity_matrix()
-        assert h.entropy() == pytest.approx(expected, abs=1e-9)
-        for key, (_, st) in h.as_dict().items():
-            if not isinstance(st, PureMixture):
-                vals, _ = h._spectra[key]
-                assert entropy_of_probs(vals) == pytest.approx(von_neumann_entropy(st), abs=TOL)
+
+
+def _derived(W):
+    """W with channels derived from it by every operation that builds states."""
+    out = [W, plus_transform(W), minus_transform(W), W.flatten_dense()]
+    out += [W.quotient(H) for H in enumerate_subgroups(W.alphabet)]
+    return out + [CqChannel(W.alphabet, [W.average_output()] * W.q)]
+
+
+@pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
+def test_every_branch_is_a_factored_mixture(name, W):
+    for ch in _derived(W):
+        for h in ch.outputs:
+            for _, _, st in h.branches:
+                assert isinstance(st, PureMixture)
+                assert st.rank_bound <= st.dim
 
 
 def _classical_tables():
@@ -215,22 +223,24 @@ def test_each_pair_evaluated_once(monkeypatch, name, W):
 
 
 def test_each_dense_branch_decomposed_once(monkeypatch):
+    # a dense branch is factored when its HybridState is built, and never again
+    calls = []
+    original = states_mod._eigen_factor
+
+    def counted(mat, tol):
+        calls.append(mat.shape)
+        return original(mat, tol)
+
+    monkeypatch.setattr(states_mod, "_eigen_factor", counted)
     W = _mixed_branch_channel(np.random.default_rng(3), [4])
-    seen = []
-    original = channel_mod.spectral_factor
-
-    def counted(state, tol):
-        seen.append(id(state))
-        return original(state, tol)
-
-    monkeypatch.setattr(channel_mod, "spectral_factor", counted)
+    assert calls == [(2, 2)] * W.q  # one dense branch per output
+    calls.clear()
     for _ in range(2):
         W.holevo_information()
         W.pairwise_fidelity_matrix()
-        make_record(W, (), enumerate_subgroups(W.alphabet))
-    for h in W.outputs:
-        (dense,) = [st for _, _, st in h.branches if not isinstance(st, PureMixture)]
-        assert seen.count(id(dense)) == 1
+        for h in W.outputs:
+            h.entropy()
+    assert calls == []
 
 
 def _scan_inputs():
