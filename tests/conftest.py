@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# CLI tests run `python -m cqpolar.cli` in a subprocess, which finds the
+# package through PYTHONPATH, not through this process's sys.path.
+_SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from cqpolar.channel import CqChannel, HybridState, preset_channel, random_cq_channel
 from cqpolar.groups import FiniteAbelianGroup

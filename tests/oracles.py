@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from cqpolar.diagonal import _MERGE_DECIMALS
+from cqpolar.errors import StructuralError
+
 
 def mutual_information_table(table) -> float:
     """I(X;Y) in nats for uniform X and likelihood rows table[x][y]."""
@@ -62,6 +65,27 @@ def classical_plus(table, add, q):
                         table[add(u1, u2)][y1] * table[u2][y2] / q
                     )
     return out
+
+
+def merge_columns_unique(table):
+    """Reference for diagonal.merge_columns, grouped with np.unique(axis=1).
+
+    Same keys as the package (posteriors rounded to _MERGE_DECIMALS), but the
+    columns are sorted whole, as records.  Groups come out in the same order
+    and np.add.at sums each in column order, so the package must match this
+    bit for bit.
+    """
+    table = np.asarray(table, dtype=float)
+    sums = table.sum(axis=0)
+    keep = sums > 0.0
+    table, sums = table[:, keep], sums[keep]
+    if table.shape[1] == 0:
+        raise StructuralError("channel has no outputs with positive probability")
+    posteriors = np.round(table / sums, _MERGE_DECIMALS)
+    _, inverse = np.unique(posteriors, axis=1, return_inverse=True)
+    merged = np.zeros((table.shape[0], int(inverse.max()) + 1))
+    np.add.at(merged.T, inverse, table.T)
+    return merged
 
 
 def bec_erasure(signs, eps: float) -> float:

@@ -6,11 +6,13 @@ from oracles import (
     classical_fd,
     classical_minus,
     classical_plus,
+    merge_columns_unique,
     mutual_information_table,
 )
 
 from cqpolar.channel import CqChannel, HybridState, preset_channel
 from cqpolar.config import ResourceCaps
+import cqpolar.diagonal as diagonal_mod
 from cqpolar.diagonal import DiagonalChannel, from_cq_channel, merge_columns
 from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup
@@ -79,6 +81,60 @@ def test_merge_columns_lossless():
 def test_merge_drops_zero_columns():
     table = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
     assert merge_columns(table).shape[1] == 1
+
+
+def _random_merge_table(rng, q: int, m: int) -> np.ndarray:
+    """Columns repeated at scales 0.5, 1 and 2, plus a few all-zero columns."""
+    base = rng.random((q, m)) * (rng.random((q, m)) < 0.8)
+    cols = [base, 0.5 * base[:, : m // 2], 2.0 * base[:, m // 3 :], np.zeros((q, 2))]
+    table = np.concatenate(cols, axis=1)
+    return table[:, rng.permutation(table.shape[1])]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_merge_columns_bit_identical_to_unique_oracle_on_random_tables(q):
+    rng = np.random.default_rng(100 + q)
+    tables = [_random_merge_table(rng, q, m) for m in (1, 2, 7, 40, 300)]
+    tables.append(rng.random((q, 1)))
+    for table in tables:
+        assert np.array_equal(merge_columns(table), merge_columns_unique(table))
+
+
+@pytest.mark.parametrize(
+    "params, n",
+    [
+        pytest.param(dict(name="classical-symmetric", q=2, p=0.11), 6, id="bsc"),
+        pytest.param(dict(name="classical-symmetric", q=3, p=0.1), 4, id="z3"),
+        pytest.param(dict(name="classical-symmetric", q=4, p=0.1), 4, id="symmetric-q4"),
+        pytest.param(dict(name="depolarized-orthogonal", q=4, lam=0.2), 4, id="depolarized-q4"),
+    ],
+)
+def test_merge_columns_bit_identical_to_unique_oracle_in_scans(monkeypatch, params, n):
+    seen = []
+
+    def checked(table):
+        merged = merge_columns(table)
+        seen.append(np.array_equal(merged, merge_columns_unique(table)))
+        return merged
+
+    monkeypatch.setattr(diagonal_mod, "merge_columns", checked)
+    polarization_scan(preset_channel(**params), n)
+    assert seen and all(seen)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: merge keys are posteriors rounded to 12 absolute "
+    "decimals, so columns whose small posteriors differ merge and small F_d "
+    "come out too large",
+)
+def test_all_plus_bsc_fidelity_is_exact_in_relative_terms():
+    p = 0.11
+    d = from_cq_channel(preset_channel("classical-symmetric", q=2, p=p))
+    exact = (2 * np.sqrt(p * (1 - p))) ** 64
+    # F_1(W^+) = F_1(W)^2 exactly, so six plus steps give F_1(W)^64 = 9.35e-14
+    got = synthesize(d, parse_label("++++++")).fd(1)
+    assert abs(got - exact) <= 1e-12 * exact
 
 
 def test_transforms_match_bruteforce_oracle():
