@@ -25,7 +25,6 @@ from .groups import (
     GroupOps,
     SectionMap,
     Subgroup,
-    quotient_cosets,
     random_section_map,
     zero_section_map,
 )
@@ -213,7 +212,7 @@ class MessageVector:
 def random_message(plan: CodePlan, rng) -> MessageVector:
     cosets = []
     for d in plan.decisions:
-        cells = quotient_cosets(plan.group, d.subgroup)
+        cells = d.subgroup.cosets
         cosets.append(cells[int(rng.integers(len(cells)))])
     return MessageVector(cosets)
 
@@ -221,7 +220,7 @@ def random_message(plan: CodePlan, rng) -> MessageVector:
 def message_from_positions(plan: CodePlan, positions) -> MessageVector:
     cosets = []
     for d, p in zip(plan.decisions, positions):
-        cosets.append(quotient_cosets(plan.group, d.subgroup)[int(p)])
+        cosets.append(d.subgroup.cosets[int(p)])
     return MessageVector(cosets)
 
 

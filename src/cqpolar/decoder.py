@@ -4,17 +4,9 @@ The decoder walks branches in decode order; at each step it builds the
 pretty-good measurement of the conditional synthetic-channel states given
 the already-decoded prefix (later symbols modeled uniform, as the averaged
 section analysis prescribes), samples an outcome with the exact Born
-probabilities, and applies the sqrt(E) . sqrt(E) state update.
-
-One loop, ``SCDecoder.decode``, does that walk for every kind of channel.  It
-skips steps with a single coset, draws the outcome, tracks survival, lifts
-the decoded coset through the section the encoder used and records each
-step.  What a kind contributes is a step object with two methods:
-``probabilities(state)``, the outcome probabilities, and
-``post_measurement(state, outcome)``, the normalized post-measurement state
-or None when it collapses.  Conditional states are factored mixtures for
-both quantum kinds; a channel whose outputs carry several classical labels
-is first flattened into one block-diagonal state per input.  The kinds are
+probabilities, and applies the sqrt(E) . sqrt(E) state update.  Steps with a
+single coset are skipped, and each decoded coset is lifted through the
+section the encoder used.  The kinds are
 
 - pure: every channel output is a pure state; the received system is a state
   vector and the step is a ``_SubspacePovm`` living in the small subspace
@@ -23,14 +15,19 @@ is first flattened into one block-diagonal state per input.  The kinds are
 - dense: mixed outputs, for small N; the received system is a density matrix
   and the step is a ``_DensePovm`` built from the densified conditional
   states,
-- diagonal: classical channels; outputs are sampled, the walk's state is the
-  likelihoods of the sampled outputs and the step is a ``_CosetLikelihoods``
-  that leaves it unchanged.  This is classical successive cancellation with
-  posterior sampling, exactly the pretty-good measurement restricted to
-  commuting states.
+- diagonal: classical channels; outputs are sampled and decoding is classical
+  successive cancellation with posterior sampling, exactly the pretty-good
+  measurement restricted to commuting states.  ``_Likelihoods`` runs
+  Arikan's O(N log N) likelihood butterfly in the group form over a whole
+  batch of received words at once, so ``error_experiment`` decodes every
+  trial of a diagonal experiment together.
 
-Conditional states are computed by the standard polar block recursion and
-memoized; step POVMs are cached by (step, decoded prefix) across trials.
+The quantum kinds share one per-trial loop, ``SCDecoder._decode_quantum``;
+their conditional states are factored mixtures, computed by the polar block
+recursion and memoized, and step POVMs are cached by (step, decoded prefix)
+across trials.  A channel whose outputs carry several classical labels is
+first flattened into one block-diagonal state per input.  Both loops hand
+their picks to one trace builder.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import numpy as np
 from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
-from .groups import quotient_cosets
 from .linalg import Povm, hermitize, pretty_good_measurement, psd_sqrt
 from .codes import CodePlan, MessageVector, encode, plan_channel, random_message
 from .groups import random_section_map
@@ -51,6 +47,8 @@ from .states import mix_states, tensor_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
 _RCOND = 1e-12
+#: Diagonal trials decoded together; bounds the butterfly's memory, not its results.
+_BATCH_TRIALS = 1024
 
 
 @dataclass
@@ -58,7 +56,7 @@ class JointOutputState:
     """The receiver's system for one transmission, plus provenance."""
 
     kind: str  # "pure" | "diagonal" | "dense"
-    data: object  # state vector | sampled column indices | density matrix
+    data: object  # state vector | sampled output columns (int array) | density matrix
     codeword: np.ndarray
     message: MessageVector = None
     sections: list = None  # the encoder's section maps; None for the plan's own
@@ -122,12 +120,6 @@ class _BlockStates:
             self._memo[key] = out
         return out
 
-    def _combine(self, a, b):
-        return tensor_states(a, b)
-
-    def _mix(self, parts):
-        return mix_states(parts)
-
     def _compute(self, level, pos, fixed, head):
         g, q = self.group, self.group.order
         m = len(fixed)
@@ -138,7 +130,7 @@ class _BlockStates:
         B = (level - 1, 2 * pos + 1)
         if m % 2 == 0:
             if head is None:
-                return self._combine(
+                return tensor_states(
                     self.state(*A, a_fixed, None), self.state(*B, b_fixed, None)
                 )
             parts = []
@@ -146,16 +138,16 @@ class _BlockStates:
                 parts.append(
                     (
                         1.0 / q,
-                        self._combine(
+                        tensor_states(
                             self.state(*A, a_fixed, g.add_index(head, xi)),
                             self.state(*B, b_fixed, xi),
                         ),
                     )
                 )
-            return self._mix(parts)
+            return mix_states(parts)
         kappa = fixed[-1]
         if head is not None:
-            return self._combine(
+            return tensor_states(
                 self.state(*A, a_fixed + (g.add_index(kappa, head),), None),
                 self.state(*B, b_fixed, head),
             )
@@ -164,38 +156,69 @@ class _BlockStates:
             parts.append(
                 (
                     1.0 / q,
-                    self._combine(
+                    tensor_states(
                         self.state(*A, a_fixed + (g.add_index(kappa, xi),), None),
                         self.state(*B, b_fixed, xi),
                     ),
                 )
             )
-        return self._mix(parts)
+        return mix_states(parts)
 
 
-class _BlockLikelihoods(_BlockStates):
-    """Scalar specialization for diagonal channels given realized outputs."""
+class _Likelihoods:
+    """Arikan's likelihood butterfly for a batch of classical received words.
 
-    def __init__(self, group, table, y, n):
-        self.table = table
-        self.y = y
-        super().__init__(group, None, None, n)  # per-leaf averages are taken in state()
+    Node p of level l covers channel uses [p*2^l, (p+1)*2^l); at decode step i
+    it is at its local input i >> (n - l).  ``lik[l]`` holds, per trial and
+    level-l node, the likelihoods of that input given the node's decided
+    inputs, shape (trials, 2^(n-l), q), each node normalised to sum 1 (all
+    zeros once the evidence is gone).  ``lik[0]`` reads the received outputs.
+    ``at[l]`` is the position ``lik[l]`` was computed for: steps with a single
+    coset never ask for likelihoods, so levels catch up lazily.  ``even[l]``
+    holds each level-l node's input at its last even position.
+    As in ``codes.polar_encode_indices``, pair (2t, 2t+1) of a node sends
+    u_2t + u_2t+1 to its first child and u_2t+1 to its second.
+    """
 
-    def state(self, level, pos, fixed, head):
-        if level == 0:
-            col = self.y[pos]
-            if fixed:
-                return float(self.table[fixed[0], col])
-            if head is None:
-                return float(self.table[:, col].mean())
-            return float(self.table[head, col])
-        return super().state(level, pos, fixed, head)
+    def __init__(self, group, table, y):
+        y = np.asarray(y, dtype=np.int64)
+        self.add = group.add_table
+        self.n = y.shape[1].bit_length() - 1
+        self.lik = [table.T[y]] + [None] * self.n
+        self.at = [0] + [None] * self.n
+        self.even = [None] * (self.n + 1)
 
-    def _combine(self, a, b):
-        return a * b
+    def head(self, i: int) -> np.ndarray:
+        """Normalised likelihoods of input i given the decided prefix, (trials, q)."""
+        n = self.n
+        for level in range(1, n + 1):
+            t = i >> (n - level)
+            if self.at[level] == t:
+                continue
+            self.at[level] = t
+            a, b = self.lik[level - 1][:, 0::2], self.lik[level - 1][:, 1::2]
+            if t & 1:  # L(h) = L_A(k + h) L_B(h), k the decided even input
+                out = np.take_along_axis(a, self.add[self.even[level]], axis=2) * b
+            else:  # L(h) = sum_xi L_A(h + xi) L_B(xi)
+                out = np.einsum("tphx,tpx->tph", a[:, :, self.add], b)
+            total = out.sum(axis=2, keepdims=True)
+            self.lik[level] = out / np.where(total > 0.0, total, 1.0)
+        return self.lik[n][:, 0]
 
-    def _mix(self, parts):
-        return float(sum(w * v for w, v in parts))
+    def fix(self, i: int, u: np.ndarray) -> None:
+        """Record input i's decided values (trials,) and pass completed pairs down."""
+        n, level, v = self.n, self.n, np.asarray(u)[:, None]
+        while (i >> (n - level)) & 1:
+            pair = np.empty((v.shape[0], 2 * v.shape[1]), dtype=np.int64)
+            pair[:, 0::2] = self.add[self.even[level], v]
+            pair[:, 1::2] = v
+            v, level = pair, level - 1
+        self.even[level] = v
+
+
+def _padded(rows, width: int) -> np.ndarray:
+    """Ragged integer rows as one zero-padded (len(rows), width) array."""
+    return np.array([list(r) + [0] * (width - len(r)) for r in rows], dtype=np.int64)
 
 
 # -- step objects ------------------------------------------------------------------
@@ -301,22 +324,6 @@ def _dense_pgm(sigmas, tol) -> _DensePovm:
     return _DensePovm(pretty_good_measurement(dense, tol=tol), tol)
 
 
-class _CosetLikelihoods:
-    """Classical step: coset weights of the realized outputs, which it leaves alone."""
-
-    def __init__(self, members, prefix):
-        self.members = members
-        self.prefix = prefix
-
-    def probabilities(self, lik: _BlockLikelihoods):
-        return np.array(
-            [sum(lik.state(lik.n, 0, self.prefix, v) for v in m) for m in self.members]
-        )
-
-    def post_measurement(self, lik, idx):
-        return lik
-
-
 # -- decoder engine -------------------------------------------------------------------
 
 
@@ -334,7 +341,7 @@ class SCDecoder:
         self.N = plan.block_length
         self.tol = self.channel.tol
         self.kind = self._classify()
-        self._cells = [quotient_cosets(self.group, d.subgroup) for d in plan.decisions]
+        self._cells = [d.subgroup.cosets for d in plan.decisions]
         self._members = [
             [c.member_indices() for c in cells] for cells in self._cells
         ]
@@ -360,21 +367,45 @@ class SCDecoder:
 
             diag = from_cq_channel(self.channel, self.caps)
             self.table = diag.table
+            # Generator.choice(p=p) checks p once per call and draws one double u,
+            # picking searchsorted(cdf, u, "right"); its cdf is kept per input row
+            p = np.stack([row / row.sum() for row in self.table])
+            eps = np.sqrt(np.finfo(float).eps)
+            if not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= eps)):
+                raise StructuralError("a channel input's outputs are not a distribution")
+            self._cdf = np.cumsum(p, axis=1)
+            self._cdf /= self._cdf[:, -1:]
+            q = self.group.order
+            self._coset_sums = []  # (q, cosets) indicator of each step's partition
+            for members in self._members:
+                ind = np.zeros((q, len(members)))
+                for c, mem in enumerate(members):
+                    ind[mem, c] = 1.0
+                self._coset_sums.append(ind)
+            self._draws = sum(len(cells) > 1 for cells in self._cells)
+            self._plan_lifts = self._lifts([d.section for d in self.plan.decisions])
             return
         self.caps.check_dim(self.channel.k**self.N, "joint output state")
         self.leaf = [h.branches[0][2] for h in self.channel.outputs]
         self.leaf_avg = mix_states([(1.0 / self.group.order, s) for s in self.leaf])
         self.blocks = _BlockStates(self.group, self.leaf, self.leaf_avg, self.n)
 
+    def _lifts(self, sections) -> np.ndarray:
+        """Section values by step and coset position, (N, q); None means the plan's."""
+        if sections is None:
+            return self._plan_lifts
+        return _padded(
+            [[f(c).index for c in cells] for f, cells in zip(sections, self._cells)],
+            self.group.order,
+        )
+
     # -- transmission ---------------------------------------------------------------
     def transmit(self, message: MessageVector, rng, sections=None) -> JointOutputState:
         codeword = encode(self.plan, message, sections)
         if self.kind == "diagonal":
-            y = []
-            for x in codeword:
-                row = self.table[int(x)]
-                y.append(int(rng.choice(row.size, p=row / row.sum())))
-            return JointOutputState("diagonal", tuple(y), codeword, message, sections)
+            u = rng.random(codeword.size)
+            y = np.sum(self._cdf[codeword] <= u[:, None], axis=1)
+            return JointOutputState("diagonal", y, codeword, message, sections)
         if self.kind == "pure":
             psi = np.array([1.0 + 0j])
             for x in codeword:
@@ -420,47 +451,94 @@ class SCDecoder:
         return rep
 
     # -- decoding ------------------------------------------------------------------------
-    def _initial_state(self, received: JointOutputState):
-        if self.kind == "diagonal":
-            return _BlockLikelihoods(self.group, self.table, received.data, self.n)
-        return received.data.astype(complex)
-
-    def _step(self, i: int, prefix: tuple):
-        if self.kind == "diagonal":
-            return _CosetLikelihoods(self._members[i], prefix)
-        return self.step_povm_rep(i, prefix)
-
     def decode(self, received: JointOutputState, seed) -> tuple:
         rng = np.random.default_rng(seed) if not hasattr(seed, "integers") else seed
-        state = self._initial_state(received)
+        if self.kind == "diagonal":
+            drawn_from = rng.bit_generator.state
+            picks, p_step, fail_at = self._decode_batch(
+                np.asarray(received.data)[None],
+                self._lifts(received.sections)[None],
+                rng.random(self._draws)[None],
+            )
+            stop = int(fail_at[0])
+            failed = stop < self.N
+            if failed:  # like the quantum loop, draw only for the steps reached
+                rng.bit_generator.state = drawn_from
+                rng.random(sum(len(cells) > 1 for cells in self._cells[:stop]))
+            return self._trace(
+                received, picks[0, :stop].tolist(), p_step[0, :stop].tolist(), failed
+            )
         sections = received.sections or [d.section for d in self.plan.decisions]
-        trace = DecodeTrace()
-        survival = 1.0
-        prefix = ()
-        decoded = []
-        for i, d in enumerate(self.plan.decisions):
+        return self._trace(received, *self._decode_quantum(received.data, sections, rng))
+
+    def _decode_quantum(self, state, sections, rng):
+        """The per-trial SC loop: (coset positions, step probabilities, failed)."""
+        state = state.astype(complex)
+        picks, p_steps, prefix = [], [], ()
+        for i, cells in enumerate(self._cells):
             p_step, pick = 1.0, 0
-            if len(self._cells[i]) > 1:
-                step = self._step(i, prefix)
+            if len(cells) > 1:
+                step = self.step_povm_rep(i, prefix)
                 probs = step.probabilities(state)
                 total = probs.sum()
                 if not total > _SURVIVAL_FLOOR:
-                    trace.failed = True
-                    break
+                    return picks, p_steps, True
                 probs = probs / total
                 pick = int(rng.choice(len(probs), p=probs))
                 p_step = float(probs[pick])
                 state = step.post_measurement(state, pick)
                 if state is None:
-                    trace.failed = True
-                    break
+                    return picks, p_steps, True
+            picks.append(pick)
+            p_steps.append(p_step)
+            prefix += (int(sections[i](cells[pick]).index),)
+        return picks, p_steps, False
+
+    def _decode_batch(self, y, lifts, uniforms):
+        """Classical SC with posterior sampling over a batch of received words.
+
+        ``y`` (trials, N) holds the sampled outputs, ``lifts`` (trials, N, q)
+        each trial's section values (see ``_lifts``) and ``uniforms`` (trials,
+        draws) the doubles its picks consume, one per step with more than one
+        coset, as ``Generator.choice`` would.  Returns the picked coset
+        positions and their probabilities, both (trials, N), and per trial the
+        step at which its evidence vanished (N when it did not).
+        """
+        trials = len(y)
+        rows = np.arange(trials)
+        lik = _Likelihoods(self.group, self.table, y)
+        picks = np.zeros((trials, self.N), dtype=np.int64)
+        p_step = np.ones((trials, self.N))
+        fail_at = np.full(trials, self.N)
+        draw = 0
+        for i, cells in enumerate(self._cells):
+            if len(cells) > 1:
+                probs = lik.head(i) @ self._coset_sums[i]
+                total = probs.sum(axis=1)
+                dead = ~(total > _SURVIVAL_FLOOR)
+                fail_at[dead] = np.minimum(fail_at[dead], i)
+                probs[dead], total[dead] = 1.0, len(cells)  # a placeholder draw, never counted
+                probs /= total[:, None]
+                cdf = np.cumsum(probs, axis=1)
+                cdf /= cdf[:, -1:]
+                picks[:, i] = np.sum(cdf <= uniforms[:, draw, None], axis=1)
+                p_step[:, i] = probs[rows, picks[:, i]]
+                draw += 1
+            lik.fix(i, lifts[rows, i, picks[:, i]])
+        return picks, p_step, fail_at
+
+    def _trace(self, received: JointOutputState, picks, p_steps, failed: bool) -> tuple:
+        """The decoded message and the trace of the steps taken before any failure."""
+        trace = DecodeTrace(failed=failed)
+        survival = 1.0
+        decoded = []
+        for d, cells, pick, p_step in zip(self.plan.decisions, self._cells, picks, p_steps):
             survival *= p_step
-            coset = self._cells[i][pick]
-            prefix += (int(sections[i](coset).index),)
+            coset = cells[pick]
             decoded.append(coset)
             trace.steps.append(StepRecord(d.branch, coset.rep_index, p_step, survival))
         message = MessageVector(decoded)
-        if received.message is not None and not trace.failed:
+        if received.message is not None and not failed:
             trace.success = all(
                 a.rep_index == b.rep_index
                 for a, b in zip(message.cosets, received.message.cosets)
@@ -505,13 +583,17 @@ def error_experiment(
     """Monte-Carlo block-error estimation against the plan's bound.
 
     Messages are uniform; section mappings are redrawn per trial (matching
-    the averaged analysis) unless randomize_sections is False.
+    the averaged analysis) unless randomize_sections is False.  Each trial
+    draws from its own generator, so diagonal trials can be decoded together
+    in batches with the results of one-by-one decoding.
     """
     engine = SCDecoder(plan, W, caps)
-    n_err = 0
-    n_fail = 0
-    first_error = np.zeros(plan.block_length)
-    mismatch = np.zeros(plan.block_length)
+    N = plan.block_length
+    truth = np.zeros((trials, N), dtype=np.int64)  # coset representatives sent
+    decoded = np.zeros((trials, N), dtype=np.int64)
+    failed = np.zeros(trials, dtype=bool)
+    reps = _padded([[c.rep_index for c in cells] for cells in engine._cells], plan.group.order)
+    batch = []  # diagonal: outputs, section values and decode draws of each trial
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         message = random_message(plan, rng)
@@ -519,21 +601,27 @@ def error_experiment(
         if randomize_sections:
             sections = [random_section_map(d.subgroup, rng) for d in plan.decisions]
         received = engine.transmit(message, rng, sections)
-        est, trace = engine.decode(received, rng)
-        if trace.failed:
-            n_fail += 1
-            n_err += 1
+        truth[t] = [c.rep_index for c in message.cosets]
+        if engine.kind == "diagonal":
+            batch.append((received.data, engine._lifts(sections), rng.random(engine._draws)))
+            if len(batch) == _BATCH_TRIALS or t == trials - 1:
+                y, lifts, uniforms = (np.stack(col) for col in zip(*batch))
+                picks, _, fail_at = engine._decode_batch(y, lifts, uniforms)
+                done = slice(t + 1 - len(batch), t + 1)
+                decoded[done] = reps[np.arange(N), picks]
+                failed[done] = fail_at < N
+                batch = []
             continue
-        bad = [
-            j
-            for j, (a, b) in enumerate(zip(est.cosets, message.cosets))
-            if a.rep_index != b.rep_index
-        ]
-        if bad:
-            n_err += 1
-            first_error[bad[0]] += 1
-            for j in bad:
-                mismatch[j] += 1
+        est, trace = engine.decode(received, rng)
+        failed[t] = trace.failed
+        if not trace.failed:
+            decoded[t] = [c.rep_index for c in est.cosets]
+    bad = (decoded != truth) & ~failed[:, None]
+    wrong = bad.any(axis=1)
+    n_fail = int(failed.sum())
+    n_err = n_fail + int(wrong.sum())
+    first_error = np.bincount(bad[wrong].argmax(axis=1), minlength=N).astype(float)
+    mismatch = bad.sum(axis=0).astype(float)
     p_hat = n_err / trials
     lo1, hi1 = (float(v) for v in _wilson(p_hat, trials, 1.0))
     lo3, hi3 = (float(v) for v in _wilson(p_hat, trials, 3.0))

@@ -173,7 +173,7 @@ def merge_columns(table: np.ndarray) -> np.ndarray:
         raise StructuralError("channel has no outputs with positive probability")
     posteriors = np.round(table / sums, _MERGE_DECIMALS)
     # Stable lexicographic sort by row 0, then row 1, ...: groups come out in
-    # the order np.unique(axis=1) gives, and np.add.at sums each group in
+    # the order np.unique(axis=1) gives, and np.bincount sums each group in
     # column order, so merged tables are bit-identical to that formulation.
     # np.add.reduceat would sum pairwise and move the last ulp.
     order = np.lexsort(posteriors[::-1])
@@ -182,9 +182,8 @@ def merge_columns(table: np.ndarray) -> np.ndarray:
     group = np.cumsum(starts)
     inverse = np.empty_like(order)
     inverse[order] = group
-    merged = np.zeros((table.shape[0], int(group[-1]) + 1))
-    np.add.at(merged.T, inverse, table.T)
-    return merged
+    groups = int(group[-1]) + 1
+    return np.stack([np.bincount(inverse, weights=row, minlength=groups) for row in table])
 
 
 def from_cq_channel(W, caps: ResourceCaps = None) -> DiagonalChannel:

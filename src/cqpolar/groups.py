@@ -181,6 +181,23 @@ class Subgroup:
             self.__dict__["_cached_set"] = s
         return s
 
+    @property
+    def cosets(self) -> tuple:
+        """The cosets of this subgroup in its parent, sorted by representative; cached."""
+        cells = self.__dict__.get("_cached_cosets")
+        if cells is None:
+            g = self.parent
+            seen, found = set(), []
+            for i in range(g.order):
+                if i in seen:
+                    continue
+                c = Coset.of(g.element_by_index(i), self)
+                seen.update(c.member_indices())
+                found.append(c)
+            cells = tuple(sorted(found, key=lambda c: c.rep_index))
+            self.__dict__["_cached_cosets"] = cells
+        return cells
+
     def elements(self) -> list[GroupElement]:
         return [self.parent.element_by_index(i) for i in self.indices]
 
@@ -310,15 +327,7 @@ def quotient_cosets(G: FiniteAbelianGroup, H: Subgroup) -> list[Coset]:
     """The partition of ``G`` into cosets of ``H``, sorted by representative index."""
     if H.parent != G:
         raise StructuralError("subgroup does not belong to this group")
-    seen, cosets = set(), []
-    for i in range(G.order):
-        if i in seen:
-            continue
-        c = Coset.of(G.element_by_index(i), H)
-        seen.update(c.member_indices())
-        cosets.append(c)
-    cosets.sort(key=lambda c: c.rep_index)
-    return cosets
+    return list(H.cosets)
 
 
 def refine(D: Coset, M: Subgroup) -> list[Coset]:
@@ -413,7 +422,7 @@ def random_section_map(H: Subgroup, rng) -> SectionMap:
     """Draw a section mapping uniformly: an independent uniform member per coset."""
     G = H.parent
     table = {}
-    for coset in quotient_cosets(G, H):
+    for coset in H.cosets:
         members = coset.member_indices()
         table[coset] = G.element_by_index(members[int(rng.integers(len(members)))])
     return SectionMap(H, table)
@@ -423,5 +432,5 @@ def zero_section_map(H: Subgroup) -> SectionMap:
     """The deterministic section picking each coset's canonical representative."""
     G = H.parent
     return SectionMap(
-        H, {c: G.element_by_index(c.rep_index) for c in quotient_cosets(G, H)}
+        H, {c: G.element_by_index(c.rep_index) for c in H.cosets}
     )

@@ -150,6 +150,9 @@ def test_quotient_cosets_examples():
     h = Subgroup(Z4, (0, 2))
     cells = quotient_cosets(Z4, h)
     assert [c.member_indices() for c in cells] == [[0, 2], [1, 3]]
+    # built once per subgroup and shared; callers get a fresh list
+    assert isinstance(h.cosets, tuple) and h.cosets is h.cosets
+    assert list(h.cosets) == cells and quotient_cosets(Z4, h) is not cells
     trivial = Subgroup(Z4, (0,))
     d13 = cells[1]
     assert [c.member_indices() for c in refine(d13, trivial)] == [[1], [3]]
