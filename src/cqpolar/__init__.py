@@ -7,7 +7,8 @@ The package is organized as a small laboratory:
 - linalg:   density-matrix toolkit (fidelity, entropy, PGM, sequential
             measurement)
 - channel:  cq channels with hybrid classical registers, quotient channels
-- diagonal: exact classical fast path for diagonal channels
+- diagonal: likelihood-table engine for diagonal (classical) channels,
+            merging output classes up to a rounding grain
 - polarize: +/- transforms, synthetic channels, polarization scans
 - codes:    branch classification, frozen quotient structure, encoder
 - decoder:  quantum successive-cancellation Monte Carlo

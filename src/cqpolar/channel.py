@@ -29,7 +29,6 @@ from .groups import (
     PlainAlphabet,
     QuotientGroup,
     Subgroup,
-    quotient_cosets,
     refine,
 )
 from .linalg import DEFAULT_TOL, Tolerances, entropy_of_probs, validate_density_matrix
@@ -300,10 +299,10 @@ class CqChannel:
     def quotient(self, H: Subgroup) -> "CqChannel":
         """W[H]: inputs are cosets of H, outputs the coset-averaged states."""
         quot = QuotientGroup(self._require_product_group(), H)
-        outputs = []
-        for coset in quot.cosets:
-            members = coset.member_indices()
-            outputs.append(_average_hybrid([self.outputs[i] for i in members], self.tol))
+        outputs = [
+            _average_hybrid([self.outputs[i] for i in members], self.tol)
+            for members in H.partition[0]
+        ]
         return CqChannel(quot, outputs, self.tol)
 
     def restricted_quotient(self, M: Subgroup, D: Coset) -> "CqChannel":
@@ -333,10 +332,8 @@ class CqChannel:
         if not M.is_subset_of(H):
             raise StructuralError("M must be a subgroup of H")
         value = self.quotient(M).holevo_information() - self.quotient(H).holevo_information()
-        g = self._require_product_group()
-        cells = quotient_cosets(g, H)
         decomp = float(
-            np.mean([self.restricted_quotient(M, D).holevo_information() for D in cells])
+            np.mean([self.restricted_quotient(M, D).holevo_information() for D in H.cosets])
         )
         return value, decomp
 

@@ -119,13 +119,9 @@ def coset_structured_channel(
     Gives F_d >= 1 - O(eps^2) for d in H and F_d = O(eps) otherwise; the
     raw material for every hypothesis-gated check.
     """
-    cells = quotient_cosets(g, H)
-    dim = max(2, len(cells))
-    base = np.eye(dim, dtype=complex)
-    anchors = {}
-    for j, c in enumerate(cells):
-        for i in c.member_indices():
-            anchors[i] = base[j]
+    members, coset_of = H.partition
+    anchors = np.eye(max(2, len(members)), dtype=complex)[list(coset_of)]
+    dim = anchors.shape[1]
     outputs = []
     for x in range(g.order):
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -674,14 +670,7 @@ def _run_one(check_id: str, rng, q: int, k: int, caps, tag: str):
 def run_check(check_id: str, seed: int = 0, trials: int = 1, q: int = 2, k: int = 2,
               caps: ResourceCaps = None):
     """Run one check on `trials` seeded instances."""
-    if check_id not in CHECKS:
-        raise StructuralError(f"unknown check id {check_id!r}")
-    caps = caps or default_caps()
-    out = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t, _stable_hash(check_id)])
-        out.extend(_run_one(check_id, rng, q, k, caps, f"seed={seed},t={t},q={q},k={k}"))
-    return out
+    return run_all(seed, trials, qs=(q,), ks=(k,), checks=[check_id], caps=caps)
 
 
 def _stable_hash(text: str) -> int:

@@ -18,9 +18,8 @@ import numpy as np
 
 from .channel import CqChannel, channel_to_json, load_channel
 from .config import ResourceCaps, default_caps
-from .errors import StructuralError
+from .errors import LoadError, StructuralError
 from .groups import (
-    Coset,
     FiniteAbelianGroup,
     GroupOps,
     SectionMap,
@@ -224,17 +223,30 @@ def message_from_positions(plan: CodePlan, positions) -> MessageVector:
     return MessageVector(cosets)
 
 
+def section_values(plan: CodePlan, sections=None) -> list:
+    """Each step's section values in coset order; None means the plan's own.
+
+    Raises unless there is one section per step over that step's subgroup.
+    """
+    if sections is None:
+        return [d.section.values for d in plan.decisions]
+    if len(sections) != len(plan.decisions):
+        raise StructuralError("the number of sections does not match the plan")
+    for i, (d, f) in enumerate(zip(plan.decisions, sections)):
+        if f.subgroup != d.subgroup:
+            raise StructuralError(f"section {i} is not a section of the plan's subgroup")
+    return [f.values for f in sections]
+
+
 def lift_message(plan: CodePlan, message: MessageVector, sections=None) -> np.ndarray:
     """Apply the section mappings: u^s = f_s(coset), as element indices."""
     if len(message) != len(plan.decisions):
         raise StructuralError("message length does not match the plan")
-    out = np.empty(len(message), dtype=np.int64)
     for i, (d, coset) in enumerate(zip(plan.decisions, message.cosets)):
         if coset.subgroup != d.subgroup:
             raise StructuralError(f"symbol {i} is not a coset of the plan's subgroup")
-        section = d.section if sections is None else sections[i]
-        out[i] = section(coset).index
-    return out
+    values = section_values(plan, sections)
+    return np.array([v[c.position] for v, c in zip(values, message.cosets)], dtype=np.int64)
 
 
 # -- encoder ----------------------------------------------------------------------
@@ -243,28 +255,24 @@ def lift_message(plan: CodePlan, message: MessageVector, sections=None) -> np.nd
 def polar_encode_indices(group: GroupOps, u: np.ndarray):
     """Butterfly encoder on element indices in decode order.
 
-    Returns (codeword indices, group-addition count).  Pair (2j, 2j+1) maps
-    to a sum lane feeding the first half and a pass-through lane feeding the
-    second half; the pass-through adds the identity so every level performs
-    exactly N element additions and the whole encode exactly N log2 N.
+    Returns (codeword indices, group-addition count).  Pair (2j, 2j+1) of a
+    block maps to a sum lane feeding the block's first half and a pass-through
+    lane feeding its second half; the pass-through adds the identity so every
+    level performs exactly N element additions and the whole encode exactly
+    N log2 N.  Each level splits every block of the previous one in two.
     """
     u = np.asarray(u, dtype=np.int64)
     n_total = u.size
     if n_total & (n_total - 1):
         raise StructuralError("message length must be a power of two")
     tab = group.add_table
-    adds = 0
-
-    def rec(vec):
-        nonlocal adds
-        if vec.size == 1:
-            return vec
-        sums = tab[vec[0::2], vec[1::2]]
-        passthrough = tab[vec[1::2], 0]
-        adds += vec.size
-        return np.concatenate([rec(sums), rec(passthrough)])
-
-    return rec(u), adds
+    blocks, adds = u.reshape(1, n_total), 0
+    while blocks.shape[1] > 1:
+        sums = tab[blocks[:, 0::2], blocks[:, 1::2]]
+        passthrough = tab[blocks[:, 1::2], 0]
+        blocks = np.stack([sums, passthrough], axis=1).reshape(2 * len(blocks), -1)
+        adds += n_total
+    return blocks.reshape(n_total), adds
 
 
 def encode(plan: CodePlan, message: MessageVector, sections=None) -> np.ndarray:
@@ -295,7 +303,8 @@ def plan_to_json(plan: CodePlan) -> dict:
                 "faced": format_label(d.faced),
                 "subgroup": list(d.subgroup.indices),
                 "section": {
-                    str(c.rep_index): int(el.index) for c, el in d.section.table.items()
+                    str(c.rep_index): int(v)
+                    for c, v in zip(d.subgroup.cosets, d.section.values)
                 },
                 "in_selected_set": d.in_selected_set,
                 "info_nats": d.info_nats,
@@ -332,18 +341,22 @@ def plan_from_json(obj) -> CodePlan:
     params = CodeParams(**obj["params"])
     g = FiniteAbelianGroup(obj["group"])
     decisions = []
-    for dd in obj["decisions"]:
-        H = Subgroup(g, tuple(dd["subgroup"]))
-        table = {}
-        for rep, el in dd["section"].items():
-            coset = Coset(H, int(rep))
-            table[coset] = g.element_by_index(int(el))
+    for i, dd in enumerate(obj["decisions"]):
+        try:
+            H = Subgroup(g, tuple(dd["subgroup"]))
+            H.validate_closure()
+            reps = [str(c.rep_index) for c in H.cosets]
+            if set(dd["section"]) != set(reps):
+                raise StructuralError("section keys are not the coset representatives")
+            section = SectionMap(H, [int(dd["section"][r]) for r in reps])
+        except StructuralError as exc:
+            raise LoadError(f"plan decision {i}: {exc}") from exc
         decisions.append(
             BranchDecision(
                 branch=parse_label(dd["branch"]),
                 faced=parse_label(dd["faced"]),
                 subgroup=H,
-                section=SectionMap(H, table),
+                section=section,
                 in_selected_set=bool(dd["in_selected_set"]),
                 info_nats=float(dd["info_nats"]),
                 I=float(dd["I"]),

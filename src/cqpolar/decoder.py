@@ -40,7 +40,7 @@ from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .linalg import Povm, hermitize, pretty_good_measurement, psd_sqrt
-from .codes import CodePlan, MessageVector, encode, plan_channel, random_message
+from .codes import CodePlan, MessageVector, encode, plan_channel, random_message, section_values
 from .groups import random_section_map
 from .polarize import decode_index, format_label
 from .states import mix_states, tensor_states, to_dense
@@ -342,9 +342,7 @@ class SCDecoder:
         self.tol = self.channel.tol
         self.kind = self._classify()
         self._cells = [d.subgroup.cosets for d in plan.decisions]
-        self._members = [
-            [c.member_indices() for c in cells] for cells in self._cells
-        ]
+        self._members = [d.subgroup.partition[0] for d in plan.decisions]
         self._povm_cache = {}
         self._prepare_states()
 
@@ -375,15 +373,12 @@ class SCDecoder:
                 raise StructuralError("a channel input's outputs are not a distribution")
             self._cdf = np.cumsum(p, axis=1)
             self._cdf /= self._cdf[:, -1:]
-            q = self.group.order
-            self._coset_sums = []  # (q, cosets) indicator of each step's partition
-            for members in self._members:
-                ind = np.zeros((q, len(members)))
-                for c, mem in enumerate(members):
-                    ind[mem, c] = 1.0
-                self._coset_sums.append(ind)
+            self._coset_sums = [  # (q, cosets) indicator of each step's partition
+                np.eye(len(members))[list(d.subgroup.partition[1])]
+                for d, members in zip(self.plan.decisions, self._members)
+            ]
             self._draws = sum(len(cells) > 1 for cells in self._cells)
-            self._plan_lifts = self._lifts([d.section for d in self.plan.decisions])
+            self._plan_lifts = _padded(section_values(self.plan), self.group.order)
             return
         self.caps.check_dim(self.channel.k**self.N, "joint output state")
         self.leaf = [h.branches[0][2] for h in self.channel.outputs]
@@ -394,10 +389,7 @@ class SCDecoder:
         """Section values by step and coset position, (N, q); None means the plan's."""
         if sections is None:
             return self._plan_lifts
-        return _padded(
-            [[f(c).index for c in cells] for f, cells in zip(sections, self._cells)],
-            self.group.order,
-        )
+        return _padded(section_values(self.plan, sections), self.group.order)
 
     # -- transmission ---------------------------------------------------------------
     def transmit(self, message: MessageVector, rng, sections=None) -> JointOutputState:
@@ -468,10 +460,10 @@ class SCDecoder:
             return self._trace(
                 received, picks[0, :stop].tolist(), p_step[0, :stop].tolist(), failed
             )
-        sections = received.sections or [d.section for d in self.plan.decisions]
-        return self._trace(received, *self._decode_quantum(received.data, sections, rng))
+        values = section_values(self.plan, received.sections)
+        return self._trace(received, *self._decode_quantum(received.data, values, rng))
 
-    def _decode_quantum(self, state, sections, rng):
+    def _decode_quantum(self, state, values, rng):
         """The per-trial SC loop: (coset positions, step probabilities, failed)."""
         state = state.astype(complex)
         picks, p_steps, prefix = [], [], ()
@@ -491,7 +483,7 @@ class SCDecoder:
                     return picks, p_steps, True
             picks.append(pick)
             p_steps.append(p_step)
-            prefix += (int(sections[i](cells[pick]).index),)
+            prefix += (values[i][pick],)
         return picks, p_steps, False
 
     def _decode_batch(self, y, lifts, uniforms):
@@ -592,7 +584,7 @@ def error_experiment(
     truth = np.zeros((trials, N), dtype=np.int64)  # coset representatives sent
     decoded = np.zeros((trials, N), dtype=np.int64)
     failed = np.zeros(trials, dtype=bool)
-    reps = _padded([[c.rep_index for c in cells] for cells in engine._cells], plan.group.order)
+    reps = _padded([[row[0] for row in members] for members in engine._members], plan.group.order)
     batch = []  # diagonal: outputs, section values and decode draws of each trial
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

@@ -137,9 +137,7 @@ class DiagonalChannel:
         if not isinstance(g, FiniteAbelianGroup):
             raise StructuralError("quotient requires a product-group alphabet")
         quot = QuotientGroup(g, H)
-        rows = np.stack(
-            [self.table[c.member_indices()].mean(axis=0) for c in quot.cosets]
-        )
+        rows = self.table[np.array(H.partition[0])].mean(axis=1)
         return DiagonalChannel(quot, merge_columns(rows), self.caps)
 
     def restricted_quotient(self, M: Subgroup, D: Coset) -> "DiagonalChannel":

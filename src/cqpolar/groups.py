@@ -4,14 +4,19 @@ Groups are direct products of cyclic groups ``Z_{n1} x ... x Z_{nk}``; by the
 structure theorem this covers every finite Abelian group, with the caller
 supplying the factorization.  Elements are canonical residue vectors, indexed
 lexicographically so that everything downstream (channels, codes) can work
-with plain integer indices and small tables.  Quotients are realized as
-explicit coset-index tables rather than by recomputing invariant factors.
+with plain integer indices and small tables.  Each group's addition and
+negation tables and each subgroup's coset partition are built once per value
+here, and every other layer reads them: quotients, refinements and section
+mappings are index tables over the partition, with no invariant factors.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,33 +30,67 @@ DEFAULT_ORDER_CAP = 64
 class GroupOps:
     """Minimal index-level interface shared by product groups and quotients.
 
-    Elements are the indices ``0..order-1``; index ``0`` is the identity.
+    Elements are the indices ``0..order-1``; index ``0`` is the identity.  The
+    operations read the read-only ``add_table`` (q x q Cayley table) and
+    ``neg_table`` (q,) that each group supplies.
     """
 
     order: int
+    add_table: np.ndarray
+    neg_table: np.ndarray
 
     def add_index(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        return int(self.add_table[i, j])
 
     def neg_index(self, i: int) -> int:
-        raise NotImplementedError
+        return int(self.neg_table[i])
 
     def label_of(self, i: int):
         """Human-readable label of element ``i`` (residue tuple or coset)."""
         raise NotImplementedError
 
-    @property
-    def add_table(self) -> np.ndarray:
-        """Dense Cayley table, built lazily; used by vectorized encoders."""
-        tab = getattr(self, "_add_table", None)
-        if tab is None:
-            q = self.order
-            tab = np.empty((q, q), dtype=np.int64)
-            for i in range(q):
-                for j in range(q):
-                    tab[i, j] = self.add_index(i, j)
-            self._add_table = tab
-        return tab
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Group tables and coset partitions are cached by value, not per object: the
+# checks build thousands of equal groups and subgroups.
+@cache
+def _residue_index(orders: tuple) -> tuple:
+    """Residue tuples in lexicographic index order, their index map and (q, k) array."""
+    residues = list(itertools.product(*(range(n) for n in orders)))
+    array = np.array(residues, dtype=np.int64).reshape(-1, len(orders))
+    return residues, {r: i for i, r in enumerate(residues)}, _read_only(array)
+
+
+def _indices_of(orders: tuple, res: np.ndarray) -> np.ndarray:
+    """Element indices of integer residue vectors (last axis), reduced mod the orders."""
+    strides = [math.prod(orders[k + 1 :]) for k in range(len(orders))]
+    return (res % np.array(orders)) @ np.array(strides)
+
+
+def _sums(orders: tuple, cols) -> np.ndarray:
+    """The (q, len(cols)) table of x + y for every element x and y in ``cols``."""
+    res = _residue_index(orders)[2]
+    return _indices_of(orders, res[:, None, :] + res[None, cols, :])
+
+
+@cache
+def _operation_tables(orders: tuple) -> tuple:
+    """The q x q addition and the (q,) negation table."""
+    neg = _indices_of(orders, -_residue_index(orders)[2])
+    return _read_only(_sums(orders, slice(None))), _read_only(neg)
+
+
+@cache
+def _coset_partition(orders: tuple, indices: tuple) -> tuple:
+    # row x is the coset x + H, so no q x q table is needed
+    shifted = _sums(orders, list(indices))
+    reps, coset_of = np.unique(shifted.min(axis=1), return_inverse=True)
+    members = np.sort(shifted[reps], axis=1)
+    return tuple(map(tuple, members.tolist())), tuple(coset_of.tolist())
 
 
 @dataclass(frozen=True)
@@ -76,9 +115,7 @@ class GroupElement:
         return add(self, other)
 
     def __neg__(self) -> "GroupElement":
-        return self.group.element(
-            tuple((-r) % n for r, n in zip(self.residues, self.group.cyclic_orders))
-        )
+        return self.group.element_by_index(self.group.neg_index(self.index))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return add(self, -other)
@@ -106,10 +143,17 @@ class FiniteAbelianGroup(GroupOps):
         if any(n < 1 for n in orders):
             raise StructuralError("cyclic factor orders must be >= 1")
         self.cyclic_orders = orders
-        self.order = int(np.prod(orders))
-        # lexicographic enumeration of residue vectors; first factor most significant
-        self._residues = list(itertools.product(*(range(n) for n in orders)))
-        self._index = {r: i for i, r in enumerate(self._residues)}
+        self.order = math.prod(orders)
+        self._residues, self._index, _ = _residue_index(orders)
+
+    # built on first use: a group read from a file is validated before any q x q table
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        return _operation_tables(self.cyclic_orders)[0]
+
+    @cached_property
+    def neg_table(self) -> np.ndarray:
+        return _operation_tables(self.cyclic_orders)[1]
 
     # -- identity / equality -------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -140,14 +184,6 @@ class FiniteAbelianGroup(GroupOps):
     def index_of_residues(self, residues: tuple[int, ...]) -> int:
         return self._index[residues]
 
-    # -- index-level ops -------------------------------------------------------
-    def add_index(self, i: int, j: int) -> int:
-        a, b = self._residues[i], self._residues[j]
-        return self._index[tuple((x + y) % n for x, y, n in zip(a, b, self.cyclic_orders))]
-
-    def neg_index(self, i: int) -> int:
-        return self._index[tuple((-x) % n for x, n in zip(self._residues[i], self.cyclic_orders))]
-
     def label_of(self, i: int):
         return self._residues[i]
 
@@ -163,6 +199,8 @@ class Subgroup:
         object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
         if 0 not in self.indices:
             raise StructuralError("a subgroup must contain the identity")
+        if self.indices[0] < 0 or self.indices[-1] >= self.parent.order:
+            raise StructuralError("subgroup element index out of range")
         if self.parent.order % len(self.indices) != 0:
             raise StructuralError("subgroup size does not divide the group order")
 
@@ -173,30 +211,25 @@ class Subgroup:
     def contains_index(self, i: int) -> bool:
         return i in self._index_set
 
-    @property
+    @cached_property
     def _index_set(self) -> frozenset:
-        s = self.__dict__.get("_cached_set")
-        if s is None:
-            s = frozenset(self.indices)
-            self.__dict__["_cached_set"] = s
-        return s
+        return frozenset(self.indices)
 
-    @property
+    @cached_property
+    def partition(self) -> tuple:
+        """The parent's cosets of this subgroup as ``(members, coset_of)``.
+
+        ``members[c]`` is the sorted tuple of the element indices of coset c,
+        cosets in order of their smallest member (the representative), and
+        ``coset_of[i]`` is the coset holding element i.  This is the one place
+        a group is partitioned; it is built once per subgroup value.
+        """
+        return _coset_partition(self.parent.cyclic_orders, self.indices)
+
+    @cached_property
     def cosets(self) -> tuple:
-        """The cosets of this subgroup in its parent, sorted by representative; cached."""
-        cells = self.__dict__.get("_cached_cosets")
-        if cells is None:
-            g = self.parent
-            seen, found = set(), []
-            for i in range(g.order):
-                if i in seen:
-                    continue
-                c = Coset.of(g.element_by_index(i), self)
-                seen.update(c.member_indices())
-                found.append(c)
-            cells = tuple(sorted(found, key=lambda c: c.rep_index))
-            self.__dict__["_cached_cosets"] = cells
-        return cells
+        """The cosets of this subgroup in its parent, in ``partition`` order; cached."""
+        return tuple(Coset(self, row[0]) for row in self.partition[0])
 
     def elements(self) -> list[GroupElement]:
         return [self.parent.element_by_index(i) for i in self.indices]
@@ -205,13 +238,14 @@ class Subgroup:
         return self._index_set <= other._index_set
 
     def validate_closure(self) -> None:
-        g = self.parent
-        for i in self.indices:
-            if not self.contains_index(g.neg_index(i)):
-                raise StructuralError("subgroup not closed under negation")
-            for j in self.indices:
-                if not self.contains_index(g.add_index(i, j)):
-                    raise StructuralError("subgroup not closed under addition")
+        # one member at a time over the residues: memory O(|H|) for any parent
+        orders = self.parent.cyclic_orders
+        res = _residue_index(orders)[2][list(self.indices)]
+        if not self._index_set.issuperset(_indices_of(orders, -res).tolist()):
+            raise StructuralError("subgroup not closed under negation")
+        for r in res:
+            if not self._index_set.issuperset(_indices_of(orders, r + res).tolist()):
+                raise StructuralError("subgroup not closed under addition")
 
     def __repr__(self) -> str:
         return "{" + ",".join(repr(self.parent.element_by_index(i)) for i in self.indices) + "}"
@@ -221,9 +255,7 @@ def add(a: GroupElement, b: GroupElement) -> GroupElement:
     """Componentwise modular sum of two elements of the same group."""
     if a.group != b.group:
         raise StructuralError("elements belong to different groups")
-    return a.group.element(
-        tuple((x + y) % n for x, y, n in zip(a.residues, b.residues, a.group.cyclic_orders))
-    )
+    return a.group.element_by_index(a.group.add_index(a.index, b.index))
 
 
 def generated_subgroup(d: GroupElement) -> Subgroup:
@@ -299,25 +331,26 @@ class Coset:
 
     @staticmethod
     def of(x: GroupElement, H: Subgroup) -> "Coset":
-        g = H.parent
-        i = x.index
-        rep = min(g.add_index(i, h) for h in H.indices)
-        return Coset(H, rep)
+        members, coset_of = H.partition
+        return Coset(H, members[coset_of[x.index]][0])
+
+    @property
+    def position(self) -> int:
+        """This coset's place in ``subgroup.cosets`` (and ``subgroup.partition``)."""
+        return self.subgroup.partition[1][self.rep_index]
 
     @property
     def representative(self) -> GroupElement:
         return self.subgroup.parent.element_by_index(self.rep_index)
 
     def member_indices(self) -> list[int]:
-        g = self.subgroup.parent
-        return sorted(g.add_index(self.rep_index, h) for h in self.subgroup.indices)
+        return list(self.subgroup.partition[0][self.position])
 
     def members(self) -> list[GroupElement]:
         return [self.subgroup.parent.element_by_index(i) for i in self.member_indices()]
 
     def contains_index(self, i: int) -> bool:
-        g = self.subgroup.parent
-        return self.subgroup.contains_index(g.add_index(i, g.neg_index(self.rep_index)))
+        return self.subgroup.partition[1][i] == self.position
 
     def __repr__(self) -> str:
         return f"{self.representative!r}+{self.subgroup!r}"
@@ -335,45 +368,36 @@ def refine(D: Coset, M: Subgroup) -> list[Coset]:
     H = D.subgroup
     if not M.is_subset_of(H):
         raise StructuralError("refining subgroup is not contained in the coset's subgroup")
-    seen, out = set(), []
-    for i in D.member_indices():
-        if i in seen:
-            continue
-        c = Coset.of(H.parent.element_by_index(i), M)
-        seen.update(c.member_indices())
-        out.append(c)
-    out.sort(key=lambda c: c.rep_index)
-    return out
+    return [c for c in M.cosets if D.contains_index(c.rep_index)]
 
 
 class QuotientGroup(GroupOps):
     """The quotient ``G/H`` as an index group over the sorted list of cosets.
 
-    The group operation is realized through representative addition and a
-    coset-index table; no invariant-factor decomposition is attempted.
+    Its tables map representative sums and negations through the partition's
+    element-to-coset map; no invariant-factor decomposition is attempted.
     """
 
     def __init__(self, G: FiniteAbelianGroup, H: Subgroup):
-        if H.parent != G:
-            raise StructuralError("subgroup does not belong to this group")
         self.base = G
         self.subgroup = H
         self.cosets = quotient_cosets(G, H)
         self.order = len(self.cosets)
-        self._coset_index_of_element = np.empty(G.order, dtype=np.int64)
-        for ci, c in enumerate(self.cosets):
-            for i in c.member_indices():
-                self._coset_index_of_element[i] = ci
 
     def coset_index(self, element_index: int) -> int:
-        return int(self._coset_index_of_element[element_index])
+        return self.subgroup.partition[1][element_index]
 
-    def add_index(self, i: int, j: int) -> int:
-        s = self.base.add_index(self.cosets[i].rep_index, self.cosets[j].rep_index)
-        return self.coset_index(s)
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        reps = [c.rep_index for c in self.cosets]
+        coset_of = np.array(self.subgroup.partition[1])
+        return _read_only(coset_of[self.base.add_table[np.ix_(reps, reps)]])
 
-    def neg_index(self, i: int) -> int:
-        return self.coset_index(self.base.neg_index(self.cosets[i].rep_index))
+    @cached_property
+    def neg_table(self) -> np.ndarray:
+        reps = [c.rep_index for c in self.cosets]
+        coset_of = np.array(self.subgroup.partition[1])
+        return _read_only(coset_of[self.base.neg_table[reps]])
 
     def label_of(self, i: int):
         return self.cosets[i]
@@ -389,11 +413,10 @@ class PlainAlphabet(GroupOps):
         self.labels = list(labels)
         self.order = len(self.labels)
 
-    def add_index(self, i: int, j: int) -> int:
+    def _no_operation(self):
         raise StructuralError("this channel's input alphabet carries no group operation")
 
-    def neg_index(self, i: int) -> int:
-        raise StructuralError("this channel's input alphabet carries no group operation")
+    add_table = neg_table = property(_no_operation)
 
     def label_of(self, i: int):
         return self.labels[i]
@@ -404,33 +427,42 @@ class PlainAlphabet(GroupOps):
 
 @dataclass(frozen=True)
 class SectionMap:
-    """A choice of representative in each coset of ``H``: f(a) mod H = a."""
+    """A choice of representative in each coset of ``H``: f(a) mod H = a.
+
+    ``values[c]`` is the element index chosen in coset c of ``subgroup.cosets``.
+    """
 
     subgroup: Subgroup
-    table: dict = field(compare=False)  # Coset -> GroupElement
+    values: tuple
 
     def __post_init__(self):
-        for coset, el in self.table.items():
-            if not coset.contains_index(el.index):
-                raise StructuralError("section value does not lie in its coset")
+        object.__setattr__(self, "values", tuple(self.values))
+        coset_of = self.subgroup.partition[1]
+        if len(self.values) != len(self.subgroup.cosets):
+            raise StructuralError(f"a section takes one value per coset, got {self.values}")
+        for c, v in enumerate(self.values):
+            if not (0 <= v < len(coset_of) and coset_of[v] == c):
+                raise StructuralError(f"section value {v} does not lie in coset {c}")
+
+    @property
+    def table(self) -> MappingProxyType:
+        """The section as a read-only Coset -> GroupElement mapping."""
+        g = self.subgroup.parent
+        return MappingProxyType(
+            {c: g.element_by_index(v) for c, v in zip(self.subgroup.cosets, self.values)}
+        )
 
     def __call__(self, coset: Coset) -> GroupElement:
-        return self.table[coset]
+        if coset.subgroup != self.subgroup:
+            raise StructuralError("coset is not one of this section's subgroup")
+        return self.subgroup.parent.element_by_index(self.values[coset.position])
 
 
 def random_section_map(H: Subgroup, rng) -> SectionMap:
     """Draw a section mapping uniformly: an independent uniform member per coset."""
-    G = H.parent
-    table = {}
-    for coset in H.cosets:
-        members = coset.member_indices()
-        table[coset] = G.element_by_index(members[int(rng.integers(len(members)))])
-    return SectionMap(H, table)
+    return SectionMap(H, tuple(row[int(rng.integers(H.order))] for row in H.partition[0]))
 
 
 def zero_section_map(H: Subgroup) -> SectionMap:
     """The deterministic section picking each coset's canonical representative."""
-    G = H.parent
-    return SectionMap(
-        H, {c: G.element_by_index(c.rep_index) for c in H.cosets}
-    )
+    return SectionMap(H, tuple(row[0] for row in H.partition[0]))

@@ -3,8 +3,8 @@
 An m-user MAC is a cq channel whose input group is the direct product of the
 user groups; every polarization/code/decoder facility applies verbatim.  The
 per-subset rates come from the quotient identity
-I[S] = I(W) - I(W[G_S]) with G_S the subgroup filling the S coordinates,
-cross-checked against the direct conditional-information evaluation.
+I[S] = I(W) - I(W[G_S]) with G_S the subgroup filling the S coordinates; the
+test oracles cross-check it by the direct conditional-information evaluation.
 """
 
 from __future__ import annotations
@@ -83,31 +83,6 @@ class MacChannel:
         if not users:
             return 0.0
         return _subset_rate(ch, ch.holevo_information(), self.user_subgroup(users))
-
-    def subset_information_direct(self, users) -> float:
-        """I(X_S; B X_{S^c}) evaluated as an average of restricted channels."""
-        users = set(users)
-        if not users:
-            return 0.0
-        g = self.group
-        others = [u for u in range(self.num_users) if u not in users]
-        fixed_coords = [c for u in others for c in range(*self._slices[u].indices(len(g.cyclic_orders)))]
-        free_coords = [c for c in range(len(g.cyclic_orders)) if c not in fixed_coords]
-        free_group = FiniteAbelianGroup([g.cyclic_orders[c] for c in free_coords])
-        values = []
-        fixed_space = FiniteAbelianGroup([g.cyclic_orders[c] for c in fixed_coords])
-        for fixed in range(fixed_space.order):
-            fres = fixed_space.label_of(fixed)
-            outputs = []
-            for xs in range(free_group.order):
-                res = [0] * len(g.cyclic_orders)
-                for c, r in zip(free_coords, free_group.label_of(xs)):
-                    res[c] = r
-                for c, r in zip(fixed_coords, fres):
-                    res[c] = r
-                outputs.append(self.channel.outputs[g.element(res).index])
-            values.append(CqChannel(free_group, outputs, self.channel.tol).holevo_information())
-        return float(np.mean(values))
 
 
 @dataclass

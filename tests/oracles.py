@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
+from cqpolar.channel import CqChannel
 from cqpolar.diagonal import _MERGE_DECIMALS
 from cqpolar.errors import StructuralError
+from cqpolar.groups import FiniteAbelianGroup
 
 
 def mutual_information_table(table) -> float:
@@ -195,3 +197,71 @@ def qary_symmetric_pair_fidelity(q: int, p: float) -> float:
         return 2 * math.sqrt(p * (1 - p))
     err = p / (q - 1)
     return 2 * math.sqrt((1 - p) * err) + (q - 2) * err
+
+
+def residue_vectors(orders):
+    """Elements of Z_{n1} x ... x Z_{nk} in index order (first factor most significant)."""
+    return list(itertools.product(*(range(n) for n in orders)))
+
+
+def residue_add(orders, a, b):
+    return tuple((x + y) % n for x, y, n in zip(a, b, orders))
+
+
+def coset_partition(orders, subgroup_indices):
+    """Cosets of a subgroup as sorted index lists, by a seen-set loop over residues.
+
+    The first unseen element of each coset is its smallest, so the cosets come
+    out ordered by representative.
+    """
+    residues = residue_vectors(orders)
+    index = {r: i for i, r in enumerate(residues)}
+    seen, cells = set(), []
+    for i, x in enumerate(residues):
+        if i in seen:
+            continue
+        cell = sorted(index[residue_add(orders, x, residues[h])] for h in subgroup_indices)
+        seen.update(cell)
+        cells.append(cell)
+    return cells
+
+
+def polar_encode_recursive(add_table, u):
+    """The butterfly encoder as a recursion over halves: (codeword, additions)."""
+    u = np.asarray(u, dtype=np.int64)
+    if u.size == 1:
+        return u, 0
+    sums, sum_adds = polar_encode_recursive(add_table, add_table[u[0::2], u[1::2]])
+    passed, pass_adds = polar_encode_recursive(add_table, add_table[u[1::2], 0])
+    return np.concatenate([sums, passed]), u.size + sum_adds + pass_adds
+
+
+def subset_information_direct(mac, users) -> float:
+    """I(X_S; B X_{S^c}) of a MAC evaluated as an average of restricted channels.
+
+    The other users' residues are fixed coordinate by coordinate and the
+    channel of the free coordinates is built from residue vectors, without the
+    package's user subgroups, cosets or quotients.
+    """
+    users = set(users)
+    if not users:
+        return 0.0
+    g = mac.group
+    owner = [u for u, orders in enumerate(mac.user_orders) for _ in orders]
+    fixed_coords = [c for c, u in enumerate(owner) if u not in users]
+    free_coords = [c for c, u in enumerate(owner) if u in users]
+    free_group = FiniteAbelianGroup([g.cyclic_orders[c] for c in free_coords])
+    values = []
+    fixed_space = FiniteAbelianGroup([g.cyclic_orders[c] for c in fixed_coords])
+    for fixed in range(fixed_space.order):
+        fres = fixed_space.label_of(fixed)
+        outputs = []
+        for xs in range(free_group.order):
+            res = [0] * len(g.cyclic_orders)
+            for c, r in zip(free_coords, free_group.label_of(xs)):
+                res[c] = r
+            for c, r in zip(fixed_coords, fres):
+                res[c] = r
+            outputs.append(mac.channel.outputs[g.element(res).index])
+        values.append(CqChannel(free_group, outputs, mac.channel.tol).holevo_information())
+    return float(np.mean(values))

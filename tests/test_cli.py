@@ -201,6 +201,69 @@ def test_decode_sim_plan_with_frozen_and_info_slots(tmp_path):
     assert payload["bound_holds_within_3sigma"]
 
 
+@pytest.fixture(scope="module")
+def z4_plan(tmp_path_factory):
+    """A Z4 plan whose first decision lifts the cosets of {0, 2} through (2, 1)."""
+    path = tmp_path_factory.mktemp("z4") / "plan.json"
+    assert run_cli(
+        "construct", "--preset", "classical-symmetric", "--q", "4", "--p", "0.1",
+        "--n", "2", "--tau", "0.5", "--out", str(path),
+    ).returncode == 0
+    plan = json.loads(path.read_text())
+    plan["decisions"][0].update(subgroup=[0, 2], section={"0": 2, "1": 1})
+    return plan
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {},
+        {"subgroup": [0, 1]},  # not closed under addition
+        {"subgroup": [0, 5]},  # an index outside the group
+        {"section": {"0": 2, "1": 1, "3": 3}},  # an extra coset key
+        {"section": {"0": 2, "3": 1}},  # a key that is not the representative
+        {"section": {"0": 2}},  # a missing coset
+        {"section": {"0": 2, "1": 5}},  # a value outside the group
+    ],
+    ids=["valid", "non-subgroup", "subgroup-range", "extra-key", "non-canonical-key",
+         "missing-coset", "value-range"],
+)
+def test_decode_sim_rejects_invalid_plan_decisions(tmp_path, z4_plan, change):
+    plan = json.loads(json.dumps(z4_plan))
+    plan["decisions"][0].update(change)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    res = run_cli(
+        "decode-sim", "--plan", str(path), "--trials", "5", "--out", str(tmp_path / "r.json")
+    )
+    if not change:
+        assert res.returncode == 0, res.stderr
+        return
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: plan decision 0:"), res.stderr
+
+
+@pytest.mark.parametrize("subgroup", [[0, 2], [0]], ids=["non-subgroup", "trivial"])
+def test_oversized_group_field_is_validation_error(tmp_path, z4_plan, subgroup):
+    """A file naming a group of order 90000 fails validation without q x q tables."""
+    channel = {"group": [300, 300], "k": 2, "states": {"(0,0)": {"re": [[1, 0], [0, 0]]}}}
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(channel))
+    res = run_cli("channel", "validate", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: channel does not define inputs"), res.stderr
+    plan = json.loads(json.dumps(z4_plan))
+    plan["group"] = [300, 300]
+    plan["decisions"][0]["subgroup"] = subgroup
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    res = run_cli(
+        "decode-sim", "--plan", str(path), "--trials", "5", "--out", str(tmp_path / "r.json")
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: plan decision 0:"), res.stderr
+
+
 def test_mac_region_output(tmp_path):
     out = tmp_path / "mac.json"
     csv_out = tmp_path / "mac.csv"

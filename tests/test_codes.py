@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import pure_overlap_channel, random_mixed_channel
+from oracles import polar_encode_recursive
 
 from cqpolar.channel import CqChannel, HybridState, preset_channel
 from cqpolar.codes import (
@@ -76,6 +77,19 @@ def test_encoder_linearity_on_information_plans():
         x1, x2, x12 = encode(plan, m1), encode(plan, m2), encode(plan, m12)
         summed = [g.add_index(int(a), int(b)) for a, b in zip(x1, x2)]
         assert summed == x12.tolist()
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2]], ids=str)
+def test_encoder_matches_recursive_oracle(orders):
+    g = FiniteAbelianGroup(orders)
+    rng = np.random.default_rng(sum(orders))
+    for n in range(11):
+        N = 1 << n
+        for _ in range(3):
+            u = rng.integers(g.order, size=N)
+            x, adds = polar_encode_indices(g, u)
+            ref, ref_adds = polar_encode_recursive(g.add_table, u)
+            assert x.tolist() == ref.tolist() and adds == ref_adds == N * n
 
 
 @pytest.mark.parametrize("orders,n", [([2], 3), ([4], 3), ([3], 2), ([2, 2], 2)])

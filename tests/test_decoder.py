@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -30,7 +31,7 @@ from cqpolar.decoder import (
     step_povm,
 )
 from cqpolar.errors import StructuralError
-from cqpolar.groups import FiniteAbelianGroup
+from cqpolar.groups import FiniteAbelianGroup, random_section_map
 from cqpolar.polarize import synthesize, reverse_label
 from cqpolar.states import to_dense
 
@@ -368,6 +369,28 @@ def test_decoder_lifts_with_the_encoders_sections(W, n, tau, trials):
     assert rand["bound_holds_within_3sigma"]
     (lo_r, hi_r), (lo_f, hi_f) = rand["wilson_3sigma"], fixed["wilson_3sigma"]
     assert lo_r <= hi_f and lo_f <= hi_r
+
+
+@pytest.mark.parametrize("W", [_BSC, _PURE_QUBIT], ids=["diagonal", "pure"])
+def test_sections_of_another_subgroup_are_rejected(W):
+    # a section is read by coset position, so one over another step's
+    # subgroup must be refused rather than lift to a value outside the coset
+    plan = build_plan(W, CodeParams(n=2, tau=0.5))
+    eng = SCDecoder(plan, W)
+    rng = np.random.default_rng(0)
+    own = [random_section_map(d.subgroup, rng) for d in plan.decisions]
+    pairs = itertools.combinations(range(len(own)), 2)
+    i, j = next((a, b) for a, b in pairs if own[a].subgroup != own[b].subgroup)
+    swapped = list(own)
+    swapped[i], swapped[j] = own[j], own[i]
+    message = random_message(plan, rng)
+    received = eng.transmit(message, rng, own)
+    eng.decode(received, rng)
+    for bad in (swapped, own[:-1]):
+        with pytest.raises(StructuralError, match="section"):
+            eng.transmit(message, rng, bad)
+        with pytest.raises(StructuralError, match="section"):
+            eng.decode(dataclasses.replace(received, sections=bad), rng)
 
 
 def test_quantum_step_queries_reject_a_diagonal_plan():

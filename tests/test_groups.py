@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coset_partition, residue_add, residue_vectors
+
 from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import (
     Coset,
     FiniteAbelianGroup,
     QuotientGroup,
+    SectionMap,
     Subgroup,
     add,
     enumerate_subgroups,
@@ -24,6 +27,13 @@ from cqpolar.groups import (
 
 Z4 = FiniteAbelianGroup([4])
 Z22 = FiniteAbelianGroup([2, 2])
+
+#: Every finite Abelian group of order <= 16, as products of cyclic factors.
+SMALL_GROUPS = [
+    [1], [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3],
+    [10], [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4],
+    [2, 2, 2, 2],
+]
 
 
 def test_add_examples():
@@ -84,13 +94,8 @@ def test_enumerate_subgroups_cap():
 def test_lattice_euler_reconstruction():
     # every element generates exactly one cyclic subgroup, so the totients
     # of the cyclic subgroup orders partition the group
-    shapes = [[2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2],
-              [9], [3, 3], [10], [11], [12], [2, 6], [13], [14], [15], [16],
-              [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2]]
-    for orders in shapes:
+    for orders in SMALL_GROUPS[1:]:
         g = FiniteAbelianGroup(orders)
-        if g.order > 16:
-            continue
         total = 0
         for h in enumerate_subgroups(g):
             if any(
@@ -241,3 +246,55 @@ def test_subgroup_invariants():
         Subgroup(Z4, (1, 2))  # no identity
     with pytest.raises(StructuralError):
         Subgroup(Z4, (0, 1, 2))  # Lagrange violation
+
+
+@pytest.mark.parametrize("orders", SMALL_GROUPS, ids=str)
+def test_tables_match_residue_arithmetic(orders):
+    g = FiniteAbelianGroup(orders)
+    residues = residue_vectors(orders)
+    index = {r: i for i, r in enumerate(residues)}
+    for i, a in enumerate(residues):
+        neg = index[tuple((-x) % n for x, n in zip(a, orders))]
+        assert g.neg_table[i] == g.neg_index(i) == neg
+        for j, b in enumerate(residues):
+            assert g.add_table[i, j] == g.add_index(i, j) == index[residue_add(orders, a, b)]
+    assert not g.add_table.flags.writeable and not g.neg_table.flags.writeable
+
+
+@pytest.mark.parametrize("orders", SMALL_GROUPS, ids=str)
+def test_partition_matches_seen_set_oracle(orders):
+    g = FiniteAbelianGroup(orders)
+    residues = residue_vectors(orders)
+    index = {r: i for i, r in enumerate(residues)}
+    subs = enumerate_subgroups(g)
+    cells = {h.indices: coset_partition(orders, h.indices) for h in subs}
+    for h in subs:
+        expected = cells[h.indices]
+        cell_of = {i: k for k, cell in enumerate(expected) for i in cell}
+        members, coset_of = h.partition
+        assert [list(row) for row in members] == expected
+        assert list(coset_of) == [cell_of[i] for i in range(g.order)]
+        assert [c.member_indices() for c in h.cosets] == expected
+        for i in range(g.order):
+            assert Coset.of(g.element_by_index(i), h).rep_index == expected[cell_of[i]][0]
+        quot = QuotientGroup(g, h)
+        for a, ca in enumerate(expected):
+            for b, cb in enumerate(expected):
+                total = index[residue_add(orders, residues[ca[0]], residues[cb[0]])]
+                assert quot.add_table[a, b] == cell_of[total]
+        for m in subs:
+            if m.is_subset_of(h):
+                for d, cell in zip(h.cosets, expected):
+                    inside = [c for c in cells[m.indices] if set(c) <= set(cell)]
+                    assert [c.member_indices() for c in refine(d, m)] == inside
+
+
+def test_different_sections_compare_unequal():
+    h = Subgroup(Z4, (0, 2))
+    assert zero_section_map(h) == SectionMap(h, (0, 1))
+    assert zero_section_map(h) != SectionMap(h, (2, 1))
+    assert zero_section_map(h) != SectionMap(h, (0, 3))
+    with pytest.raises(StructuralError):
+        SectionMap(h, (1, 0))  # each value must lie in its own coset
+    with pytest.raises(StructuralError):
+        SectionMap(h, (0,))  # one value per coset

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import subset_information_direct
+
 from cqpolar.channel import CqChannel, HybridState, preset_channel
 from cqpolar.errors import StructuralError
 from cqpolar.groups import FiniteAbelianGroup
@@ -64,11 +66,11 @@ def test_subset_information_two_evaluations_agree():
         mac = random_mac([[2], [2]], 2, seed=seed, mixed=bool(seed % 2))
         for users in [{0}, {1}, {0, 1}]:
             a = mac.subset_information(users)
-            b = mac.subset_information_direct(users)
+            b = subset_information_direct(mac, users)
             assert a == pytest.approx(b, abs=1e-9)
     mac = adder_like_mac()
     assert mac.subset_information({0}) == pytest.approx(
-        mac.subset_information_direct({0}), abs=1e-9
+        subset_information_direct(mac, {0}), abs=1e-9
     )
 
 
