@@ -516,9 +516,11 @@ def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
             outputs[idx] = HybridState(branches, tol=tol)
         except StructuralError as exc:
             raise LoadError(f"input {key}: {exc}") from exc
-    missing = [repr(g.element_by_index(i)) for i, h in enumerate(outputs) if h is None]
+    missing = [i for i, h in enumerate(outputs) if h is None]
     if missing:
-        raise LoadError(f"channel does not define inputs: {', '.join(missing)}")
+        shown = ", ".join(repr(g.element_by_index(i)) for i in missing[:5])
+        more = ", ..." if len(missing) > 5 else ""
+        raise LoadError(f"channel does not define inputs: {shown}{more} ({len(missing)} missing)")
     return CqChannel(g, outputs, tol)
 
 

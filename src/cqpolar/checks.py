@@ -7,11 +7,30 @@ deviation.  Conditional statements evaluate their hypotheses explicitly and
 pass vacuously (flagged) when the hypothesis fails, and the fuzz driver
 manufactures instances that do satisfy the hypotheses so vacuous passes
 stay visible rather than silent.
+
+A check is a function of one :class:`Instance` that returns its reports.
+It is registered where it is defined, by ``@check(check_id, family)``, and
+that decorator is the only place its id is written: :data:`CHECKS` maps
+each id, in registration order, to its family and function.  The family
+names the builder in :data:`FAMILIES` that fills the instance in:
+
+- ``matrices``: nothing beyond the random stream and the grid point; the
+  check draws its own matrices;
+- ``channel``: ``W`` is a random cyclic-input channel of one of four
+  flavours (pure, mixed, classical, depolarized);
+- ``group-channel``: ``W`` is a random channel over a random group of
+  order q, product groups included;
+- ``structured-channel``: ``W`` is near-constant on the cosets of a random
+  subgroup ``H`` and near-orthogonal across them, so the gated hypotheses
+  often hold; the tag gains the ``eps=`` noise level.
+
+:func:`run_all` builds every instance and stamps the check id on its reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +55,6 @@ from .linalg import (
     pretty_good_measurement,
     sequential_measure,
     trace_distance,
-    trace_sqrt_subadditivity_check,
     union_bound_rhs,
 )
 from .polarize import minus_transform, plus_transform
@@ -62,31 +80,20 @@ class CheckReport:
     passed: bool
 
     def as_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "instance": self.instance,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
-def _ineq(check_id, instance, lhs, rhs, direction="<=", tol=None, hypothesis=True):
-    """lhs <= rhs (or >=) with slack-margin reporting."""
-    tol = DEFAULT_TOL.tol_eq if tol is None else tol
-    margin = rhs - lhs if direction == "<=" else lhs - rhs
+def _report(instance, lhs, rhs, eq=False, tol=None, hypothesis=True):
+    """lhs <= rhs, or lhs == rhs when ``eq``, with slack-margin reporting.
+
+    The check id is left blank; the driver stamps it.
+    """
+    if eq:
+        margin, tol = -abs(lhs - rhs), EQ_TOL_STRICT if tol is None else tol
+    else:
+        margin, tol = rhs - lhs, DEFAULT_TOL.tol_eq if tol is None else tol
     return CheckReport(
-        check_id, instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
-        bool(not hypothesis or margin >= -tol),
-    )
-
-
-def _eq(check_id, instance, lhs, rhs, tol=EQ_TOL_STRICT, hypothesis=True):
-    margin = -abs(lhs - rhs)
-    return CheckReport(
-        check_id, instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
+        "", instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
         bool(not hypothesis or margin >= -tol),
     )
 
@@ -94,9 +101,8 @@ def _eq(check_id, instance, lhs, rhs, tol=EQ_TOL_STRICT, hypothesis=True):
 # -- instance generators ---------------------------------------------------------
 
 
-def random_channel(rng, q: int, k: int, flavor: str = None) -> CqChannel:
-    flavors = ["pure", "mixed", "classical", "depolarized"]
-    flavor = flavor or flavors[int(rng.integers(len(flavors)))]
+def random_channel(rng, q: int, k: int) -> CqChannel:
+    flavor = ("pure", "mixed", "classical", "depolarized")[int(rng.integers(4))]
     if flavor == "classical":
         return preset_channel("classical-symmetric", q=q, p=float(rng.uniform(0, 0.5)))
     if flavor == "depolarized":
@@ -134,120 +140,201 @@ def random_subidentity(rng, dim: int) -> np.ndarray:
     return m / max(1.0, 1.05 * float(np.linalg.eigvalsh(m)[-1]))
 
 
+@dataclass
+class Instance:
+    """What one check runs on.
+
+    The random stream, the grid point (q, k), the caps and the instance tag,
+    plus the channel ``W`` and the subgroup ``H`` it is built around when the
+    check's family supplies them.
+    """
+
+    rng: np.random.Generator
+    q: int
+    k: int
+    caps: ResourceCaps
+    tag: str
+    W: CqChannel | None = None
+    H: Subgroup | None = None
+
+
+def _channel(inst: Instance) -> None:
+    inst.W = random_channel(inst.rng, inst.q, inst.k)
+
+
+def _group_channel(inst: Instance) -> None:
+    g = random_group(inst.rng, inst.q)
+    inst.W = random_cq_channel(g, inst.k, bool(inst.rng.integers(2)), inst.rng)
+
+
+def _structured_channel(inst: Instance) -> None:
+    g = random_group(inst.rng, inst.q)
+    subs = enumerate_subgroups(g)
+    inst.H = subs[int(inst.rng.integers(len(subs)))]
+    eps = float(10.0 ** inst.rng.uniform(-5, -3))
+    inst.W = coset_structured_channel(g, inst.H, eps, inst.rng)
+    inst.tag += f",eps={eps:.2e}"
+
+
+#: instance family -> builder that fills in what the family supplies
+FAMILIES: dict[str, Callable[[Instance], None]] = {
+    "matrices": lambda inst: None,
+    "channel": _channel,
+    "group-channel": _group_channel,
+    "structured-channel": _structured_channel,
+}
+
+
+#: check id -> (instance family, check function), in registration order
+CHECKS: dict[str, tuple[str, Callable[[Instance], list]]] = {}
+
+
+def check(check_id: str, family: str):
+    """Register the decorated function as the check ``check_id``."""
+
+    def register(fn):
+        CHECKS[check_id] = (family, fn)
+        return fn
+
+    return register
+
+
 # -- individual checks --------------------------------------------------------------
 
 
-def check_info_fidelity_lower(W: CqChannel, tag: str):
+@check("info-fidelity-lower", "channel")
+def check_info_fidelity_lower(inst: Instance):
+    W = inst.W
     q, I, F = W.q, W.holevo_information(), W.avg_fidelity()
-    return [_ineq("info-fidelity-lower", tag, np.log(q / (1 + (q - 1) * F)), I, "<=")]
+    return [_report(inst.tag, np.log(q / (1 + (q - 1) * F)), I)]
 
 
-def check_info_fidelity_upper_pairwise(W: CqChannel, tag: str):
+@check("info-fidelity-upper-pairwise", "channel")
+def check_info_fidelity_upper_pairwise(inst: Instance):
+    W = inst.W
     q, I, F = W.q, W.holevo_information(), W.avg_fidelity()
     rhs = np.log(q / 2) + np.log(2) * np.sqrt(max(0.0, 1 - F * F))
-    return [_ineq("info-fidelity-upper-pairwise", tag, I, rhs, "<=")]
+    return [_report(inst.tag, I, rhs)]
 
 
-def check_info_fidelity_upper_guessing(W: CqChannel, tag: str):
+@check("info-fidelity-upper-guessing", "channel")
+def check_info_fidelity_upper_guessing(inst: Instance):
+    W = inst.W
     q, I, F = W.q, W.holevo_information(), W.avg_fidelity()
     inner = q * q - (1 + (q - 1) * F) ** 2
     rhs = np.log(1 + np.sqrt(max(0.0, inner)))
-    return [_ineq("info-fidelity-upper-guessing", tag, I, rhs, "<=")]
+    return [_report(inst.tag, I, rhs)]
 
 
-def check_sequential_union_bound(rng, tag: str):
+@check("sequential-union-bound", "matrices")
+def check_sequential_union_bound(inst: Instance):
+    rng = inst.rng
     dim = int(rng.integers(2, 9))
     r = int(rng.integers(1, 6))
     rho = random_density(rng, dim)
     ops = [random_subidentity(rng, dim) for _ in range(r)]
     survival, _ = sequential_measure(ops, rho)
-    return [_ineq("sequential-union-bound", f"{tag},dim={dim},r={r}",
-                  1.0 - survival, union_bound_rhs(ops, rho), "<=")]
+    return [_report(f"{inst.tag},dim={dim},r={r}", 1.0 - survival, union_bound_rhs(ops, rho))]
 
 
-def check_fd_plus_squares(W: CqChannel, tag: str, caps):
-    plus = plus_transform(W, caps)
-    return [
-        _eq("fd-plus-squares", f"{tag},d={d}", plus.fd(d), W.fd(d) ** 2)
-        for d in range(W.q)
-    ]
+@check("fd-plus-squares", "channel")
+def check_fd_plus_squares(inst: Instance):
+    W = inst.W
+    plus = plus_transform(W, inst.caps)
+    return [_report(f"{inst.tag},d={d}", plus.fd(d), W.fd(d) ** 2, eq=True) for d in range(W.q)]
 
 
-def check_fd_minus_sandwich(W: CqChannel, tag: str, caps):
-    minus = minus_transform(W, caps)
+@check("fd-minus-sandwich", "channel")
+def check_fd_minus_sandwich(inst: Instance):
+    W = inst.W
+    minus = minus_transform(W, inst.caps)
     g = W.alphabet
     out = []
     for d in range(1, W.q):
         fdm = minus.fd(d)
-        out.append(_ineq("fd-minus-sandwich", f"{tag},d={d},lower", W.fd(d), fdm, "<="))
+        out.append(_report(f"{inst.tag},d={d},lower", W.fd(d), fdm))
         upper = 2 * W.fd(d)
         neg_d = g.neg_index(d)
         for delta in range(1, W.q):
             if delta == neg_d:
                 continue
             upper += W.fd(delta) * W.fd(g.add_index(d, delta))
-        out.append(_ineq("fd-minus-sandwich", f"{tag},d={d},upper", fdm, upper, "<="))
+        out.append(_report(f"{inst.tag},d={d},upper", fdm, upper))
     return out
 
 
-def check_fmax_plus_squares(W: CqChannel, tag: str, caps):
-    plus = plus_transform(W, caps)
-    return [_eq("fmax-plus-squares", tag, plus.f_max(), W.f_max() ** 2)]
+@check("fmax-plus-squares", "channel")
+def check_fmax_plus_squares(inst: Instance):
+    W = inst.W
+    plus = plus_transform(W, inst.caps)
+    return [_report(inst.tag, plus.f_max(), W.f_max() ** 2, eq=True)]
 
 
-def check_fmax_minus_growth(W: CqChannel, tag: str, caps):
-    minus = minus_transform(W, caps)
+@check("fmax-minus-growth", "channel")
+def check_fmax_minus_growth(inst: Instance):
+    W = inst.W
+    minus = minus_transform(W, inst.caps)
     fm, fmm = W.f_max(), minus.f_max()
     return [
-        _ineq("fmax-minus-growth", f"{tag},lower", fm, fmm, "<="),
-        _ineq("fmax-minus-growth", f"{tag},upper", fmm, W.q * fm, "<="),
+        _report(f"{inst.tag},lower", fm, fmm),
+        _report(f"{inst.tag},upper", fmm, W.q * fm),
     ]
 
 
-def check_favg_plus_contraction(W: CqChannel, tag: str, caps):
-    plus = plus_transform(W, caps)
+@check("favg-plus-contraction", "channel")
+def check_favg_plus_contraction(inst: Instance):
+    W = inst.W
+    plus = plus_transform(W, inst.caps)
     q, F = W.q, W.avg_fidelity()
     rhs = min(F, (q - 1) ** 2 * F * F)
-    return [_ineq("favg-plus-contraction", tag, plus.avg_fidelity(), rhs, "<=")]
+    return [_report(inst.tag, plus.avg_fidelity(), rhs)]
 
 
-def check_favg_minus_growth(W: CqChannel, tag: str, caps):
-    minus = minus_transform(W, caps)
+@check("favg-minus-growth", "channel")
+def check_favg_minus_growth(inst: Instance):
+    W = inst.W
+    minus = minus_transform(W, inst.caps)
     q, F, Fm = W.q, W.avg_fidelity(), minus.avg_fidelity()
     return [
-        _ineq("favg-minus-growth", f"{tag},lower", F, Fm, "<="),
-        _ineq("favg-minus-growth", f"{tag},upper", Fm, q * (q - 1) * F, "<="),
+        _report(f"{inst.tag},lower", F, Fm),
+        _report(f"{inst.tag},upper", Fm, q * (q - 1) * F),
     ]
 
 
-def check_info_conservation(W: CqChannel, tag: str, caps):
-    minus, plus = minus_transform(W, caps), plus_transform(W, caps)
+@check("info-conservation", "channel")
+def check_info_conservation(inst: Instance):
+    W = inst.W
+    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
     lhs = minus.holevo_information() + plus.holevo_information()
-    return [_eq("info-conservation", tag, lhs, 2 * W.holevo_information(), tol=1e-8)]
+    return [_report(inst.tag, lhs, 2 * W.holevo_information(), eq=True, tol=1e-8)]
 
 
-def check_info_ordering(W: CqChannel, tag: str, caps):
-    minus, plus = minus_transform(W, caps), plus_transform(W, caps)
+@check("info-ordering", "channel")
+def check_info_ordering(inst: Instance):
+    W = inst.W
+    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
     I = W.holevo_information()
     return [
-        _ineq("info-ordering", f"{tag},minus", minus.holevo_information(), I, "<=", tol=1e-8),
-        _ineq("info-ordering", f"{tag},plus", I, plus.holevo_information(), "<=", tol=1e-8),
+        _report(f"{inst.tag},minus", minus.holevo_information(), I, tol=1e-8),
+        _report(f"{inst.tag},plus", I, plus.holevo_information(), tol=1e-8),
     ]
 
 
-def check_quotient_info_two_branch(W: CqChannel, tag: str, caps):
-    minus, plus = minus_transform(W, caps), plus_transform(W, caps)
+@check("quotient-info-two-branch", "group-channel")
+def check_quotient_info_two_branch(inst: Instance):
+    W = inst.W
+    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
     out = []
     for H in enumerate_subgroups(W.alphabet):
         lhs = 2 * W.quotient(H).holevo_information()
         rhs = minus.quotient(H).holevo_information() + plus.quotient(H).holevo_information()
-        out.append(
-            _ineq("quotient-info-two-branch", f"{tag},H={H!r}", lhs, rhs, "<=", tol=1e-8)
-        )
+        out.append(_report(f"{inst.tag},H={H!r}", lhs, rhs, tol=1e-8))
     return out
 
 
-def check_nested_info_decomposition(W: CqChannel, tag: str):
+@check("nested-info-decomposition", "group-channel")
+def check_nested_info_decomposition(inst: Instance):
+    W = inst.W
     out = []
     subs = enumerate_subgroups(W.alphabet)
     for H in subs:
@@ -255,13 +342,13 @@ def check_nested_info_decomposition(W: CqChannel, tag: str):
             if not M.is_subset_of(H):
                 continue
             value, decomp = W.nested_information(M, H)
-            out.append(
-                _eq("nested-info-decomposition", f"{tag},M={M!r},H={H!r}", value, decomp)
-            )
+            out.append(_report(f"{inst.tag},M={M!r},H={H!r}", value, decomp, eq=True))
     return out
 
 
-def check_restricted_fidelity_upper(W: CqChannel, tag: str):
+@check("restricted-fidelity-upper", "group-channel")
+def check_restricted_fidelity_upper(inst: Instance):
+    W = inst.W
     q = W.q
     out = []
     subs = enumerate_subgroups(W.alphabet)
@@ -274,19 +361,14 @@ def check_restricted_fidelity_upper(W: CqChannel, tag: str):
             fmax = W.nested_fmax(M, H)
             for D in quotient_cosets(W.alphabet, H):
                 lhs = W.restricted_quotient(M, D).avg_fidelity()
-                out.append(
-                    _ineq(
-                        "restricted-fidelity-upper",
-                        f"{tag},M={M!r},H={H!r},D={D!r}",
-                        lhs,
-                        q * M.order / H.order * fmax,
-                        "<=",
-                    )
-                )
+                out.append(_report(f"{inst.tag},M={M!r},H={H!r},D={D!r}",
+                                   lhs, q * M.order / H.order * fmax))
     return out
 
 
-def check_restricted_fidelity_lower(W: CqChannel, tag: str):
+@check("restricted-fidelity-lower", "structured-channel")
+def check_restricted_fidelity_lower(inst: Instance):
+    W = inst.W
     q = W.q
     out = []
     for H in enumerate_subgroups(W.alphabet):
@@ -308,24 +390,18 @@ def check_restricted_fidelity_lower(W: CqChannel, tag: str):
             )
             for D in quotient_cosets(W.alphabet, H):
                 lhs = W.restricted_quotient(M, D).avg_fidelity()
-                out.append(
-                    _ineq(
-                        "restricted-fidelity-lower",
-                        f"{tag},M={M!r},H={H!r},D={D!r}",
-                        bound,
-                        lhs,
-                        "<=",
-                        hypothesis=hyp,
-                    )
-                )
+                out.append(_report(f"{inst.tag},M={M!r},H={H!r},D={D!r}",
+                                   bound, lhs, hypothesis=hyp))
     return out
 
 
-def check_fidelity_chain_sum(W: CqChannel, tag: str, rng, favored=None):
+@check("fidelity-chain-sum", "structured-channel")
+def check_fidelity_chain_sum(inst: Instance):
+    W, rng = inst.W, inst.rng
     g = W.alphabet
     q = W.q
     r = int(rng.integers(2, 4))
-    pool = list(favored) if favored else list(range(q))
+    pool = list(inst.H.indices)
     ds = [int(pool[int(rng.integers(len(pool)))]) for _ in range(r)]
     thresh = 1.0 - (1.0 - np.cos(np.pi / (2 * r))) / q
     hyp = all(W.fd(d) >= thresh for d in ds)
@@ -336,37 +412,22 @@ def check_fidelity_chain_sum(W: CqChannel, tag: str, rng, favored=None):
         rhs = np.cos(sum(np.arccos(min(1.0, 1.0 - q * (1.0 - W.fd(d)))) for d in ds))
     else:
         rhs = -1.0
-    return [
-        _ineq(
-            "fidelity-chain-sum",
-            f"{tag},ds={ds}",
-            rhs,
-            W.fd(total),
-            "<=",
-            hypothesis=hyp,
-        )
-    ]
+    return [_report(f"{inst.tag},ds={ds}", rhs, W.fd(total), hypothesis=hyp)]
 
 
-def check_generated_subgroup_fmax(W: CqChannel, tag: str, rng, favored=None):
+@check("generated-subgroup-fmax", "structured-channel")
+def check_generated_subgroup_fmax(inst: Instance):
+    W, rng = inst.W, inst.rng
     q = W.q
     g = W.alphabet
-    pool = [d for d in (favored or range(q)) if d != 0] or list(range(1, q))
+    pool = [d for d in inst.H.indices if d != 0] or list(range(1, q))
     d = int(pool[int(rng.integers(len(pool)))])
     H = generated_subgroup(g.element_by_index(d))
     maxes = maximal_subgroups(H)
     out = []
     fd_val = W.fd(d)
     for M in maxes:
-        out.append(
-            _ineq(
-                "generated-subgroup-fmax",
-                f"{tag},d={d},M={M!r},upper",
-                fd_val,
-                W.nested_fmax(M, H),
-                "<=",
-            )
-        )
+        out.append(_report(f"{inst.tag},d={d},M={M!r},upper", fd_val, W.nested_fmax(M, H)))
     thresh = 1.0 - (1.0 - np.cos(np.pi / (2 * q))) / q
     vals = [W.nested_fmax(M, H) for M in maxes]
     hyp = bool(vals) and all(v >= thresh for v in vals)
@@ -374,56 +435,36 @@ def check_generated_subgroup_fmax(W: CqChannel, tag: str, rng, favored=None):
         lo = np.cos(q * np.arccos(min(1.0, 1.0 - q * (1.0 - min(vals)))))
     else:
         lo = -1.0
-    out.append(
-        _ineq(
-            "generated-subgroup-fmax",
-            f"{tag},d={d},lower",
-            lo,
-            fd_val,
-            "<=",
-            hypothesis=hyp,
-        )
-    )
+    out.append(_report(f"{inst.tag},d={d},lower", lo, fd_val, hypothesis=hyp))
     return out
 
 
-def check_quotient_fidelity_growth(W: CqChannel, tag: str, caps):
+@check("quotient-fidelity-growth", "group-channel")
+def check_quotient_fidelity_growth(inst: Instance):
+    W = inst.W
     q = W.q
-    minus, plus = minus_transform(W, caps), plus_transform(W, caps)
+    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
     out = []
     for H in enumerate_subgroups(W.alphabet):
         h = H.order
         fq = W.quotient(H).avg_fidelity()
-        out.append(
-            _ineq(
-                "quotient-fidelity-growth",
-                f"{tag},H={H!r},minus",
-                minus.quotient(H).avg_fidelity(),
-                h * q * (q - h) * fq,
-                "<=",
-            )
-        )
-        out.append(
-            _ineq(
-                "quotient-fidelity-growth",
-                f"{tag},H={H!r},plus",
-                plus.quotient(H).avg_fidelity(),
-                h * (q - h) ** 2 * fq * fq,
-                "<=",
-            )
-        )
+        out.append(_report(f"{inst.tag},H={H!r},minus",
+                           minus.quotient(H).avg_fidelity(), h * q * (q - h) * fq))
+        out.append(_report(f"{inst.tag},H={H!r},plus",
+                           plus.quotient(H).avg_fidelity(), h * (q - h) ** 2 * fq * fq))
     return out
 
 
-def check_profile_implies_quotient_info(W: CqChannel, H: Subgroup, tag: str):
+@check("profile-implies-quotient-info", "structured-channel")
+def check_profile_implies_quotient_info(inst: Instance):
     """Near-subgroup fidelity profiles force near-quotient information.
 
     Composes the bound chain: within-coset fidelities give an upper bound on
     I(W) - I(W[H]) through the restricted channels and the guessing bound;
     cross-coset fidelities lower-bound I(W[H]) through the lower info bound.
     """
+    W, H, tag = inst.W, inst.H, inst.tag
     q = W.q
-    g = W.alphabet
     in_h = [d for d in H.indices if d != 0]
     out_h = [d for d in range(q) if not H.contains_index(d)]
     eps_hi = max((1.0 - W.fd(d) for d in in_h), default=0.0)
@@ -437,10 +478,8 @@ def check_profile_implies_quotient_info(W: CqChannel, H: Subgroup, tag: str):
         inner = q * q - (q - (q - 1) * eps) ** 2
         delta = np.log(1.0 + np.sqrt(max(0.0, inner)))
         return [
-            _ineq("profile-implies-quotient-info", f"{tag},H=G,info", I, delta, "<=",
-                  hypothesis=hyp),
-            _eq("profile-implies-quotient-info", f"{tag},H=G,quot", quot_I, 0.0,
-                tol=1e-9, hypothesis=hyp),
+            _report(f"{tag},H=G,info", I, delta, hypothesis=hyp),
+            _report(f"{tag},H=G,quot", quot_I, 0.0, eq=True, hypothesis=hyp),
         ]
     qh = q // H.order
     delta2 = np.log(1.0 + (qh - 1) * min(1.0, q * eps))
@@ -451,39 +490,24 @@ def check_profile_implies_quotient_info(W: CqChannel, H: Subgroup, tag: str):
         inner = h * h - (1.0 + (h - 1) * (1.0 - min(1.0, q * eps))) ** 2
         delta3 = np.log(1.0 + np.sqrt(max(0.0, inner)))
     return [
-        _ineq(
-            "profile-implies-quotient-info",
-            f"{tag},H={H!r},quot",
-            abs(quot_I - log_quot),
-            delta2,
-            "<=",
-            hypothesis=hyp,
-        ),
-        _ineq(
-            "profile-implies-quotient-info",
-            f"{tag},H={H!r},info",
-            abs(I - log_quot),
-            delta2 + delta3,
-            "<=",
-            hypothesis=hyp,
-        ),
+        _report(f"{tag},H={H!r},quot", abs(quot_I - log_quot), delta2, hypothesis=hyp),
+        _report(f"{tag},H={H!r},info", abs(I - log_quot), delta2 + delta3, hypothesis=hyp),
     ]
 
 
-def check_trace_sqrt_subadditive(rng, tag: str):
+@check("trace-sqrt-subadditive", "matrices")
+def check_trace_sqrt_subadditive(inst: Instance):
+    rng = inst.rng
     dim = int(rng.integers(2, 7))
     a = random_density(rng, dim) * float(rng.uniform(0.1, 3.0))
     b = random_density(rng, dim) * float(rng.uniform(0.1, 3.0))
     tr = lambda m: float(np.sqrt(np.clip(np.linalg.eigvalsh(hermitize(m)), 0, None)).sum())
-    ok = trace_sqrt_subadditivity_check(a, b)
-    rep = _ineq(
-        "trace-sqrt-subadditive", f"{tag},dim={dim}", tr(a + b), tr(a) + tr(b), "<="
-    )
-    rep.passed = rep.passed and ok
-    return [rep]
+    return [_report(f"{inst.tag},dim={dim}", tr(a + b), tr(a) + tr(b))]
 
 
-def check_mixture_fidelity_subadditive(rng, tag: str):
+@check("mixture-fidelity-subadditive", "matrices")
+def check_mixture_fidelity_subadditive(inst: Instance):
+    rng = inst.rng
     dim = int(rng.integers(2, 5))
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     rhos = [random_density(rng, dim) for _ in range(n)]
@@ -500,10 +524,12 @@ def check_mixture_fidelity_subadditive(rng, tag: str):
         for pi, r in zip(p, rhos)
         for qi, s in zip(qw, sigmas)
     )
-    return [_ineq("mixture-fidelity-subadditive", f"{tag},n={n},m={m}", lhs, rhs, "<=")]
+    return [_report(f"{inst.tag},n={n},m={m}", lhs, rhs)]
 
 
-def check_fmax_quotient_upper(W: CqChannel, tag: str):
+@check("fmax-quotient-upper", "group-channel")
+def check_fmax_quotient_upper(inst: Instance):
+    W = inst.W
     q = W.q
     out = []
     full = Subgroup(W.alphabet, tuple(range(q)))
@@ -512,19 +538,23 @@ def check_fmax_quotient_upper(W: CqChannel, tag: str):
             continue
         lhs = W.nested_fmax(H, full)
         rhs = (q - H.order) * W.quotient(H).avg_fidelity()
-        out.append(_ineq("fmax-quotient-upper", f"{tag},H={H!r}", lhs, rhs, "<="))
+        out.append(_report(f"{inst.tag},H={H!r}", lhs, rhs))
     return out
 
 
-def check_pgm_error_bound(W: CqChannel, tag: str):
+@check("pgm-error-bound", "channel")
+def check_pgm_error_bound(inst: Instance):
+    W = inst.W
     dense = [to_dense(h.branches[0][2]) for h in W.flatten_dense().outputs]
     povm = pretty_good_measurement(dense)
     pe = povm_error_probability(povm, dense)
-    return [_ineq("pgm-error-bound", tag, pe, (W.q - 1) * W.avg_fidelity(), "<=")]
+    return [_report(inst.tag, pe, (W.q - 1) * W.avg_fidelity())]
 
 
-def check_block_pgm_error_bound(rng, q: int, k: int, tag: str):
+@check("block-pgm-error-bound", "matrices")
+def check_block_pgm_error_bound(inst: Instance):
     """Blockwise-assembled PGM on a channel with a uniform classical register."""
+    rng, q, k = inst.rng, inst.q, inst.k
     r = int(rng.integers(1, 4))
     g = FiniteAbelianGroup([q])
     states = [[random_density(rng, k) for _ in range(r)] for _ in range(q)]
@@ -536,135 +566,43 @@ def check_block_pgm_error_bound(rng, q: int, k: int, tag: str):
     for u in range(r):
         povm = pretty_good_measurement([states[x][u] for x in range(q)])
         err += povm_error_probability(povm, [states[x][u] for x in range(q)]) / r
-    return [_ineq("block-pgm-error-bound", f"{tag},r={r}", err, (q - 1) * W.avg_fidelity(), "<=")]
+    return [_report(f"{inst.tag},r={r}", err, (q - 1) * W.avg_fidelity())]
 
 
-def check_optimal_decoder_bound(W: CqChannel, tag: str):
+@check("optimal-decoder-bound", "channel")
+def check_optimal_decoder_bound(inst: Instance):
+    W = inst.W
     out = []
     rhs = (W.q - 1) * W.avg_fidelity()
     dense = [to_dense(h.branches[0][2]) for h in W.flatten_dense().outputs]
     if W.q == 2:
-        out.append(
-            _ineq("optimal-decoder-bound", f"{tag},helstrom",
-                  helstrom_error(dense[0], dense[1]), rhs, "<=")
-        )
+        out.append(_report(f"{inst.tag},helstrom", helstrom_error(dense[0], dense[1]), rhs))
     povm = pretty_good_measurement(dense)
-    out.append(
-        _ineq("optimal-decoder-bound", f"{tag},pgm",
-              povm_error_probability(povm, dense), rhs, "<=")
-    )
+    out.append(_report(f"{inst.tag},pgm", povm_error_probability(povm, dense), rhs))
     return out
 
 
-def check_distance_fidelity_relations(rng, tag: str):
+@check("distance-fidelity-relations", "matrices")
+def check_distance_fidelity_relations(inst: Instance):
+    rng = inst.rng
     dim = int(rng.integers(2, 6))
     a, b = random_density(rng, dim), random_density(rng, dim)
     d, f = trace_distance(a, b), fidelity(a, b)
     return [
-        _ineq("distance-fidelity-relations", f"{tag},sum", 1.0, d + f, "<="),
-        _ineq("distance-fidelity-relations", f"{tag},squares", d * d + f * f, 1.0, "<="),
+        _report(f"{inst.tag},sum", 1.0, d + f),
+        _report(f"{inst.tag},squares", d * d + f * f, 1.0),
     ]
 
 
-def check_angle_triangle(rng, tag: str):
+@check("angle-triangle", "matrices")
+def check_angle_triangle(inst: Instance):
+    rng = inst.rng
     dim = int(rng.integers(2, 5))
     a, b, c = (random_density(rng, dim) for _ in range(3))
-    return [
-        _ineq("angle-triangle", f"{tag},dim={dim}", angle(a, c), angle(a, b) + angle(b, c), "<=")
-    ]
+    return [_report(f"{inst.tag},dim={dim}", angle(a, c), angle(a, b) + angle(b, c))]
 
 
-# -- registry and drivers --------------------------------------------------------------
-
-#: check id -> instance family the driver should feed it
-CHECKS = {
-    "info-fidelity-lower": "channel",
-    "info-fidelity-upper-pairwise": "channel",
-    "info-fidelity-upper-guessing": "channel",
-    "sequential-union-bound": "matrices",
-    "fd-plus-squares": "channel",
-    "fd-minus-sandwich": "channel",
-    "fmax-plus-squares": "channel",
-    "fmax-minus-growth": "channel",
-    "favg-plus-contraction": "channel",
-    "favg-minus-growth": "channel",
-    "info-conservation": "channel",
-    "info-ordering": "channel",
-    "quotient-info-two-branch": "group-channel",
-    "nested-info-decomposition": "group-channel",
-    "restricted-fidelity-upper": "group-channel",
-    "restricted-fidelity-lower": "structured-channel",
-    "fidelity-chain-sum": "structured-channel",
-    "generated-subgroup-fmax": "structured-channel",
-    "quotient-fidelity-growth": "group-channel",
-    "profile-implies-quotient-info": "structured-channel",
-    "trace-sqrt-subadditive": "matrices",
-    "mixture-fidelity-subadditive": "matrices",
-    "fmax-quotient-upper": "group-channel",
-    "pgm-error-bound": "channel",
-    "block-pgm-error-bound": "matrices",
-    "optimal-decoder-bound": "channel",
-    "distance-fidelity-relations": "matrices",
-    "angle-triangle": "matrices",
-}
-
-
-def _group_channel(rng, q: int, k: int) -> CqChannel:
-    g = random_group(rng, q)
-    return random_cq_channel(g, k, bool(rng.integers(2)), rng)
-
-
-def _run_one(check_id: str, rng, q: int, k: int, caps, tag: str):
-    kind = CHECKS[check_id]
-    if kind == "matrices":
-        fn = {
-            "sequential-union-bound": lambda: check_sequential_union_bound(rng, tag),
-            "trace-sqrt-subadditive": lambda: check_trace_sqrt_subadditive(rng, tag),
-            "mixture-fidelity-subadditive": lambda: check_mixture_fidelity_subadditive(rng, tag),
-            "block-pgm-error-bound": lambda: check_block_pgm_error_bound(rng, q, k, tag),
-            "distance-fidelity-relations": lambda: check_distance_fidelity_relations(rng, tag),
-            "angle-triangle": lambda: check_angle_triangle(rng, tag),
-        }[check_id]
-        return fn()
-    favored = None
-    if kind == "channel":
-        W = random_channel(rng, q, k)
-    elif kind == "group-channel":
-        W = _group_channel(rng, q, k)
-    else:  # structured-channel: satisfy the gated hypotheses often
-        g = random_group(rng, q)
-        subs = enumerate_subgroups(g)
-        H = subs[int(rng.integers(len(subs)))]
-        eps = float(10.0 ** rng.uniform(-5, -3))
-        W = coset_structured_channel(g, H, eps, rng)
-        favored = list(H.indices)
-        tag = f"{tag},eps={eps:.2e}"
-        if check_id == "profile-implies-quotient-info":
-            return check_profile_implies_quotient_info(W, H, tag)
-    dispatch = {
-        "info-fidelity-lower": lambda: check_info_fidelity_lower(W, tag),
-        "info-fidelity-upper-pairwise": lambda: check_info_fidelity_upper_pairwise(W, tag),
-        "info-fidelity-upper-guessing": lambda: check_info_fidelity_upper_guessing(W, tag),
-        "fd-plus-squares": lambda: check_fd_plus_squares(W, tag, caps),
-        "fd-minus-sandwich": lambda: check_fd_minus_sandwich(W, tag, caps),
-        "fmax-plus-squares": lambda: check_fmax_plus_squares(W, tag, caps),
-        "fmax-minus-growth": lambda: check_fmax_minus_growth(W, tag, caps),
-        "favg-plus-contraction": lambda: check_favg_plus_contraction(W, tag, caps),
-        "favg-minus-growth": lambda: check_favg_minus_growth(W, tag, caps),
-        "info-conservation": lambda: check_info_conservation(W, tag, caps),
-        "info-ordering": lambda: check_info_ordering(W, tag, caps),
-        "quotient-info-two-branch": lambda: check_quotient_info_two_branch(W, tag, caps),
-        "nested-info-decomposition": lambda: check_nested_info_decomposition(W, tag),
-        "restricted-fidelity-upper": lambda: check_restricted_fidelity_upper(W, tag),
-        "restricted-fidelity-lower": lambda: check_restricted_fidelity_lower(W, tag),
-        "fidelity-chain-sum": lambda: check_fidelity_chain_sum(W, tag, rng, favored),
-        "generated-subgroup-fmax": lambda: check_generated_subgroup_fmax(W, tag, rng, favored),
-        "quotient-fidelity-growth": lambda: check_quotient_fidelity_growth(W, tag, caps),
-        "fmax-quotient-upper": lambda: check_fmax_quotient_upper(W, tag),
-        "pgm-error-bound": lambda: check_pgm_error_bound(W, tag),
-        "optimal-decoder-bound": lambda: check_optimal_decoder_bound(W, tag),
-    }
-    return dispatch[check_id]()
+# -- drivers --------------------------------------------------------------------------
 
 
 def run_check(check_id: str, seed: int = 0, trials: int = 1, q: int = 2, k: int = 2,
@@ -690,11 +628,16 @@ def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=Non
             raise StructuralError(f"unknown check id {name!r}")
     reports = []
     for name in names:
+        family, fn = CHECKS[name]
         for t in range(trials):
             q = qs[t % len(qs)]
             k = ks[(t // len(qs)) % len(ks)]
             rng = np.random.default_rng([seed, t, _stable_hash(name)])
-            reports.extend(_run_one(name, rng, q, k, caps, f"seed={seed},t={t},q={q},k={k}"))
+            inst = Instance(rng, q, k, caps, f"seed={seed},t={t},q={q},k={k}")
+            FAMILIES[family](inst)
+            for report in fn(inst):
+                report.check_id = name
+                reports.append(report)
     return reports
 
 

@@ -334,6 +334,14 @@ def plan_to_json(plan: CodePlan) -> dict:
     }
 
 
+def _integers(values, what: str) -> tuple:
+    """``values`` as element indices; JSON floats, strings and booleans are refused."""
+    for v in values:
+        if type(v) is not int:
+            raise StructuralError(f"{what} entries must be integers, got {v!r}")
+    return tuple(values)
+
+
 def plan_from_json(obj) -> CodePlan:
     if isinstance(obj, str):
         with open(obj) as fh:
@@ -343,12 +351,12 @@ def plan_from_json(obj) -> CodePlan:
     decisions = []
     for i, dd in enumerate(obj["decisions"]):
         try:
-            H = Subgroup(g, tuple(dd["subgroup"]))
+            H = Subgroup(g, _integers(dd["subgroup"], "subgroup"))
             H.validate_closure()
             reps = [str(c.rep_index) for c in H.cosets]
             if set(dd["section"]) != set(reps):
                 raise StructuralError("section keys are not the coset representatives")
-            section = SectionMap(H, [int(dd["section"][r]) for r in reps])
+            section = SectionMap(H, _integers([dd["section"][r] for r in reps], "section"))
         except StructuralError as exc:
             raise LoadError(f"plan decision {i}: {exc}") from exc
         decisions.append(

@@ -384,9 +384,6 @@ class QuotientGroup(GroupOps):
         self.cosets = quotient_cosets(G, H)
         self.order = len(self.cosets)
 
-    def coset_index(self, element_index: int) -> int:
-        return self.subgroup.partition[1][element_index]
-
     @cached_property
     def add_table(self) -> np.ndarray:
         reps = [c.rep_index for c in self.cosets]

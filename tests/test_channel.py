@@ -279,6 +279,14 @@ def test_load_channel_errors():
         load_channel('{"not json')
 
 
+def test_missing_inputs_error_is_short():
+    # one state of a group of order 90000: the message counts the rest
+    obj = {"group": [300, 300], "k": 2, "states": {"(0,0)": {"re": [[1, 0], [0, 0]]}}}
+    with pytest.raises(LoadError, match=r"\(0,1\), .*\(89999 missing\)") as info:
+        load_channel(obj)
+    assert len(str(info.value)) < 1024
+
+
 def test_channel_requires_all_outputs_same_dim():
     with pytest.raises(StructuralError):
         CqChannel(

@@ -4,6 +4,7 @@ import pytest
 from cqpolar.channel import preset_channel
 from cqpolar.checks import (
     CHECKS,
+    Instance,
     check_info_fidelity_lower,
     check_info_fidelity_upper_guessing,
     check_info_fidelity_upper_pairwise,
@@ -41,6 +42,51 @@ def test_gated_checks_are_exercised_nonvacuously():
         assert agg["vacuous"] < agg["instances"], name
 
 
+REGISTRY_ORDER = [
+    "info-fidelity-lower",
+    "info-fidelity-upper-pairwise",
+    "info-fidelity-upper-guessing",
+    "sequential-union-bound",
+    "fd-plus-squares",
+    "fd-minus-sandwich",
+    "fmax-plus-squares",
+    "fmax-minus-growth",
+    "favg-plus-contraction",
+    "favg-minus-growth",
+    "info-conservation",
+    "info-ordering",
+    "quotient-info-two-branch",
+    "nested-info-decomposition",
+    "restricted-fidelity-upper",
+    "restricted-fidelity-lower",
+    "fidelity-chain-sum",
+    "generated-subgroup-fmax",
+    "quotient-fidelity-growth",
+    "profile-implies-quotient-info",
+    "trace-sqrt-subadditive",
+    "mixture-fidelity-subadditive",
+    "fmax-quotient-upper",
+    "pgm-error-bound",
+    "block-pgm-error-bound",
+    "optimal-decoder-bound",
+    "distance-fidelity-relations",
+    "angle-triangle",
+]
+
+
+def test_registry_order_is_pinned():
+    # run_all and the verify output list checks in registration order
+    assert list(CHECKS) == REGISTRY_ORDER
+
+
+@pytest.mark.parametrize("check_id", list(CHECKS))
+def test_every_registered_check_passes_and_is_stamped(check_id):
+    reports = run_check(check_id, seed=0, trials=2)
+    assert reports
+    assert summarize(reports)[check_id]["failures"] == 0
+    assert all(r.check_id == check_id for r in reports)
+
+
 def test_unknown_check_id():
     with pytest.raises(StructuralError):
         run_check("no-such-check")
@@ -52,15 +98,17 @@ def test_margins_at_analytic_extremes():
     # lower bound is an equality at both the perfect and the useless channel
     perfect = preset_channel("classical-symmetric", q=3, p=0.0)
     useless = preset_channel("depolarized-orthogonal", q=3, lam=1.0)
-    low_p = check_info_fidelity_lower(perfect, "perfect")[0]
-    low_u = check_info_fidelity_lower(useless, "useless")[0]
+    perfect = Instance(None, 3, 2, None, "perfect", W=perfect)
+    useless = Instance(None, 3, 2, None, "useless", W=useless)
+    low_p = check_info_fidelity_lower(perfect)[0]
+    low_u = check_info_fidelity_lower(useless)[0]
     assert abs(low_p.margin) <= 1e-9
     assert abs(low_u.margin) <= 1e-9
     # pairwise upper bound is tight at the perfect channel
-    up_p = check_info_fidelity_upper_pairwise(perfect, "perfect")[0]
+    up_p = check_info_fidelity_upper_pairwise(perfect)[0]
     assert abs(up_p.margin) <= 1e-9
     # guessing upper bound is tight at the useless channel
-    gu_u = check_info_fidelity_upper_guessing(useless, "useless")[0]
+    gu_u = check_info_fidelity_upper_guessing(useless)[0]
     assert abs(gu_u.margin) <= 1e-9
 
 

@@ -243,6 +243,29 @@ def test_decode_sim_rejects_invalid_plan_decisions(tmp_path, z4_plan, change):
     assert res.stderr.startswith("validation error: plan decision 0:"), res.stderr
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"section": {"0": 2.7, "1": 1}},  # a float value, once truncated to 2
+        {"section": {"0": "x", "1": 1}},  # a string value
+        {"section": {"0": 2, "1": True}},  # a JSON boolean, once read as 1
+        {"subgroup": [0.0, 2.0]},  # float subgroup entries
+    ],
+    ids=["float-value", "string-value", "bool-value", "float-subgroup"],
+)
+def test_decode_sim_rejects_non_integer_plan_entries(tmp_path, z4_plan, change):
+    plan = json.loads(json.dumps(z4_plan))
+    plan["decisions"][0].update(change)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    res = run_cli(
+        "decode-sim", "--plan", str(path), "--trials", "5", "--out", str(tmp_path / "r.json")
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: plan decision 0:"), res.stderr
+    assert "must be integers" in res.stderr
+
+
 @pytest.mark.parametrize("subgroup", [[0, 2], [0]], ids=["non-subgroup", "trivial"])
 def test_oversized_group_field_is_validation_error(tmp_path, z4_plan, subgroup):
     """A file naming a group of order 90000 fails validation without q x q tables."""
