@@ -334,9 +334,30 @@ def plan_to_json(plan: CodePlan) -> dict:
     }
 
 
+_PLAN_KEYS = ("params", "group", "decisions", "rate", "bound", "base_I")
+_DECISION_KEYS = (
+    "branch", "faced", "subgroup", "section", "in_selected_set",
+    "info_nats", "I", "fmax", "quot_I", "quot_F",
+)
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a JSON object (``dict``) or array (``list``)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise StructuralError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _require_keys(obj, keys: tuple, what: str) -> None:
+    missing = [key for key in keys if key not in _expect(obj, dict, what)]
+    if missing:
+        raise StructuralError(f"missing {', '.join(missing)}")
+
+
 def _integers(values, what: str) -> tuple:
     """``values`` as element indices; JSON floats, strings and booleans are refused."""
-    for v in values:
+    for v in _expect(values, list, what):
         if type(v) is not int:
             raise StructuralError(f"{what} entries must be integers, got {v!r}")
     return tuple(values)
@@ -346,15 +367,25 @@ def plan_from_json(obj) -> CodePlan:
     if isinstance(obj, str):
         with open(obj) as fh:
             obj = json.load(fh)
-    params = CodeParams(**obj["params"])
-    g = FiniteAbelianGroup(obj["group"])
+    try:
+        _require_keys(obj, _PLAN_KEYS, "top level")
+        g = FiniteAbelianGroup(_integers(obj["group"], "group"))
+        raw_params = _expect(obj["params"], dict, "params")
+        raw_decisions = _expect(obj["decisions"], list, "decisions")
+    except StructuralError as exc:
+        raise LoadError(f"plan: {exc}") from exc
+    try:
+        params = CodeParams(**raw_params)
+    except TypeError as exc:  # a missing, unknown or mistyped parameter
+        raise LoadError(f"plan: params: {exc}") from exc
     decisions = []
-    for i, dd in enumerate(obj["decisions"]):
+    for i, dd in enumerate(raw_decisions):
         try:
+            _require_keys(dd, _DECISION_KEYS, "decision")
             H = Subgroup(g, _integers(dd["subgroup"], "subgroup"))
             H.validate_closure()
             reps = [str(c.rep_index) for c in H.cosets]
-            if set(dd["section"]) != set(reps):
+            if set(_expect(dd["section"], dict, "section")) != set(reps):
                 raise StructuralError("section keys are not the coset representatives")
             section = SectionMap(H, _integers([dd["section"][r] for r in reps], "section"))
         except StructuralError as exc:

@@ -5,9 +5,15 @@ transforms then reduce to classical probability-table operations, and output
 classes with proportional likelihood columns can be merged without changing
 any information or fidelity functional.  Merging is what makes deep scans of
 classical channels feasible; alphabets that still explode hit the column cap
-and raise a capacity error.  Merge keys are posteriors rounded to an absolute
-number of decimals, so the merge is lossless only down to that grain: see
-merge_columns.
+and raise a capacity error.
+
+merge_columns groups columns by an exact key, the posteriors rounded to an
+absolute number of decimals.  It sorts the columns by a 64-bit hash of their
+keys, so equal keys sit next to each other, and sorts only one column per run
+lexicographically to number the groups.  Equal keys in different runs meet
+in that second sort, so the hash decides only how fast the merge is, never
+which columns merge.  The absolute grain makes the merge lossless only down
+to 5e-13 in posterior: see merge_columns.
 
 The fidelity functionals are the same code as the hybrid engine's: both read
 one cached pairwise-fidelity matrix, here sqrt(P) sqrt(P)^T.
@@ -42,6 +48,8 @@ from .linalg import entropy_of_probs
 from .states import to_dense
 
 _MERGE_DECIMALS = 12
+# Odd 64-bit multiplier (2^64 / golden ratio) for _column_hash.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 class DiagonalChannel:
@@ -111,7 +119,8 @@ class DiagonalChannel:
         tab = self.alphabet.add_table
         # A[u1, u2, y1] = P[u1+u2, y1]
         A = self.table[tab]
-        joint = np.einsum("uvy,vz->uyz", A, self.table) / q
+        joint = np.einsum("uvy,vz->uyz", A, self.table)
+        joint /= q
         return DiagonalChannel(
             self.alphabet, merge_columns(joint.reshape(q, m * m)), self.caps
         )
@@ -127,8 +136,9 @@ class DiagonalChannel:
             out[:, u1, :, :] = np.einsum(
                 "uy,uz->uyz", self.table[tab[u1]], self.table
             )
+        out /= q
         return DiagonalChannel(
-            self.alphabet, merge_columns(out.reshape(q, q * m * m) / q), self.caps
+            self.alphabet, merge_columns(out.reshape(q, q * m * m)), self.caps
         )
 
     # -- quotients ------------------------------------------------------------------
@@ -162,26 +172,58 @@ def merge_columns(table: np.ndarray) -> np.ndarray:
     against the exact 9.4e-14, and at depth 4 the smallest F_d is 1.6e-2 too
     large (relative) for the q=3 symmetric channel at p=0.1 and 8.2e-2 for
     q=4.  Information moves only by ~4e-14.  A relative key is ROADMAP item 2.
+
+    Grouping: one argsort of _column_hash brings columns with bit-equal keys
+    together, and a run of equal keys ends wherever a key differs from the
+    one before.  A lexicographic sort of one representative per run numbers
+    the groups in np.unique(axis=1) order, and adjacent representatives with
+    equal keys share a group.  A hash collision, or keys equal but not
+    bit-equal (-0.0 and 0.0), can only split a run, and the second sort joins
+    the pieces again, so the hash affects speed alone.  np.bincount sums each
+    group in column order, so merged tables are bit-identical to np.unique
+    grouping with np.add.at; np.add.reduceat would sum pairwise and move the
+    last ulp.
     """
     table = np.asarray(table, dtype=float)
     sums = table.sum(axis=0)
     keep = sums > 0.0
-    table, sums = table[:, keep], sums[keep]
+    # Copy only when some column has no mass.  np.compress and np.take gather
+    # columns several times faster than boolean or fancy indexing on axis 1.
+    if not keep.all():
+        table, sums = np.compress(keep, table, axis=1), sums[keep]
     if table.shape[1] == 0:
         raise StructuralError("channel has no outputs with positive probability")
-    posteriors = np.round(table / sums, _MERGE_DECIMALS)
-    # Stable lexicographic sort by row 0, then row 1, ...: groups come out in
-    # the order np.unique(axis=1) gives, and np.bincount sums each group in
-    # column order, so merged tables are bit-identical to that formulation.
-    # np.add.reduceat would sum pairwise and move the last ulp.
-    order = np.lexsort(posteriors[::-1])
-    keys = posteriors[:, order]
-    starts = np.concatenate(([False], np.any(keys[:, 1:] != keys[:, :-1], axis=0)))
-    group = np.cumsum(starts)
+    keys = table / sums
+    np.round(keys, _MERGE_DECIMALS, out=keys)
+    order = np.argsort(_column_hash(keys))
+    keys = np.take(keys, order, axis=1)  # rebinding frees the unsorted keys
+    starts = _run_starts(keys)
+    reps = np.compress(starts, keys, axis=1)
+    rep_order = np.lexsort(reps[::-1])
+    group = np.empty_like(rep_order)
+    group[rep_order] = np.cumsum(_run_starts(np.take(reps, rep_order, axis=1))) - 1
     inverse = np.empty_like(order)
-    inverse[order] = group
-    groups = int(group[-1]) + 1
+    inverse[order] = group[np.cumsum(starts) - 1]
+    groups = int(group.max()) + 1
     return np.stack([np.bincount(inverse, weights=row, minlength=groups) for row in table])
+
+
+def _column_hash(keys: np.ndarray) -> np.ndarray:
+    """One uint64 per column of a (q, M) float64 array, from its bits (wrapping)."""
+    bits = keys.view(np.uint64)
+    h = bits[0] * _HASH_MULTIPLIER
+    for row in bits[1:]:
+        h ^= row
+        h *= _HASH_MULTIPLIER
+    return h
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """True at column 0 and wherever a column differs from the one before it."""
+    starts = np.empty(keys.shape[1], dtype=bool)
+    starts[0] = True
+    np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
+    return starts
 
 
 def from_cq_channel(W, caps: ResourceCaps = None) -> DiagonalChannel:

@@ -266,6 +266,18 @@ def test_decode_sim_rejects_non_integer_plan_entries(tmp_path, z4_plan, change):
     assert "must be integers" in res.stderr
 
 
+def test_decode_sim_rejects_plan_decision_without_section(tmp_path, z4_plan):
+    plan = json.loads(json.dumps(z4_plan))
+    del plan["decisions"][0]["section"]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    res = run_cli(
+        "decode-sim", "--plan", str(path), "--trials", "5", "--out", str(tmp_path / "r.json")
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: plan decision 0: missing section"), res.stderr
+
+
 @pytest.mark.parametrize("subgroup", [[0, 2], [0]], ids=["non-subgroup", "trivial"])
 def test_oversized_group_field_is_validation_error(tmp_path, z4_plan, subgroup):
     """A file naming a group of order 90000 fails validation without q x q tables."""

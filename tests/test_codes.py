@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cqpolar.codes import (
     random_message,
     rate_gap,
 )
-from cqpolar.errors import StructuralError
+from cqpolar.errors import LoadError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup
 from cqpolar.polarize import polarization_scan, reverse_label
 
@@ -216,6 +217,25 @@ def test_plan_json_roundtrip():
     rng = np.random.default_rng(3)
     msg = random_message(plan, rng)
     np.testing.assert_array_equal(encode(plan, msg), encode(back, msg))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["decisions"][0].pop("section"), "plan decision 0: missing section"),
+        (lambda p: p["decisions"][0].update(subgroup=5), "plan decision 0: subgroup must be an array"),
+        (lambda p: p["decisions"][0].pop("branch"), "plan decision 0: missing branch"),
+        (lambda p: p.update(decisions={"0": {}}), "plan: decisions must be an array"),
+        (lambda p: p["params"].pop("n"), "plan: params: "),
+    ],
+    ids=["no-section", "int-subgroup", "no-branch", "object-decisions", "params-without-n"],
+)
+def test_plan_from_json_rejects_malformed_structure(edit, message):
+    plan = plan_to_json(build_plan(pure_overlap_channel(0.5), CodeParams(n=1, tau=1.0)))
+    plan = json.loads(json.dumps(plan))
+    edit(plan)
+    with pytest.raises(LoadError, match="^" + re.escape(message)):
+        plan_from_json(plan)
 
 
 def test_lift_message_validation():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bec_erasure,
@@ -91,13 +93,59 @@ def _random_merge_table(rng, q: int, m: int) -> np.ndarray:
     return table[:, rng.permutation(table.shape[1])]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_merge_columns_bit_identical_to_unique_oracle_on_random_tables(q):
+def _random_merge_tables(q: int) -> list:
     rng = np.random.default_rng(100 + q)
     tables = [_random_merge_table(rng, q, m) for m in (1, 2, 7, 40, 300)]
-    tables.append(rng.random((q, 1)))
-    for table in tables:
+    return tables + [rng.random((q, 1))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_merge_columns_bit_identical_to_unique_oracle_on_random_tables(q):
+    for table in _random_merge_tables(q):
         assert np.array_equal(merge_columns(table), merge_columns_unique(table))
+
+
+def _constant_hash(keys):
+    return np.zeros(keys.shape[1], dtype=np.uint64)
+
+
+def _row0_hash(keys):
+    """Row 0's float64 bits; as unsigned integers 0.0 < 0.25 < -0.0."""
+    return keys[0].view(np.uint64).copy()
+
+
+@pytest.mark.parametrize("column_hash", [_constant_hash, _row0_hash])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_merge_columns_grouping_does_not_depend_on_the_hash(monkeypatch, column_hash, q):
+    """Colliding hashes split runs of equal keys; the merge must join them again."""
+    monkeypatch.setattr(diagonal_mod, "_column_hash", column_hash)
+    for table in _random_merge_tables(q):
+        assert np.array_equal(merge_columns(table), merge_columns_unique(table))
+
+
+@pytest.mark.parametrize("column_hash", [None, _row0_hash])
+def test_merge_columns_joins_signed_zero_keys(monkeypatch, column_hash):
+    """Keys (0, 1) and (-0, 1) are equal but not bit-equal: one merged column."""
+    if column_hash is not None:
+        # sorts (0.25, 0.75) between the two, so they land in separate runs
+        monkeypatch.setattr(diagonal_mod, "_column_hash", column_hash)
+    table = np.array([[0.0, 0.25, -0.0], [0.5, 0.75, 0.25]])
+    merged = merge_columns(table)
+    assert np.array_equal(merged, [[0.0, 0.25], [0.75, 0.75]])
+    assert np.array_equal(merged, merge_columns_unique(table))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.integers(1, 5), data=st.data())
+def test_merge_columns_matches_oracle_on_tie_heavy_tables(q, data):
+    """Few small-integer columns repeated at small integer scales."""
+    base = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=q, max_size=q),
+                              min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(0, 4)),
+                               min_size=1, max_size=40))
+    table = np.array([[scale * v for v in base[j]] for j, scale in picks], dtype=float).T
+    assume(table.sum() > 0)
+    assert np.array_equal(merge_columns(table), merge_columns_unique(table))
 
 
 @pytest.mark.parametrize(
