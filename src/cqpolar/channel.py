@@ -130,9 +130,10 @@ def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
     return float(min(1.0, total))
 
 
-# -- fidelity profile -----------------------------------------------------------------
-# CqChannel and DiagonalChannel each supply ``pairwise_fidelity_matrix`` and
-# ``_index`` and assign these functionals in their own class bodies.
+# -- the shared profile -------------------------------------------------------------
+# CqChannel and DiagonalChannel each supply ``pairwise_fidelity_matrix``,
+# ``_index`` and ``_average_cells`` and assign these functionals and quotients
+# in their own class bodies.
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -172,6 +173,25 @@ def _profile_nested_fmax(W, M: Subgroup, H: Subgroup) -> float:
         raise StructuralError("M must be a subgroup of H")
     ds = [i for i in H.indices if not M.contains_index(i)]
     return max((_profile_fd(W, d) for d in ds), default=0.0)
+
+
+def _require_product_group(W) -> FiniteAbelianGroup:
+    if isinstance(W.alphabet, FiniteAbelianGroup):
+        return W.alphabet
+    raise StructuralError("operation requires a product-group input alphabet")
+
+
+def _profile_quotient(W, H: Subgroup):
+    """W[H]: inputs are the cosets of H, outputs the coset-averaged outputs."""
+    return W._average_cells(QuotientGroup(_require_product_group(W), H), H.partition[0])
+
+
+def _profile_restricted_quotient(W, M: Subgroup, D: Coset):
+    """W[M|D]: inputs are the cosets of M inside D."""
+    if not M.is_subset_of(D.subgroup):
+        raise StructuralError("M must be contained in the subgroup defining D")
+    cells = refine(D, M)
+    return W._average_cells(PlainAlphabet(cells), [M.partition[0][c.position] for c in cells])
 
 
 class CqChannel:
@@ -296,31 +316,13 @@ class CqChannel:
     f_max = _profile_f_max
 
     # -- quotient constructions --------------------------------------------------
-    def quotient(self, H: Subgroup) -> "CqChannel":
-        """W[H]: inputs are cosets of H, outputs the coset-averaged states."""
-        quot = QuotientGroup(self._require_product_group(), H)
-        outputs = [
-            _average_hybrid([self.outputs[i] for i in members], self.tol)
-            for members in H.partition[0]
-        ]
-        return CqChannel(quot, outputs, self.tol)
+    def _average_cells(self, alphabet: GroupOps, cells) -> "CqChannel":
+        """The channel over ``alphabet`` whose i-th output averages cells[i]."""
+        outputs = [_average_hybrid([self.outputs[i] for i in c], self.tol) for c in cells]
+        return CqChannel(alphabet, outputs, self.tol)
 
-    def restricted_quotient(self, M: Subgroup, D: Coset) -> "CqChannel":
-        """W[M|D]: inputs are the cosets of M inside D."""
-        if not M.is_subset_of(D.subgroup):
-            raise StructuralError("M must be contained in the subgroup defining D")
-        cells = refine(D, M)
-        outputs = [
-            _average_hybrid([self.outputs[i] for i in c.member_indices()], self.tol)
-            for c in cells
-        ]
-        return CqChannel(PlainAlphabet(cells), outputs, self.tol)
-
-    def _require_product_group(self) -> FiniteAbelianGroup:
-        if isinstance(self.alphabet, FiniteAbelianGroup):
-            return self.alphabet
-        raise StructuralError("operation requires a product-group input alphabet")
-
+    quotient = _profile_quotient
+    restricted_quotient = _profile_restricted_quotient
     nested_fmax = _profile_nested_fmax
 
     def nested_information(self, M: Subgroup, H: Subgroup):
@@ -449,6 +451,39 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
 
 
 # -- JSON channel files -----------------------------------------------------------
+# The type checks below serve channel files and plan files alike.
+
+# A boolean is no integer or number here, though Python's bool is an int.
+_SCALAR_KINDS = {"an integer": int, "a number": (int, float), "a string": str, "a boolean": bool}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a JSON object (``dict``) or array (``list``)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise StructuralError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _is_kind(value, kind: str) -> bool:
+    """Whether ``value`` is a JSON scalar of ``kind``, a key of _SCALAR_KINDS."""
+    types = _SCALAR_KINDS[kind]
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def _scalar(value, kind: str, what: str):
+    """``value`` if it is a JSON scalar of ``kind``."""
+    if not _is_kind(value, kind):
+        raise StructuralError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _integers(values, what: str) -> tuple:
+    """``values`` as element indices; JSON floats, strings and booleans are refused."""
+    for v in _expect(values, list, what):
+        if not _is_kind(v, "an integer"):
+            raise StructuralError(f"{what} entries must be integers, got {v!r}")
+    return tuple(values)
 
 
 def _parse_input_key(key: str, g: FiniteAbelianGroup) -> int:
@@ -484,11 +519,13 @@ def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
         except (OSError, json.JSONDecodeError) as exc:
             raise LoadError(f"cannot read channel JSON: {exc}") from exc
     try:
-        g = FiniteAbelianGroup([int(n) for n in obj["group"]])
-        k = int(obj["k"])
-        raw_states = obj["states"]
+        g = FiniteAbelianGroup(_integers(obj["group"], "group"))
+        k = _scalar(obj["k"], "an integer", "k")
+        raw_states = _expect(obj["states"], dict, "states")
     except (KeyError, TypeError) as exc:
         raise LoadError(f"channel JSON missing required field: {exc}") from exc
+    except StructuralError as exc:
+        raise LoadError(f"channel JSON: {exc}") from exc
     outputs: list = [None] * g.order
     for key, spec in raw_states.items():
         idx = _parse_input_key(key, g)
@@ -526,7 +563,7 @@ def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
 
 def channel_to_json(W: CqChannel) -> dict:
     """Serialize a channel (labels flattened to strings) for files and plans."""
-    g = W._require_product_group()
+    g = _require_product_group(W)
     states = {}
     for i in range(W.q):
         branches = []

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CqChannel, channel_to_json, load_channel
+from .channel import (
+    CqChannel,
+    _expect,
+    _integers,
+    _require_product_group,
+    _scalar,
+    channel_to_json,
+    load_channel,
+)
 from .config import ResourceCaps, default_caps
 from .errors import LoadError, StructuralError
 from .groups import (
@@ -126,17 +134,6 @@ def _eligible_subgroups(
     return [H for H in rec.quot_I if rec.quot_F[H] <= params.tau]
 
 
-def _choose_subgroup(rec: PolarizationRecord, params: CodeParams, q: int):
-    eligible = _eligible_subgroups(rec, params, q)
-    if not eligible:
-        return None
-    ranked = sorted(
-        eligible,
-        key=lambda H: (rec.objective(H, np.log(q / H.order)), -H.order, H.indices),
-    )
-    return ranked[0]
-
-
 def build_plan(W: CqChannel, params: CodeParams, caps: ResourceCaps = None) -> CodePlan:
     """Scan the synthetic channels and assign (H_s, f_s) to every decode slot.
 
@@ -146,15 +143,13 @@ def build_plan(W: CqChannel, params: CodeParams, caps: ResourceCaps = None) -> C
     fully frozen (H_s = G).
     """
     caps = caps or default_caps()
-    g = W.alphabet
-    if not isinstance(g, FiniteAbelianGroup):
-        raise StructuralError("plans require a product-group channel")
+    g = _require_product_group(W)
     records = {r.branch: r for r in polarization_scan(W, params.n, caps)}
     full = Subgroup(g, tuple(range(g.order)))
     decisions = []
     for s in branch_order(params.n):
         rec = records[reverse_label(s)]
-        chosen = _choose_subgroup(rec, params, g.order)
+        chosen = rec.best_subgroup(_eligible_subgroups(rec, params, g.order), g.order)
         selected = chosen is not None
         H = chosen if selected else full
         rng = np.random.default_rng([params.seed, decode_index(s)])
@@ -341,26 +336,14 @@ _DECISION_KEYS = (
 )
 
 
-def _expect(value, kind: type, what: str):
-    """``value`` if it is a JSON object (``dict``) or array (``list``)."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
-        raise StructuralError(f"{what} must be {name}, got {type(value).__name__}")
-    return value
-
-
 def _require_keys(obj, keys: tuple, what: str) -> None:
     missing = [key for key in keys if key not in _expect(obj, dict, what)]
     if missing:
         raise StructuralError(f"missing {', '.join(missing)}")
 
 
-def _integers(values, what: str) -> tuple:
-    """``values`` as element indices; JSON floats, strings and booleans are refused."""
-    for v in _expect(values, list, what):
-        if type(v) is not int:
-            raise StructuralError(f"{what} entries must be integers, got {v!r}")
-    return tuple(values)
+def _number(obj: dict, key: str) -> float:
+    return float(_scalar(obj[key], "a number", key))
 
 
 def plan_from_json(obj) -> CodePlan:
@@ -372,12 +355,18 @@ def plan_from_json(obj) -> CodePlan:
         g = FiniteAbelianGroup(_integers(obj["group"], "group"))
         raw_params = _expect(obj["params"], dict, "params")
         raw_decisions = _expect(obj["decisions"], list, "decisions")
+        rate, bound, base_I = (_number(obj, key) for key in ("rate", "bound", "base_I"))
     except StructuralError as exc:
         raise LoadError(f"plan: {exc}") from exc
     try:
         params = CodeParams(**raw_params)
-    except TypeError as exc:  # a missing, unknown or mistyped parameter
+        _scalar(params.n, "an integer", "n")
+    except (TypeError, StructuralError) as exc:  # a missing, unknown or mistyped parameter
         raise LoadError(f"plan: params: {exc}") from exc
+    count = len(raw_decisions)
+    # the shift is capped so that a huge n builds no huge integer
+    if count != 1 << min(params.n, count.bit_length()):
+        raise LoadError(f"plan: {count} decisions, but n={params.n} needs 2**{params.n}")
     decisions = []
     for i, dd in enumerate(raw_decisions):
         try:
@@ -387,30 +376,33 @@ def plan_from_json(obj) -> CodePlan:
             reps = [str(c.rep_index) for c in H.cosets]
             if set(_expect(dd["section"], dict, "section")) != set(reps):
                 raise StructuralError("section keys are not the coset representatives")
-            section = SectionMap(H, _integers([dd["section"][r] for r in reps], "section"))
+            decisions.append(
+                BranchDecision(
+                    branch=parse_label(_scalar(dd["branch"], "a string", "branch")),
+                    faced=parse_label(_scalar(dd["faced"], "a string", "faced")),
+                    subgroup=H,
+                    section=SectionMap(
+                        H, _integers([dd["section"][r] for r in reps], "section")
+                    ),
+                    in_selected_set=_scalar(
+                        dd["in_selected_set"], "a boolean", "in_selected_set"
+                    ),
+                    info_nats=_number(dd, "info_nats"),
+                    I=_number(dd, "I"),
+                    fmax=_number(dd, "fmax"),
+                    quot_I=_number(dd, "quot_I"),
+                    quot_F=_number(dd, "quot_F"),
+                )
+            )
         except StructuralError as exc:
             raise LoadError(f"plan decision {i}: {exc}") from exc
-        decisions.append(
-            BranchDecision(
-                branch=parse_label(dd["branch"]),
-                faced=parse_label(dd["faced"]),
-                subgroup=H,
-                section=section,
-                in_selected_set=bool(dd["in_selected_set"]),
-                info_nats=float(dd["info_nats"]),
-                I=float(dd["I"]),
-                fmax=float(dd["fmax"]),
-                quot_I=float(dd["quot_I"]),
-                quot_F=float(dd["quot_F"]),
-            )
-        )
     return CodePlan(
         params=params,
         group=g,
         decisions=decisions,
-        rate=float(obj["rate"]),
-        bound=float(obj["bound"]),
-        base_I=float(obj["base_I"]),
+        rate=rate,
+        bound=bound,
+        base_I=base_I,
         channel_json=obj.get("channel"),
     )
 

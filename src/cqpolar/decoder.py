@@ -363,7 +363,7 @@ class SCDecoder:
         if self.kind == "diagonal":
             from .diagonal import from_cq_channel
 
-            diag = from_cq_channel(self.channel, self.caps)
+            diag = from_cq_channel(self.channel)
             self.table = diag.table
             # Generator.choice(p=p) checks p once per call and draws one double u,
             # picking searchsorted(cdf, u, "right"); its cdf is kept per input row

@@ -15,8 +15,11 @@ in that second sort, so the hash decides only how fast the merge is, never
 which columns merge.  The absolute grain makes the merge lossless only down
 to 5e-13 in posterior: see merge_columns.
 
-The fidelity functionals are the same code as the hybrid engine's: both read
-one cached pairwise-fidelity matrix, here sqrt(P) sqrt(P)^T.
+The fidelity functionals and the quotients are the same code as the hybrid
+engine's: the functionals read one cached pairwise-fidelity matrix, here
+sqrt(P) sqrt(P)^T, and the quotients average rows over coset cells.  A
+channel holds no resource caps: the transforms check the caps passed to
+each call, as the hybrid transforms do.
 """
 
 from __future__ import annotations
@@ -32,18 +35,12 @@ from .channel import (
     _profile_fd,
     _profile_fd_table,
     _profile_nested_fmax,
+    _profile_quotient,
+    _profile_restricted_quotient,
 )
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
-from .groups import (
-    Coset,
-    FiniteAbelianGroup,
-    GroupOps,
-    PlainAlphabet,
-    QuotientGroup,
-    Subgroup,
-    refine,
-)
+from .groups import GroupOps
 from .linalg import entropy_of_probs
 from .states import to_dense
 
@@ -55,7 +52,7 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 class DiagonalChannel:
     """A classical channel P[x, y] over a group-indexed input alphabet."""
 
-    def __init__(self, alphabet: GroupOps, table: np.ndarray, caps: ResourceCaps = None):
+    def __init__(self, alphabet: GroupOps, table: np.ndarray):
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[0] != alphabet.order:
             raise StructuralError("likelihood table must have one row per input")
@@ -66,7 +63,6 @@ class DiagonalChannel:
             raise StructuralError("likelihood rows must sum to 1")
         self.alphabet = alphabet
         self.table = np.clip(table, 0.0, None)
-        self.caps = caps or default_caps()
         self._fidelity_matrix = None
 
     # -- conveniences ---------------------------------------------------------
@@ -112,23 +108,21 @@ class DiagonalChannel:
     f_max = _profile_f_max
 
     # -- transforms --------------------------------------------------------------
-    def minus_transform(self) -> "DiagonalChannel":
+    def minus_transform(self, caps: ResourceCaps = None) -> "DiagonalChannel":
         """P-(u1; y1 y2) = (1/q) sum_u2 P(u1+u2; y1) P(u2; y2), merged."""
         q, m = self.q, self.alphabet_size
-        self.caps.check_columns(m * m, "minus transform joint alphabet")
+        (caps or default_caps()).check_columns(m * m, "minus transform joint alphabet")
         tab = self.alphabet.add_table
         # A[u1, u2, y1] = P[u1+u2, y1]
         A = self.table[tab]
         joint = np.einsum("uvy,vz->uyz", A, self.table)
         joint /= q
-        return DiagonalChannel(
-            self.alphabet, merge_columns(joint.reshape(q, m * m)), self.caps
-        )
+        return DiagonalChannel(self.alphabet, merge_columns(joint.reshape(q, m * m)))
 
-    def plus_transform(self) -> "DiagonalChannel":
+    def plus_transform(self, caps: ResourceCaps = None) -> "DiagonalChannel":
         """P+(u2; y1 y2 u1) = (1/q) P(u1+u2; y1) P(u2; y2), merged."""
         q, m = self.q, self.alphabet_size
-        self.caps.check_columns(q * m * m, "plus transform joint alphabet")
+        (caps or default_caps()).check_columns(q * m * m, "plus transform joint alphabet")
         tab = self.alphabet.add_table
         out = np.empty((q, q, m, m))
         for u1 in range(q):
@@ -137,26 +131,16 @@ class DiagonalChannel:
                 "uy,uz->uyz", self.table[tab[u1]], self.table
             )
         out /= q
-        return DiagonalChannel(
-            self.alphabet, merge_columns(out.reshape(q, q * m * m)), self.caps
-        )
+        return DiagonalChannel(self.alphabet, merge_columns(out.reshape(q, q * m * m)))
 
     # -- quotients ------------------------------------------------------------------
-    def quotient(self, H: Subgroup) -> "DiagonalChannel":
-        g = self.alphabet
-        if not isinstance(g, FiniteAbelianGroup):
-            raise StructuralError("quotient requires a product-group alphabet")
-        quot = QuotientGroup(g, H)
-        rows = self.table[np.array(H.partition[0])].mean(axis=1)
-        return DiagonalChannel(quot, merge_columns(rows), self.caps)
+    def _average_cells(self, alphabet: GroupOps, cells) -> "DiagonalChannel":
+        """The channel over ``alphabet`` whose row i averages the rows in cells[i]."""
+        rows = self.table[np.array(cells)].mean(axis=1)
+        return DiagonalChannel(alphabet, merge_columns(rows))
 
-    def restricted_quotient(self, M: Subgroup, D: Coset) -> "DiagonalChannel":
-        if not M.is_subset_of(D.subgroup):
-            raise StructuralError("M must be contained in the subgroup defining D")
-        cells = refine(D, M)
-        rows = np.stack([self.table[c.member_indices()].mean(axis=0) for c in cells])
-        return DiagonalChannel(PlainAlphabet(cells), merge_columns(rows), self.caps)
-
+    quotient = _profile_quotient
+    restricted_quotient = _profile_restricted_quotient
     nested_fmax = _profile_nested_fmax
 
 
@@ -226,7 +210,7 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def from_cq_channel(W, caps: ResourceCaps = None) -> DiagonalChannel:
+def from_cq_channel(W) -> DiagonalChannel:
     """Flatten a diagonal hybrid channel into a likelihood table."""
     if not isinstance(W, CqChannel) or not W.is_diagonal():
         raise StructuralError("channel is not diagonal")
@@ -242,4 +226,4 @@ def from_cq_channel(W, caps: ResourceCaps = None) -> DiagonalChannel:
                 block[x] = w * np.real(np.diag(to_dense(st)))
         cols.append(block)
     table = np.concatenate(cols, axis=1)
-    return DiagonalChannel(W.alphabet, merge_columns(table), caps)
+    return DiagonalChannel(W.alphabet, merge_columns(table))

@@ -4,6 +4,13 @@ Branch labels are tuples over {"-", "+"}; the first coordinate is the first
 transform applied.  The decode order sorts labels with the *last* coordinate
 most significant, so the decode position of a label is the integer whose
 bit i is the sign at coordinate i.
+
+Two engines build synthetic channels: the hybrid engine (CqChannel) and the
+table engine (DiagonalChannel, for classical channels).  One routing rule
+joins them: the scans, the synthetic-channel iterator and process_sample
+send a diagonal CqChannel to the table engine once, at the start.  The
+transforms and synthesize stay in the engine of the channel they are given.
+Both engines check the caps passed to each transform.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CqChannel, HybridState
+from .channel import CqChannel, HybridState, _require_product_group
 from .config import ResourceCaps, default_caps
 from .diagonal import DiagonalChannel, from_cq_channel
 from .errors import CapacityError, StructuralError
-from .groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
+from .groups import Subgroup, enumerate_subgroups
 from .states import tensor_states, mix_states
 
 MINUS, PLUS = "-", "+"
@@ -60,69 +67,64 @@ def parse_label(text: str) -> BranchLabel:
 # -- transforms -------------------------------------------------------------------
 
 
+def _pair_branches(W, u1: int, u2: int, pos: dict):
+    """The branches (weight, (i1, i2), rho_{u1+u2} ⊗ rho_{u2}) of one input pair.
+
+    Labels are recompressed to positions in the parent's label union, which
+    keeps label size constant under repeated transforms.
+    """
+    q, left, right = W.q, W.outputs[W.alphabet.add_index(u1, u2)], W.outputs[u2]
+    for w1, l1, s1 in left.branches:
+        i1 = pos[repr(l1)]
+        for w2, l2, s2 in right.branches:
+            w = w1 * w2 / q
+            if w > 0.0:
+                yield w, (i1, pos[repr(l2)]), tensor_states(s1, s2)
+
+
 def minus_transform(W, caps: ResourceCaps = None):
     """The worse channel of the pair: u1 -> average over u2 of
     rho_{u1+u2} ⊗ rho_{u2}."""
     if isinstance(W, DiagonalChannel):
-        return W.minus_transform()
+        return W.minus_transform(caps)
     caps = caps or default_caps()
-    q, g = W.q, W.alphabet
     caps.check_dim(W.k * W.k, "minus transform")
-    # labels recompressed to positions in the parent's label union, keeping
-    # label size constant under repeated transforms
     pos = W.label_positions()
     outputs = []
-    for u1 in range(q):
-        acc: dict = {}
-        for u2 in range(q):
-            left = W.outputs[g.add_index(u1, u2)]
-            right = W.outputs[u2]
-            for w1, l1, s1 in left.branches:
-                i1 = pos[repr(l1)]
-                for w2, l2, s2 in right.branches:
-                    w = w1 * w2 / q
-                    if w <= 0.0:
-                        continue
-                    key = (i1, pos[repr(l2)])
-                    ent = acc.get(key)
-                    if ent is None:
-                        ent = acc[key] = [0.0, []]
-                    ent[0] += w
-                    ent[1].append((w, tensor_states(s1, s2)))
+    for u1 in range(W.q):
+        acc: dict = {}  # label -> [total weight, [(weight, state)]]
+        for u2 in range(W.q):
+            for w, lab, st in _pair_branches(W, u1, u2, pos):
+                ent = acc.setdefault(lab, [0.0, []])
+                ent[0] += w
+                ent[1].append((w, st))
         caps.check_branches(len(acc), "minus transform")
         branches = [
             (wtot, lab, mix_states([(w / wtot, st) for w, st in parts]))
             for lab, (wtot, parts) in acc.items()
         ]
         outputs.append(HybridState(branches, tol=W.tol))
-    return CqChannel(g, outputs, W.tol)
+    return CqChannel(W.alphabet, outputs, W.tol)
 
 
 def plus_transform(W, caps: ResourceCaps = None):
     """The better channel: u2 -> rho_{u1+u2} ⊗ rho_{u2} with u1 revealed as a
     classical register (a new label coordinate of weight 1/q)."""
     if isinstance(W, DiagonalChannel):
-        return W.plus_transform()
+        return W.plus_transform(caps)
     caps = caps or default_caps()
-    q, g = W.q, W.alphabet
     caps.check_dim(W.k * W.k, "plus transform")
     pos = W.label_positions()
     outputs = []
-    for u2 in range(q):
-        branches = []
-        for u1 in range(q):
-            left = W.outputs[g.add_index(u1, u2)]
-            right = W.outputs[u2]
-            for w1, l1, s1 in left.branches:
-                i1 = pos[repr(l1)]
-                for w2, l2, s2 in right.branches:
-                    w = w1 * w2 / q
-                    if w <= 0.0:
-                        continue
-                    branches.append((w, (i1, pos[repr(l2)], u1), tensor_states(s1, s2)))
+    for u2 in range(W.q):
+        branches = [
+            (w, lab + (u1,), st)
+            for u1 in range(W.q)
+            for w, lab, st in _pair_branches(W, u1, u2, pos)
+        ]
         caps.check_branches(len(branches), "plus transform")
         outputs.append(HybridState(branches, tol=W.tol))
-    return CqChannel(g, outputs, W.tol)
+    return CqChannel(W.alphabet, outputs, W.tol)
 
 
 def _child(W, signs: BranchLabel, caps: ResourceCaps):
@@ -169,13 +171,14 @@ class PolarizationRecord:
     def objective(self, H: Subgroup, log_quot: float) -> float:
         return abs(self.I - log_quot) + abs(self.quot_I[H] - log_quot)
 
-
-def _classify_best_subgroup(rec: PolarizationRecord, q: int) -> Subgroup:
-    ranked = sorted(
-        rec.quot_I,
-        key=lambda H: (rec.objective(H, np.log(q / H.order)), -H.order, H.indices),
-    )
-    return ranked[0]
+    def best_subgroup(self, candidates, q: int) -> Subgroup:
+        """The candidate of least objective, ties to larger |H|, then to the
+        lexicographically smaller element set; None if there are none."""
+        return min(
+            candidates,
+            key=lambda H: (self.objective(H, np.log(q / H.order)), -H.order, H.indices),
+            default=None,
+        )
 
 
 def make_record(channel, branch: BranchLabel, subgroups) -> PolarizationRecord:
@@ -195,15 +198,13 @@ def make_record(channel, branch: BranchLabel, subgroups) -> PolarizationRecord:
             quot = channel.quotient(H)
             rec.quot_I[H] = quot.holevo_information()
             rec.quot_F[H] = quot.avg_fidelity()
-    if subgroups:
-        rec.best_H = _classify_best_subgroup(rec, channel.q)
+    rec.best_H = rec.best_subgroup(rec.quot_I, channel.q)
     return rec
 
 
-def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None, engine: str = "auto"):
+def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None):
     """Depth-first generator of (signs, W^signs) over all depth-n branches."""
     caps = caps or default_caps()
-    base = _routed(W, engine, caps)
 
     def rec(channel, signs):
         if len(signs) == n:
@@ -212,39 +213,24 @@ def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None, engine: str = 
         for sign in (MINUS, PLUS):
             yield from rec(_child(channel, signs + (sign,), caps), signs + (sign,))
 
-    yield from rec(base, ())
+    yield from rec(_routed(W), ())
 
 
-def polarization_scan(
-    W, n: int, caps: ResourceCaps = None, subgroups=None, engine: str = "auto"
-):
-    """Records for all 2^n synthetic channels, in decode order.
-
-    engine='auto' routes diagonal channels through the classical table
-    engine, everything else through the hybrid machinery.
-    """
-    caps = caps or default_caps()
-    base = _routed(W, engine, caps)
+def polarization_scan(W, n: int, caps: ResourceCaps = None, subgroups=None):
+    """Records for all 2^n synthetic channels, in decode order."""
     if subgroups is None:
-        if isinstance(base.alphabet, FiniteAbelianGroup):
-            subgroups = enumerate_subgroups(base.alphabet)
-        else:
-            raise StructuralError("scan requires a product-group channel")
-    records = {}
-    for signs, channel in iter_synthetic_channels(base, n, caps, engine="hybrid"):
-        records[signs] = make_record(channel, signs, subgroups)
+        subgroups = enumerate_subgroups(_require_product_group(W))
+    records = {
+        signs: make_record(channel, signs, subgroups)
+        for signs, channel in iter_synthetic_channels(W, n, caps)
+    }
     return [records[s] for s in branch_order(n)]
 
 
-def _routed(W, engine: str, caps: ResourceCaps):
-    if engine == "hybrid":
-        return W
-    if isinstance(W, DiagonalChannel):
-        return W
-    if isinstance(W, CqChannel) and W.is_diagonal() and engine in ("auto", "diagonal"):
-        return from_cq_channel(W, caps)
-    if engine == "diagonal":
-        raise StructuralError("diagonal engine requested for a non-diagonal channel")
+def _routed(W):
+    """The table engine for a diagonal CqChannel; any other channel as it is."""
+    if isinstance(W, CqChannel) and W.is_diagonal():
+        return from_cq_channel(W)
     return W
 
 
@@ -283,7 +269,7 @@ def process_sample(
     sub-martingale quantities are exact; only the path is random.
     """
     caps = caps or default_caps()
-    base = _routed(W, "auto", caps)
+    base = _routed(W)
     paths = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])

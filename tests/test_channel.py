@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,18 @@ def test_load_channel_errors():
         load_channel({"group": [2], "k": 2})
     with pytest.raises(LoadError):
         load_channel('{"not json')
+    pure = {"(0)": {"re": [[1, 0], [0, 0]]}, "(1)": {"re": [[0, 0], [0, 1]]}}
+    for field, value, message in [
+        ("k", 2.5, "k must be an integer, got 2.5"),
+        ("k", True, "k must be an integer, got True"),
+        ("group", [2.5], "group entries must be integers, got 2.5"),
+        ("group", [True], "group entries must be integers, got True"),
+        ("group", 2, "group must be an array"),
+        ("states", [], "states must be an object"),
+    ]:
+        obj = {"group": [2], "k": 2, "states": pure, field: value}
+        with pytest.raises(LoadError, match="^channel JSON: " + re.escape(message)):
+            load_channel(obj)
 
 
 def test_missing_inputs_error_is_short():

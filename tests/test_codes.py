@@ -227,8 +227,25 @@ def test_plan_json_roundtrip():
         (lambda p: p["decisions"][0].pop("branch"), "plan decision 0: missing branch"),
         (lambda p: p.update(decisions={"0": {}}), "plan: decisions must be an array"),
         (lambda p: p["params"].pop("n"), "plan: params: "),
+        (lambda p: p["decisions"][0].update(branch=5), "plan decision 0: branch must be a string"),
+        (lambda p: p["decisions"][0].update(branch="x"), "plan decision 0: bad branch label"),
+        (lambda p: p["decisions"][0].update(I="x"), "plan decision 0: I must be a number"),
+        (lambda p: p["decisions"][0].update(quot_F=True), "plan decision 0: quot_F must be a number"),
+        (
+            lambda p: p["decisions"][0].update(in_selected_set=1),
+            "plan decision 0: in_selected_set must be a boolean",
+        ),
+        (lambda p: p.update(rate=[1]), "plan: rate must be a number"),
+        (lambda p: p["params"].update(n=2.5), "plan: params: n must be an integer"),
+        (lambda p: p["params"].update(mode=5), "plan: params: unknown mode"),
+        (lambda p: p["params"].update(n=3), "plan: 2 decisions, but n=3 needs 2**3"),
+        (lambda p: p["params"].update(n=10**9), "plan: 2 decisions, but n=1000000000"),
     ],
-    ids=["no-section", "int-subgroup", "no-branch", "object-decisions", "params-without-n"],
+    ids=[
+        "no-section", "int-subgroup", "no-branch", "object-decisions", "params-without-n",
+        "int-branch", "bad-branch-label", "string-I", "bool-quot-F", "int-selected",
+        "array-rate", "float-n", "int-mode", "n-too-large", "n-huge",
+    ],
 )
 def test_plan_from_json_rejects_malformed_structure(edit, message):
     plan = plan_to_json(build_plan(pure_overlap_channel(0.5), CodeParams(n=1, tau=1.0)))

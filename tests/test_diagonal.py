@@ -18,7 +18,13 @@ import cqpolar.diagonal as diagonal_mod
 from cqpolar.diagonal import DiagonalChannel, from_cq_channel, merge_columns
 from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup
-from cqpolar.polarize import parse_label, polarization_scan, synthesize
+from cqpolar.polarize import (
+    minus_transform,
+    parse_label,
+    plus_transform,
+    polarization_scan,
+    synthesize,
+)
 
 
 def bec_channel(eps: float) -> CqChannel:
@@ -210,8 +216,6 @@ def test_transforms_match_bruteforce_oracle():
 
 def test_minus_plus_match_hybrid_engine_exactly():
     # the dense hybrid transforms and the table engine agree on diagonals
-    from cqpolar.polarize import minus_transform, plus_transform
-
     w = preset_channel("classical-symmetric", q=3, p=0.2)
     d = from_cq_channel(w)
     for name, hybrid, table in [
@@ -251,9 +255,29 @@ def test_bec_scan_matches_closed_form_to_depth_10():
 
 def test_capacity_error_on_alphabet_blowup():
     w = preset_channel("classical-symmetric", q=2, p=0.11)
-    d = from_cq_channel(w, ResourceCaps(column_cap=150))
+    d = from_cq_channel(w)
     with pytest.raises(CapacityError):
         synthesize(d, parse_label("+-+-+-"), ResourceCaps(column_cap=150))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda d, caps: d.minus_transform(caps),
+        lambda d, caps: d.plus_transform(caps),
+        lambda d, caps: minus_transform(d, caps),
+        lambda d, caps: plus_transform(d, caps),
+        lambda d, caps: synthesize(d, parse_label("+++"), caps),
+        lambda d, caps: polarization_scan(d, 3, caps),
+    ],
+    ids=["method-minus", "method-plus", "minus", "plus", "synthesize", "scan"],
+)
+def test_caps_passed_per_call_bind_on_table_engine(build):
+    # BSC(0.11) has two output columns: the joint alphabets (4 minus, 8 plus)
+    # are over a column cap of 3
+    d = from_cq_channel(preset_channel("classical-symmetric", q=2, p=0.11))
+    with pytest.raises(CapacityError):
+        build(d, ResourceCaps(column_cap=3))
 
 
 def test_diagonal_channel_validation():

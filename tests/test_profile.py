@@ -21,7 +21,6 @@ from cqpolar.diagonal import DiagonalChannel, from_cq_channel
 from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
 from cqpolar.linalg import entropy_of_probs, von_neumann_entropy
 from cqpolar.polarize import (
-    _classify_best_subgroup,
     make_record,
     minus_transform,
     plus_transform,
@@ -288,4 +287,4 @@ def test_trivial_quotient_shortcut_matches_explicit(name, W, n):
             assert rec.quot_I[H] == pytest.approx(explicit.quot_I[H], abs=TOL)
             assert rec.quot_F[H] == pytest.approx(explicit.quot_F[H], abs=TOL)
         assert list(rec.quot_I) == subgroups
-        assert rec.best_H == _classify_best_subgroup(explicit, ch.q)
+        assert rec.best_H == explicit.best_subgroup(subgroups, ch.q)
