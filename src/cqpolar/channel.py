@@ -487,22 +487,53 @@ def _integers(values, what: str) -> tuple:
 
 
 def _parse_input_key(key: str, g: FiniteAbelianGroup) -> int:
+    """The element index an input key names: one in-range residue per cyclic factor."""
     try:
         parsed = ast.literal_eval(key)
-    except (SyntaxError, ValueError) as exc:
-        raise LoadError(f"bad input key {key!r}") from exc
-    if isinstance(parsed, int):
+    except (SyntaxError, ValueError, TypeError, RecursionError):
+        parsed = None
+    if _is_kind(parsed, "an integer"):
         parsed = (parsed,)
-    return g.element(tuple(parsed)).index
+    orders = g.cyclic_orders
+    if not (
+        isinstance(parsed, (tuple, list))
+        and len(parsed) == len(orders)
+        and all(_is_kind(r, "an integer") and 0 <= r < n for r, n in zip(parsed, orders))
+    ):
+        raise LoadError(f"bad input key {key!r}: want a residue in [0, n) for each n in {orders}")
+    return g.index_of_residues(tuple(parsed))
 
 
-def _matrix_from_json(obj, what: str) -> np.ndarray:
-    re = np.asarray(obj.get("re"), dtype=float)
-    im_raw = obj.get("im")
-    im = np.zeros_like(re) if im_raw is None else np.asarray(im_raw, dtype=float)
-    if re.shape != im.shape or re.ndim != 2:
-        raise LoadError(f"{what}: re/im must be equal-shape square matrices")
-    return re + 1j * im
+def _real_matrix(value, k: int, what: str) -> np.ndarray:
+    """A JSON k x k array of numbers as a float matrix."""
+    rows = _expect(value, list, what)
+    if len(rows) != k or any(len(_expect(row, list, f"{what} rows")) != k for row in rows):
+        raise StructuralError(f"{what} is not {k}x{k}")
+    for row in rows:
+        for v in row:
+            _scalar(v, "a number", f"{what} entries")
+    return np.array(rows, dtype=float)
+
+
+def _state_from_json(spec, k: int, tol: Tolerances) -> HybridState:
+    """A state entry: weighted, labelled ``branches``, or one bare matrix.
+
+    A bare matrix reads as one branch of weight 1 labelled ().
+    """
+    bare = "branches" not in _expect(spec, dict, "the state")
+    raw = [dict(spec, w=1.0)] if bare else _expect(spec["branches"], list, "branches")
+    branches = []
+    for j, br in enumerate(raw):
+        at = "" if bare else f"branch {j} "
+        w = _scalar(_expect(br, dict, f"branch {j}").get("w"), "a number", f"{at}w")
+        re = _real_matrix(br.get("re"), k, f"{at}re")
+        im = np.zeros_like(re) if br.get("im") is None else _real_matrix(br["im"], k, f"{at}im")
+        try:
+            mat = validate_density_matrix(re + 1j * im, tol)
+        except StructuralError as exc:
+            raise StructuralError(f"{at}{exc}") from exc
+        branches.append((float(w), () if bare else str(br.get("label", j)), mat))
+    return HybridState(branches, tol=tol)
 
 
 def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
@@ -529,28 +560,10 @@ def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
     outputs: list = [None] * g.order
     for key, spec in raw_states.items():
         idx = _parse_input_key(key, g)
-        if "branches" in spec:
-            branches = []
-            for j, br in enumerate(spec["branches"]):
-                mat = _matrix_from_json(br, f"input {key} branch {j}")
-                if mat.shape != (k, k):
-                    raise LoadError(f"input {key}: branch matrix is not {k}x{k}")
-                try:
-                    mat = validate_density_matrix(mat, tol)
-                except StructuralError as exc:
-                    raise LoadError(f"input {key} branch {j}: {exc}") from exc
-                branches.append((float(br["w"]), str(br.get("label", j)), mat))
-        else:
-            mat = _matrix_from_json(spec, f"input {key}")
-            if mat.shape != (k, k):
-                raise LoadError(f"input {key}: matrix is not {k}x{k}")
-            try:
-                mat = validate_density_matrix(mat, tol)
-            except StructuralError as exc:
-                raise LoadError(f"input {key}: {exc}") from exc
-            branches = [(1.0, (), mat)]
+        if outputs[idx] is not None:
+            raise LoadError(f"input {key}: another key already names this input")
         try:
-            outputs[idx] = HybridState(branches, tol=tol)
+            outputs[idx] = _state_from_json(spec, k, tol)
         except StructuralError as exc:
             raise LoadError(f"input {key}: {exc}") from exc
     missing = [i for i, h in enumerate(outputs) if h is None]

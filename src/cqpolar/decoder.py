@@ -1,33 +1,30 @@
 """Quantum successive-cancellation decoding of polar plans, by Monte Carlo.
 
-The decoder walks branches in decode order; at each step it builds the
-pretty-good measurement of the conditional synthetic-channel states given
-the already-decoded prefix (later symbols modeled uniform, as the averaged
-section analysis prescribes), samples an outcome with the exact Born
-probabilities, and applies the sqrt(E) . sqrt(E) state update.  Steps with a
-single coset are skipped, and each decoded coset is lifted through the
-section the encoder used.  The kinds are
+The decoder walks branches in decode order.  At each step it takes each
+coset's probability given the decoded prefix (later symbols modeled uniform,
+as the averaged section analysis prescribes), picks one, and lifts it through
+the section the encoder used; steps with a single coset are skipped.  One
+loop, ``SCDecoder._decode_batch``, decodes a batch of trials of any kind.  It
+drives a step object that holds the received data, and it picks with doubles
+drawn in advance, one per multi-coset step, as ``Generator.choice`` would.
 
-- pure: every channel output is a pure state; the received system is a state
-  vector and the step is a ``_SubspacePovm`` living in the small subspace
-  spanned by the component vectors (this is what makes N = 8 with 2000
-  trials cheap),
-- dense: mixed outputs, for small N; the received system is a density matrix
-  and the step is a ``_DensePovm`` built from the densified conditional
-  states,
-- diagonal: classical channels; outputs are sampled and decoding is classical
-  successive cancellation with posterior sampling, exactly the pretty-good
-  measurement restricted to commuting states.  ``_Likelihoods`` runs
-  Arikan's O(N log N) likelihood butterfly in the group form over a whole
-  batch of received words at once, so ``error_experiment`` decodes every
-  trial of a diagonal experiment together.
+- pure: every output is a pure state; a trial is a state vector and a step a
+  ``_SubspacePovm`` in the small span of the component vectors (this is what
+  makes N = 8 with 2000 trials cheap),
+- dense: mixed outputs, for small N; a trial is a density matrix and a step a
+  ``_DensePovm`` built from the densified conditional states,
+- diagonal: classical channels; outputs are sampled, and the step object
+  ``_Likelihoods`` runs Arikan's O(N log N) likelihood butterfly in the group
+  form over the whole batch: SC with posterior sampling is the pretty-good
+  measurement restricted to commuting states.
 
-The quantum kinds share one per-trial loop, ``SCDecoder._decode_quantum``;
-their conditional states are factored mixtures, computed by the polar block
-recursion and memoized, and step POVMs are cached by (step, decoded prefix)
-across trials.  A channel whose outputs carry several classical labels is
-first flattened into one block-diagonal state per input.  Both loops hand
-their picks to one trace builder.
+The quantum step object, ``_QuantumTrials``, measures each trial with the PGM
+of the conditional states and applies the sqrt(E) . sqrt(E) update to the
+outcome picked; a trial whose state vanishes collapses and is skipped from
+then on.  Conditional states are factored mixtures, computed by the polar
+block recursion and memoized; step POVMs are cached by (step, prefix) across
+trials.  A channel whose outputs carry several classical labels is first
+flattened into one block-diagonal state per input.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
-from .linalg import Povm, hermitize, pretty_good_measurement, psd_sqrt
+from .linalg import Povm, hermitize, pretty_good_measurement, psd_inv_sqrt_support, psd_sqrt
 from .codes import CodePlan, MessageVector, encode, plan_channel, random_message, section_values
 from .groups import random_section_map
 from .polarize import decode_index, format_label
@@ -47,8 +44,8 @@ from .states import mix_states, tensor_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
 _RCOND = 1e-12
-#: Diagonal trials decoded together; bounds the butterfly's memory, not its results.
-_BATCH_TRIALS = 1024
+#: Received data of the trials decoded together, in bytes; bounds memory, not results.
+_BATCH_BYTES = 1 << 25
 
 
 @dataclass
@@ -133,40 +130,21 @@ class _BlockStates:
                 return tensor_states(
                     self.state(*A, a_fixed, None), self.state(*B, b_fixed, None)
                 )
-            parts = []
-            for xi in range(q):
-                parts.append(
-                    (
-                        1.0 / q,
-                        tensor_states(
-                            self.state(*A, a_fixed, g.add_index(head, xi)),
-                            self.state(*B, b_fixed, xi),
-                        ),
-                    )
-                )
-            return mix_states(parts)
-        kappa = fixed[-1]
-        if head is not None:
-            return tensor_states(
-                self.state(*A, a_fixed + (g.add_index(kappa, head),), None),
-                self.state(*B, b_fixed, head),
-            )
-        parts = []
-        for xi in range(q):
-            parts.append(
-                (
-                    1.0 / q,
-                    tensor_states(
-                        self.state(*A, a_fixed + (g.add_index(kappa, xi),), None),
-                        self.state(*B, b_fixed, xi),
-                    ),
-                )
-            )
-        return mix_states(parts)
+            return mix_states([
+                (1.0 / q, tensor_states(self.state(*A, a_fixed, g.add_index(head, xi)),
+                                        self.state(*B, b_fixed, xi)))
+                for xi in range(q)
+            ])
+        if head is None:  # the mixture of the head-given states below
+            return mix_states([(1.0 / q, self.state(level, pos, fixed, xi)) for xi in range(q)])
+        return tensor_states(
+            self.state(*A, a_fixed + (g.add_index(fixed[-1], head),), None),
+            self.state(*B, b_fixed, head),
+        )
 
 
 class _Likelihoods:
-    """Arikan's likelihood butterfly for a batch of classical received words.
+    """The diagonal step object: Arikan's likelihood butterfly over received words.
 
     Node p of level l covers channel uses [p*2^l, (p+1)*2^l); at decode step i
     it is at its local input i >> (n - l).  ``lik[l]`` holds, per trial and
@@ -178,18 +156,20 @@ class _Likelihoods:
     holds each level-l node's input at its last even position.
     As in ``codes.polar_encode_indices``, pair (2t, 2t+1) of a node sends
     u_2t + u_2t+1 to its first child and u_2t+1 to its second.
+    ``coset_sums[i]`` is the (q, cosets) indicator of step i's partition.
     """
 
-    def __init__(self, group, table, y):
+    def __init__(self, group, table, y, coset_sums):
         y = np.asarray(y, dtype=np.int64)
         self.add = group.add_table
+        self.coset_sums = coset_sums
         self.n = y.shape[1].bit_length() - 1
         self.lik = [table.T[y]] + [None] * self.n
         self.at = [0] + [None] * self.n
         self.even = [None] * (self.n + 1)
 
-    def head(self, i: int) -> np.ndarray:
-        """Normalised likelihoods of input i given the decided prefix, (trials, q)."""
+    def probabilities(self, i: int) -> np.ndarray:
+        """Coset probabilities of step i given the decided prefix, (trials, cosets)."""
         n = self.n
         for level in range(1, n + 1):
             t = i >> (n - level)
@@ -203,7 +183,11 @@ class _Likelihoods:
                 out = np.einsum("tphx,tpx->tph", a[:, :, self.add], b)
             total = out.sum(axis=2, keepdims=True)
             self.lik[level] = out / np.where(total > 0.0, total, 1.0)
-        return self.lik[n][:, 0]
+        return self.lik[n][:, 0] @ self.coset_sums[i]
+
+    def collapse(self, picks, failed) -> np.ndarray:
+        """Sampled outputs are not disturbed by a pick: no trial collapses."""
+        return np.zeros(len(picks), dtype=bool)
 
     def fix(self, i: int, u: np.ndarray) -> None:
         """Record input i's decided values (trials,) and pass completed pairs down."""
@@ -282,14 +266,7 @@ def _subspace_pgm(sigmas) -> _SubspacePovm:
     for c in comps:
         b = c @ basis.conj()  # rows: components in basis coords
         projected.append((b.T @ b.conj()) / m)  # prior 1/m folded in
-    s_mat = hermitize(sum(projected))
-    vals, vecs = np.linalg.eigh(s_mat)
-    vals = np.clip(vals, 0.0, None)
-    inv = np.zeros_like(vals)
-    pos = vals > _RCOND * (vals[-1] if vals.size else 1.0)
-    inv[pos] = 1.0 / np.sqrt(vals[pos])
-    s_isqrt = (vecs * inv) @ vecs.conj().T
-    supp = (vecs * pos.astype(float)) @ vecs.conj().T
+    s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)), rcond=_RCOND)
     # remainder inside the subspace (rank-deficient S') plus the full kernel
     inner_rem = (np.eye(basis.shape[1]) - supp) / m
     effect_eigs = []
@@ -324,6 +301,43 @@ def _dense_pgm(sigmas, tol) -> _DensePovm:
     return _DensePovm(pretty_good_measurement(dense, tol=tol), tol)
 
 
+class _QuantumTrials:
+    """The quantum step object: each trial's received state and decoded prefix.
+
+    A trial is measured with the cached step POVM of its prefix; its state is
+    None once it has collapsed or failed, and it is skipped from then on.
+    """
+
+    def __init__(self, engine, states):
+        self.engine = engine
+        self.states = [np.asarray(s).astype(complex) for s in states]
+        self.prefixes = [()] * len(self.states)
+        self.povms = [None] * len(self.states)
+
+    def probabilities(self, i: int) -> np.ndarray:
+        """Unnormalised coset probabilities of step i, (trials, cosets); 0 when skipped."""
+        out = np.zeros((len(self.states), len(self.engine._cells[i])))
+        for t, state in enumerate(self.states):
+            if state is not None:
+                self.povms[t] = self.engine.step_povm_rep(i, self.prefixes[t])
+                out[t] = self.povms[t].probabilities(state)
+        return out
+
+    def collapse(self, picks, failed) -> np.ndarray:
+        """Apply each picked outcome's state update; which trials collapsed now."""
+        lost = np.zeros(len(picks), dtype=bool)
+        for t, state in enumerate(self.states):
+            if state is not None:
+                new = None if failed[t] else self.povms[t].post_measurement(state, picks[t])
+                lost[t] = new is None and not failed[t]
+                self.states[t] = new
+        return lost
+
+    def fix(self, i: int, u) -> None:
+        """Extend each trial's prefix with step i's lifted value."""
+        self.prefixes = [p + (int(v),) for p, v in zip(self.prefixes, u)]
+
+
 # -- decoder engine -------------------------------------------------------------------
 
 
@@ -343,6 +357,12 @@ class SCDecoder:
         self.kind = self._classify()
         self._cells = [d.subgroup.cosets for d in plan.decisions]
         self._members = [d.subgroup.partition[0] for d in plan.decisions]
+        self._coset_sums = [  # (q, cosets) indicator of each step's partition
+            np.eye(len(members))[list(d.subgroup.partition[1])]
+            for d, members in zip(plan.decisions, self._members)
+        ]
+        self._draws = sum(len(cells) > 1 for cells in self._cells)
+        self._plan_lifts = _padded(section_values(plan), self.group.order)
         self._povm_cache = {}
         self._prepare_states()
 
@@ -373,12 +393,6 @@ class SCDecoder:
                 raise StructuralError("a channel input's outputs are not a distribution")
             self._cdf = np.cumsum(p, axis=1)
             self._cdf /= self._cdf[:, -1:]
-            self._coset_sums = [  # (q, cosets) indicator of each step's partition
-                np.eye(len(members))[list(d.subgroup.partition[1])]
-                for d, members in zip(self.plan.decisions, self._members)
-            ]
-            self._draws = sum(len(cells) > 1 for cells in self._cells)
-            self._plan_lifts = _padded(section_values(self.plan), self.group.order)
             return
         self.caps.check_dim(self.channel.k**self.N, "joint output state")
         self.leaf = [h.branches[0][2] for h in self.channel.outputs]
@@ -435,80 +449,65 @@ class SCDecoder:
         if hit is not None:
             return hit
         sigmas = self.conditional_states(i, prefix)
-        if self.kind == "pure":
-            rep = _subspace_pgm(sigmas)
-        else:
-            rep = _dense_pgm(sigmas, self.tol)
+        rep = _subspace_pgm(sigmas) if self.kind == "pure" else _dense_pgm(sigmas, self.tol)
         self._povm_cache[key] = rep
         return rep
 
     # -- decoding ------------------------------------------------------------------------
     def decode(self, received: JointOutputState, seed) -> tuple:
-        rng = np.random.default_rng(seed) if not hasattr(seed, "integers") else seed
-        if self.kind == "diagonal":
-            drawn_from = rng.bit_generator.state
-            picks, p_step, fail_at = self._decode_batch(
-                np.asarray(received.data)[None],
-                self._lifts(received.sections)[None],
-                rng.random(self._draws)[None],
-            )
-            stop = int(fail_at[0])
-            failed = stop < self.N
-            if failed:  # like the quantum loop, draw only for the steps reached
-                rng.bit_generator.state = drawn_from
-                rng.random(sum(len(cells) > 1 for cells in self._cells[:stop]))
-            return self._trace(
-                received, picks[0, :stop].tolist(), p_step[0, :stop].tolist(), failed
-            )
-        values = section_values(self.plan, received.sections)
-        return self._trace(received, *self._decode_quantum(received.data, values, rng))
+        """Decode one received system: the decoded message and its trace.
 
-    def _decode_quantum(self, state, values, rng):
-        """The per-trial SC loop: (coset positions, step probabilities, failed)."""
-        state = state.astype(complex)
-        picks, p_steps, prefix = [], [], ()
-        for i, cells in enumerate(self._cells):
-            p_step, pick = 1.0, 0
-            if len(cells) > 1:
-                step = self.step_povm_rep(i, prefix)
-                probs = step.probabilities(state)
-                total = probs.sum()
-                if not total > _SURVIVAL_FLOOR:
-                    return picks, p_steps, True
-                probs = probs / total
-                pick = int(rng.choice(len(probs), p=probs))
-                p_step = float(probs[pick])
-                state = step.post_measurement(state, pick)
-                if state is None:
-                    return picks, p_steps, True
-            picks.append(pick)
-            p_steps.append(p_step)
-            prefix += (values[i][pick],)
-        return picks, p_steps, False
-
-    def _decode_batch(self, y, lifts, uniforms):
-        """Classical SC with posterior sampling over a batch of received words.
-
-        ``y`` (trials, N) holds the sampled outputs, ``lifts`` (trials, N, q)
-        each trial's section values (see ``_lifts``) and ``uniforms`` (trials,
-        draws) the doubles its picks consume, one per step with more than one
-        coset, as ``Generator.choice`` would.  Returns the picked coset
-        positions and their probabilities, both (trials, N), and per trial the
-        step at which its evidence vanished (N when it did not).
+        The generator ends up having drawn one double per step with more than
+        one coset that the decoder reached.
         """
-        trials = len(y)
+        rng = np.random.default_rng(seed) if not hasattr(seed, "integers") else seed
+        lifts = self._lifts(received.sections)[None]
+        drawn_from = rng.bit_generator.state
+        picks, p_step, fail_at, used = self._decode_batch(
+            [received.data], lifts, rng.random(self._draws)[None]
+        )
+        if used[0] < self._draws:  # a failed trial draws only for the steps it reached
+            rng.bit_generator.state = drawn_from
+            rng.random(int(used[0]))
+        stop = int(fail_at[0])
+        return self._trace(
+            received, picks[0, :stop].tolist(), p_step[0, :stop].tolist(), stop < self.N
+        )
+
+    def _step_object(self, data):
+        """The step object that holds a batch's received data."""
+        if self.kind == "diagonal":
+            return _Likelihoods(self.group, self.table, np.stack(data), self._coset_sums)
+        return _QuantumTrials(self, data)
+
+    def _decode_batch(self, data, lifts, uniforms):
+        """Successive cancellation over a batch of trials, for every kind.
+
+        ``data`` holds each trial's received data (sampled outputs, a state
+        vector or a density matrix), ``lifts`` (trials, N, q) each trial's
+        section values (see ``_lifts``) and ``uniforms`` (trials, draws) the
+        doubles its picks consume, one per step with more than one coset: the
+        pick is searchsorted(cdf, u, "right"), as in ``Generator.choice``.
+        Returns the picked coset positions and their probabilities, both
+        (trials, N), per trial the step at which its evidence vanished or its
+        state collapsed (N when neither happened), and the doubles it used
+        before then.
+        """
+        trials = len(data)
         rows = np.arange(trials)
-        lik = _Likelihoods(self.group, self.table, y)
+        step = self._step_object(data)
         picks = np.zeros((trials, self.N), dtype=np.int64)
         p_step = np.ones((trials, self.N))
         fail_at = np.full(trials, self.N)
+        used = np.full(trials, self._draws)
         draw = 0
         for i, cells in enumerate(self._cells):
             if len(cells) > 1:
-                probs = lik.head(i) @ self._coset_sums[i]
+                probs = step.probabilities(i)
                 total = probs.sum(axis=1)
                 dead = ~(total > _SURVIVAL_FLOOR)
-                fail_at[dead] = np.minimum(fail_at[dead], i)
+                new = dead & (fail_at == self.N)
+                fail_at[new], used[new] = i, draw
                 probs[dead], total[dead] = 1.0, len(cells)  # a placeholder draw, never counted
                 probs /= total[:, None]
                 cdf = np.cumsum(probs, axis=1)
@@ -516,8 +515,10 @@ class SCDecoder:
                 picks[:, i] = np.sum(cdf <= uniforms[:, draw, None], axis=1)
                 p_step[:, i] = probs[rows, picks[:, i]]
                 draw += 1
-            lik.fix(i, lifts[rows, i, picks[:, i]])
-        return picks, p_step, fail_at
+                lost = step.collapse(picks[:, i], fail_at < self.N)
+                fail_at[lost], used[lost] = i, draw
+            step.fix(i, lifts[rows, i, picks[:, i]])
+        return picks, p_step, fail_at, used
 
     def _trace(self, received: JointOutputState, picks, p_steps, failed: bool) -> tuple:
         """The decoded message and the trace of the steps taken before any failure."""
@@ -576,8 +577,10 @@ def error_experiment(
 
     Messages are uniform; section mappings are redrawn per trial (matching
     the averaged analysis) unless randomize_sections is False.  Each trial
-    draws from its own generator, so diagonal trials can be decoded together
-    in batches with the results of one-by-one decoding.
+    draws from its own generator: its message, sections and received data,
+    then the doubles its decoding may use.  Trials are decoded together, in
+    batches of at most _BATCH_BYTES of received data (at least one trial), so
+    the results are those of decoding them one by one.
     """
     engine = SCDecoder(plan, W, caps)
     N = plan.block_length
@@ -585,7 +588,7 @@ def error_experiment(
     decoded = np.zeros((trials, N), dtype=np.int64)
     failed = np.zeros(trials, dtype=bool)
     reps = _padded([[row[0] for row in members] for members in engine._members], plan.group.order)
-    batch = []  # diagonal: outputs, section values and decode draws of each trial
+    batch = []  # received data, section values and decode draws of each trial
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         message = random_message(plan, rng)
@@ -594,20 +597,14 @@ def error_experiment(
             sections = [random_section_map(d.subgroup, rng) for d in plan.decisions]
         received = engine.transmit(message, rng, sections)
         truth[t] = [c.rep_index for c in message.cosets]
-        if engine.kind == "diagonal":
-            batch.append((received.data, engine._lifts(sections), rng.random(engine._draws)))
-            if len(batch) == _BATCH_TRIALS or t == trials - 1:
-                y, lifts, uniforms = (np.stack(col) for col in zip(*batch))
-                picks, _, fail_at = engine._decode_batch(y, lifts, uniforms)
-                done = slice(t + 1 - len(batch), t + 1)
-                decoded[done] = reps[np.arange(N), picks]
-                failed[done] = fail_at < N
-                batch = []
-            continue
-        est, trace = engine.decode(received, rng)
-        failed[t] = trace.failed
-        if not trace.failed:
-            decoded[t] = [c.rep_index for c in est.cosets]
+        batch.append((received.data, engine._lifts(sections), rng.random(engine._draws)))
+        if len(batch) * received.data.nbytes >= _BATCH_BYTES or t == trials - 1:
+            data, lifts, uniforms = zip(*batch)
+            picks, _, fail_at, _ = engine._decode_batch(data, np.stack(lifts), np.stack(uniforms))
+            done = slice(t + 1 - len(batch), t + 1)
+            decoded[done] = reps[np.arange(N), picks]
+            failed[done] = fail_at < N
+            batch = []
     bad = (decoded != truth) & ~failed[:, None]
     wrong = bad.any(axis=1)
     n_fail = int(failed.sum())

@@ -292,6 +292,46 @@ def test_load_channel_errors():
             load_channel(obj)
 
 
+_M0, _M1 = {"re": [[1, 0], [0, 0]]}, {"re": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ({"(0)": _M0, "(1)": _M1, "(3)": _M1}, "bad input key '(3)'"),
+        ({"(0)": _M0, "-1": _M1}, "bad input key '-1'"),
+        ({"(0)": _M0, "(1,5)": _M1}, "bad input key '(1,5)'"),
+        ({"(0)": _M0, "0.5": _M1}, "bad input key '0.5'"),
+        ({"(0)": _M0, "True": _M1}, "bad input key 'True'"),
+        ({"(0)": _M0, "(1)": _M1, "1": _M0}, "input 1: another key already names this input"),
+        ({"(0)": _M0, "(1)": [_M1]}, "input (1): the state must be an object"),
+        ({"(0)": _M0, "(1)": {"branches": _M1}}, "input (1): branches must be an array"),
+        ({"(0)": _M0, "(1)": {"branches": [_M1]}}, "input (1): branch 0 w must be a number"),
+        ({"(0)": _M0, "(1)": {"branches": [dict(_M1, w="x")]}},
+         "input (1): branch 0 w must be a number, got 'x'"),
+        ({"(0)": _M0, "(1)": {"re": "x"}}, "input (1): re must be an array"),
+        ({"(0)": _M0, "(1)": {"re": [["x", 0], [0, 1]]}}, "input (1): re entries must be a number"),
+        ({"(0)": _M0, "(1)": {"re": [[0, 0], [0, 1, 0]]}}, "input (1): re is not 2x2"),
+    ],
+)
+def test_load_channel_refuses_bad_keys_and_entries(states, message):
+    # each names one input, or is typed, exactly as the file says; nothing is
+    # reduced modulo the group or left to escape as a raw exception
+    with pytest.raises(LoadError, match="^" + re.escape(message)):
+        load_channel({"group": [2], "k": 2, "states": states})
+
+
+def test_bare_matrix_is_one_branch_of_weight_one():
+    bare = load_channel({"group": [2], "k": 2, "states": {"(0)": _M0, "1": _M1}})
+    branch = {"branches": [dict(_M1, w=1, label="b")]}
+    listed = load_channel({"group": [2], "k": 2, "states": {"(0)": _M0, "[1]": branch}})
+    assert [(w, lab) for w, lab, _ in bare.outputs[1].branches] == [(1.0, ())]
+    assert [(w, lab) for w, lab, _ in listed.outputs[1].branches] == [(1.0, "b")]
+    np.testing.assert_array_equal(
+        to_dense(bare.outputs[1].branches[0][2]), to_dense(listed.outputs[1].branches[0][2])
+    )
+
+
 def test_missing_inputs_error_is_short():
     # one state of a group of order 90000: the message counts the rest
     obj = {"group": [300, 300], "k": 2, "states": {"(0,0)": {"re": [[1, 0], [0, 0]]}}}

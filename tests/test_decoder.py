@@ -23,6 +23,7 @@ from cqpolar.codes import (
     polar_encode_indices,
     random_message,
 )
+from cqpolar import decoder
 from cqpolar.decoder import (
     JointOutputState,
     SCDecoder,
@@ -220,12 +221,12 @@ def _replay_against_bruteforce(plan, w, rng):
         msg = random_message(plan, rng)
         rcv = eng.transmit(msg, rng)
         est, trace = eng.decode(rcv, rng)
-        lik = _Likelihoods(g, eng.table, rcv.data[None])
+        lik = _Likelihoods(g, eng.table, rcv.data[None], eng._coset_sums)
         prefix = []
         for i, (d, cells, step) in enumerate(zip(plan.decisions, eng._cells, trace.steps)):
             pick = next(k for k, c in enumerate(cells) if c.rep_index == step.decoded_rep)
             if len(cells) > 1:
-                ours = (lik.head(i) @ eng._coset_sums[i])[0]
+                ours = lik.probabilities(i)[0]
                 ours = ours / ours.sum()
                 ref = sc_posteriors_bruteforce(
                     eng.table, None, encode_list, N, q, rcv.data, prefix, eng._members[i]
@@ -433,6 +434,17 @@ _NOISY_PINNED = {
 }
 
 
+def _pinned_reports(w, plan, trials):
+    """(errors, digest prefix) of the reports at seeds 0-2, random then fixed sections."""
+    got = []
+    for seed in range(3):
+        for randomize in (True, False):
+            rep = error_experiment(w, plan, trials, seed, randomize_sections=randomize)
+            digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+            got.append((rep["errors"], digest[:12]))
+    return got
+
+
 @pytest.mark.parametrize("key", list(_NOISY))
 def test_noisy_classical_experiments_are_pinned(key):
     # whole reports of noisy plans (errors on most seeds, {0, 2} steps on the
@@ -441,10 +453,78 @@ def test_noisy_classical_experiments_are_pinned(key):
     w = preset_channel(preset, **kwargs)
     plan = build_plan(w, CodeParams(n=n, tau=tau))
     assert SCDecoder(plan, w).kind == "diagonal"
-    got = []
-    for seed in range(3):
-        for randomize in (True, False):
-            rep = error_experiment(w, plan, trials, seed, randomize_sections=randomize)
-            digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
-            got.append((rep["errors"], digest[:12]))
-    assert got == _NOISY_PINNED[key]
+    assert _pinned_reports(w, plan, trials) == _NOISY_PINNED[key]
+
+
+_PURE_NOISY = preset_channel("pure-states", angles=[0.0, 0.6])
+_QUANTUM_NOISY = {
+    "pure-0.6-n3": (_PURE_NOISY, 3, 0.5, 80),
+    "pure-0.6-n3-file": (_via_file(_PURE_NOISY), 3, 0.5, 80),
+    "dense-q2-n2": (random_mixed_channel(np.random.default_rng(13), 2, 2), 2, 0.9, 60),
+    "dense-q3-n2": (random_mixed_channel(np.random.default_rng(4), 3, 2), 2, 0.9, 60),
+}
+
+# as _NOISY_PINNED, reported by the per-trial quantum loop that drew its picks
+# with Generator.choice
+_QUANTUM_PINNED = {
+    "pure-0.6-n3": [(12, "533d18c6c34a"), (14, "331221ff6bb8"), (12, "02af598861fd"),
+                    (13, "15810be6982d"), (12, "b848dba65884"), (12, "66f61f689af6")],
+    "pure-0.6-n3-file": [(12, "65c82b353e74"), (14, "3b0c857cc959"), (12, "636211b1c2a3"),
+                         (13, "f4dcb62daaeb"), (12, "ecd620fbc08c"), (12, "764dc6112128")],
+    "dense-q2-n2": [(4, "a7c8cd16ef9b"), (3, "981174fcc3e4"), (1, "95f4f1e8d28f"),
+                    (3, "981174fcc3e4"), (0, "20a759b72f3e"), (6, "bd683e910782")],
+    "dense-q3-n2": [(10, "889820764813"), (7, "43a91cb35691"), (3, "0fae9e1c33ed"),
+                    (5, "747f431d2c28"), (0, "338311c54752"), (7, "43a91cb35691")],
+}
+
+
+@pytest.mark.parametrize("key", list(_QUANTUM_NOISY))
+def test_noisy_quantum_experiments_are_pinned(key):
+    # whole reports of noisy pure and dense plans, so any change to the
+    # quantum SC path's picks shows
+    w, n, tau, trials = _QUANTUM_NOISY[key]
+    plan = build_plan(w, CodeParams(n=n, tau=tau))
+    assert SCDecoder(plan, w).kind == key.split("-")[0]
+    assert _pinned_reports(w, plan, trials) == _QUANTUM_PINNED[key]
+
+
+def test_quantum_decode_draws_one_double_per_multi_coset_step_reached():
+    # amplitudes scaled to a squared norm just above the survival floor: the
+    # first measurement picks, and the state then collapses unless the pick
+    # had probability near 1; a zero state fails before its first pick
+    w = pure_overlap_channel(0.5)
+    plan = build_plan(w, CodeParams(n=2, tau=1.0))
+    eng = SCDecoder(plan, w)
+    multi = [len(cells) > 1 for cells in eng._cells]
+    assert eng.kind == "pure" and sum(multi) > 1
+    outcomes = set()
+    for t in range(20):
+        rng = np.random.default_rng([7, t])
+        rcv = eng.transmit(random_message(plan, rng), rng)
+        scale = (1.0, 1.004e-150, 0.0)[t % 3]
+        rcv = dataclasses.replace(rcv, data=rcv.data * scale)
+        twin = copy.deepcopy(rng)
+        _, trace = eng.decode(rcv, rng)
+        reached = len(trace.steps)
+        if trace.failed and scale > 0.0:  # the collapsing step drew its pick
+            reached += 1
+        twin.random(sum(multi[:reached]))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        outcomes.add((scale, trace.failed))
+    assert {(1.0, False), (1.004e-150, True), (0.0, True)} <= outcomes
+
+
+@pytest.mark.parametrize("key", ["bsc-0.2-n6", "pure-0.6-n3", "dense-q2-n2"])
+def test_results_do_not_depend_on_the_batch_bound(key, monkeypatch):
+    # batches of 1, of 7 and of every trial
+    if key in _NOISY:
+        preset, kwargs, n, tau, trials = _NOISY[key]
+        w, pinned = preset_channel(preset, **kwargs), _NOISY_PINNED[key]
+    else:
+        (w, n, tau, trials), pinned = _QUANTUM_NOISY[key], _QUANTUM_PINNED[key]
+    plan = build_plan(w, CodeParams(n=n, tau=tau))
+    rng = np.random.default_rng(0)
+    nbytes = SCDecoder(plan, w).transmit(random_message(plan, rng), rng).data.nbytes
+    for bound in (nbytes, 7 * nbytes, float("inf")):
+        monkeypatch.setattr(decoder, "_BATCH_BYTES", bound)
+        assert _pinned_reports(w, plan, trials) == pinned
