@@ -204,11 +204,8 @@ class MessageVector:
 
 
 def random_message(plan: CodePlan, rng) -> MessageVector:
-    cosets = []
-    for d in plan.decisions:
-        cells = d.subgroup.cosets
-        cosets.append(cells[int(rng.integers(len(cells)))])
-    return MessageVector(cosets)
+    """A uniform message: every step's coset position in one ``rng.integers`` call."""
+    return message_from_positions(plan, rng.integers(plan.message_space_sizes()))
 
 
 def message_from_positions(plan: CodePlan, positions) -> MessageVector:
@@ -250,24 +247,26 @@ def lift_message(plan: CodePlan, message: MessageVector, sections=None) -> np.nd
 def polar_encode_indices(group: GroupOps, u: np.ndarray):
     """Butterfly encoder on element indices in decode order.
 
-    Returns (codeword indices, group-addition count).  Pair (2j, 2j+1) of a
-    block maps to a sum lane feeding the block's first half and a pass-through
-    lane feeding its second half; the pass-through adds the identity so every
-    level performs exactly N element additions and the whole encode exactly
-    N log2 N.  Each level splits every block of the previous one in two.
+    ``u`` is one message (N,) or a batch of them (trials, N), encoded row by
+    row.  Returns (codeword indices, group-addition count).  Pair (2j, 2j+1)
+    of a block maps to a sum lane feeding the block's first half and a
+    pass-through lane feeding its second half; the pass-through adds the
+    identity so every level performs exactly N element additions per
+    codeword and the whole encode exactly N log2 N.  Each level splits every
+    block of the previous one in two.
     """
     u = np.asarray(u, dtype=np.int64)
-    n_total = u.size
+    n_total = u.shape[-1]
     if n_total & (n_total - 1):
         raise StructuralError("message length must be a power of two")
     tab = group.add_table
-    blocks, adds = u.reshape(1, n_total), 0
-    while blocks.shape[1] > 1:
-        sums = tab[blocks[:, 0::2], blocks[:, 1::2]]
-        passthrough = tab[blocks[:, 1::2], 0]
-        blocks = np.stack([sums, passthrough], axis=1).reshape(2 * len(blocks), -1)
-        adds += n_total
-    return blocks.reshape(n_total), adds
+    blocks, adds = u.reshape(-1, 1, n_total), 0
+    while blocks.shape[2] > 1:
+        sums = tab[blocks[:, :, 0::2], blocks[:, :, 1::2]]
+        passthrough = tab[blocks[:, :, 1::2], 0]
+        blocks = np.stack([sums, passthrough], axis=2).reshape(len(blocks), -1, sums.shape[2])
+        adds += u.size
+    return blocks.reshape(u.shape), adds
 
 
 def encode(plan: CodePlan, message: MessageVector, sections=None) -> np.ndarray:

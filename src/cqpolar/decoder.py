@@ -25,6 +25,11 @@ then on.  Conditional states are factored mixtures, computed by the polar
 block recursion and memoized; step POVMs are cached by (step, prefix) across
 trials.  A channel whose outputs carry several classical labels is first
 flattened into one block-diagonal state per input.
+
+``error_experiment`` runs whole batches of trials as arrays: each trial's
+randomness comes from four vectorized draws, and the batch is lifted through
+one member table, encoded by the batched butterfly and transmitted in one
+step before ``_decode_batch`` decodes it.
 """
 
 from __future__ import annotations
@@ -37,8 +42,14 @@ from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .linalg import Povm, hermitize, pretty_good_measurement, psd_inv_sqrt_support, psd_sqrt
-from .codes import CodePlan, MessageVector, encode, plan_channel, random_message, section_values
-from .groups import random_section_map
+from .codes import (
+    CodePlan,
+    MessageVector,
+    encode,
+    plan_channel,
+    polar_encode_indices,
+    section_values,
+)
 from .polarize import decode_index, format_label
 from .states import mix_states, tensor_states, to_dense
 
@@ -362,7 +373,21 @@ class SCDecoder:
             for d, members in zip(plan.decisions, self._members)
         ]
         self._draws = sum(len(cells) > 1 for cells in self._cells)
-        self._plan_lifts = _padded(section_values(plan), self.group.order)
+        q = self.group.order
+        self._plan_lifts = _padded(section_values(plan), q)
+        self._coset_counts = np.array([len(cells) for cells in self._cells])
+        # member m of coset c at step i, zero-padded; column 0 holds the representatives
+        self._lookup = np.zeros((self.N, q, q), dtype=np.int64)
+        for i, members in enumerate(self._members):
+            self._lookup[i, : len(members), : len(members[0])] = members
+        # a random section draws one member per coset of every step, in step
+        # order; _section_at[i, c] is the draw of step i's coset c (0 when padding)
+        self._section_highs = np.repeat([len(m[0]) for m in self._members], self._coset_counts)
+        starts = np.cumsum(self._coset_counts) - self._coset_counts
+        cosets = np.arange(q)
+        self._section_at = np.where(
+            cosets < self._coset_counts[:, None], starts[:, None] + cosets, 0
+        )
         self._povm_cache = {}
         self._prepare_states()
 
@@ -396,6 +421,10 @@ class SCDecoder:
             return
         self.caps.check_dim(self.channel.k**self.N, "joint output state")
         self.leaf = [h.branches[0][2] for h in self.channel.outputs]
+        # what each input sends: a state vector (pure) or a density matrix (dense)
+        self._leaves = np.array(
+            [s.vecs[0] if self.kind == "pure" else to_dense(s) for s in self.leaf], dtype=complex
+        )
         self.leaf_avg = mix_states([(1.0 / self.group.order, s) for s in self.leaf])
         self.blocks = _BlockStates(self.group, self.leaf, self.leaf_avg, self.n)
 
@@ -407,20 +436,71 @@ class SCDecoder:
 
     # -- transmission ---------------------------------------------------------------
     def transmit(self, message: MessageVector, rng, sections=None) -> JointOutputState:
+        """Encode a message and send it: a batch of one through ``_received``.
+
+        Only the diagonal kind draws from ``rng``: one double per channel use.
+        """
         codeword = encode(self.plan, message, sections)
+        noise = rng.random(codeword.size)[None] if self.kind == "diagonal" else None
+        data = self._received(codeword[None], noise)[0]
+        return JointOutputState(self.kind, data, codeword, message, sections)
+
+    def _received(self, codewords: np.ndarray, noise) -> np.ndarray:
+        """The received data of a batch of codewords (trials, N), one row per trial.
+
+        diagonal: at each use, the first output whose cdf reaches that use's
+        double in ``noise`` (trials, N), as ``Generator.choice`` samples; pure
+        and dense: the product state, built one use at a time from the outer
+        products that ``np.kron`` takes, so the values are those of a kron chain.
+        """
         if self.kind == "diagonal":
-            u = rng.random(codeword.size)
-            y = np.sum(self._cdf[codeword] <= u[:, None], axis=1)
-            return JointOutputState("diagonal", y, codeword, message, sections)
-        if self.kind == "pure":
-            psi = np.array([1.0 + 0j])
-            for x in codeword:
-                psi = np.kron(psi, self.leaf[int(x)].vecs[0])
-            return JointOutputState("pure", psi, codeword, message, sections)
-        rho = np.array([[1.0 + 0j]])
-        for x in codeword:
-            rho = np.kron(rho, to_dense(self.leaf[int(x)]))
-        return JointOutputState("dense", rho, codeword, message, sections)
+            return np.sum(self._cdf[codewords] <= noise[:, :, None], axis=2)
+        trials = len(codewords)
+        out = np.ones((trials,) + (1,) * (self._leaves.ndim - 1), dtype=complex)
+        for x in codewords.T:
+            leaf = self._leaves[x]
+            if self.kind == "pure":
+                out = (out[:, :, None] * leaf[:, None, :]).reshape(trials, -1)
+            else:
+                d = out.shape[1] * leaf.shape[1]
+                out = (out[:, :, None, :, None] * leaf[:, None, :, None, :]).reshape(trials, d, d)
+        return out
+
+    def _trial_bytes(self) -> int:
+        """The size of one trial's received data."""
+        if self.kind == "diagonal":
+            return 8 * self.N  # int64 outputs
+        return self._leaves.itemsize * self._leaves[0].size**self.N
+
+    def _trial_batch(self, seed, trials: range, randomize: bool) -> tuple:
+        """Draw, lift, encode and transmit a batch of experiment trials, as arrays.
+
+        Each trial makes the four draws ``error_experiment`` lists.  Returns
+        the coset representatives sent (trials, N), the section values
+        (trials, N, q), the received data and the decoder's doubles.
+        """
+        count, q = len(trials), self.group.order
+        positions = np.empty((count, self.N), dtype=np.int64)
+        members = np.empty((count, self._section_highs.size), dtype=np.int64) if randomize else None
+        noise = np.empty((count, self.N)) if self.kind == "diagonal" else None
+        uniforms = np.empty((count, self._draws))
+        for row, t in enumerate(trials):
+            rng = np.random.default_rng([seed, t])
+            positions[row] = rng.integers(self._coset_counts)
+            if randomize:
+                members[row] = rng.integers(self._section_highs)
+            if noise is not None:
+                noise[row] = rng.random(self.N)
+            uniforms[row] = rng.random(self._draws)
+        steps = np.arange(self.N)
+        if randomize:
+            lifts = self._lookup[steps[:, None], np.arange(q), members[:, self._section_at]]
+        else:
+            lifts = np.broadcast_to(self._plan_lifts, (count, self.N, q))
+        u = np.take_along_axis(lifts, positions[:, :, None], axis=2)[:, :, 0]
+        codewords, _ = polar_encode_indices(self.group, u)
+        truth = self._lookup[steps, positions, 0]
+        return truth, lifts, self._received(codewords, noise), uniforms
 
     # -- conditional states and POVMs ---------------------------------------------------
     def conditional_states(self, i: int, prefix: tuple):
@@ -477,7 +557,7 @@ class SCDecoder:
     def _step_object(self, data):
         """The step object that holds a batch's received data."""
         if self.kind == "diagonal":
-            return _Likelihoods(self.group, self.table, np.stack(data), self._coset_sums)
+            return _Likelihoods(self.group, self.table, data, self._coset_sums)
         return _QuantumTrials(self, data)
 
     def _decode_batch(self, data, lifts, uniforms):
@@ -576,35 +656,50 @@ def error_experiment(
     """Monte-Carlo block-error estimation against the plan's bound.
 
     Messages are uniform; section mappings are redrawn per trial (matching
-    the averaged analysis) unless randomize_sections is False.  Each trial
-    draws from its own generator: its message, sections and received data,
-    then the doubles its decoding may use.  Trials are decoded together, in
-    batches of at most _BATCH_BYTES of received data (at least one trial), so
-    the results are those of decoding them one by one.
+    the averaged analysis) unless randomize_sections is False.  Trial t draws
+    from its own generator, ``default_rng([seed, t])``, in four vectorized
+    calls, in this order:
+
+    - ``integers(coset counts)``: its message's coset position at every step;
+    - ``integers(subgroup orders)``, one bound per coset of every step: the
+      member each coset's section picks (random sections only);
+    - ``random(N)``: the channel noise, one double per use (classical
+      channels only);
+    - ``random(draws)``: the doubles its decoding may use, one per step with
+      more than one coset.
+
+    These are the draws of ``random_message``, one ``random_section_map`` per
+    step, ``SCDecoder.transmit`` and ``SCDecoder.decode`` in turn.  Each batch
+    of trials is then lifted, encoded and transmitted as arrays and decoded
+    together.  A batch holds at most _BATCH_BYTES of received data (at least
+    one trial), and the results are those of running the trials one by one.
     """
+    if trials < 1:
+        raise StructuralError(f"an experiment needs at least one trial, got {trials}")
     engine = SCDecoder(plan, W, caps)
     N = plan.block_length
     truth = np.zeros((trials, N), dtype=np.int64)  # coset representatives sent
     decoded = np.zeros((trials, N), dtype=np.int64)
     failed = np.zeros(trials, dtype=bool)
-    reps = _padded([[row[0] for row in members] for members in engine._members], plan.group.order)
-    batch = []  # received data, section values and decode draws of each trial
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        message = random_message(plan, rng)
-        sections = None
-        if randomize_sections:
-            sections = [random_section_map(d.subgroup, rng) for d in plan.decisions]
-        received = engine.transmit(message, rng, sections)
-        truth[t] = [c.rep_index for c in message.cosets]
-        batch.append((received.data, engine._lifts(sections), rng.random(engine._draws)))
-        if len(batch) * received.data.nbytes >= _BATCH_BYTES or t == trials - 1:
-            data, lifts, uniforms = zip(*batch)
-            picks, _, fail_at, _ = engine._decode_batch(data, np.stack(lifts), np.stack(uniforms))
-            done = slice(t + 1 - len(batch), t + 1)
-            decoded[done] = reps[np.arange(N), picks]
-            failed[done] = fail_at < N
-            batch = []
+    per_batch = int(min(trials, max(1, np.ceil(_BATCH_BYTES / engine._trial_bytes()))))
+    for start in range(0, trials, per_batch):
+        done = slice(start, min(start + per_batch, trials))
+        truth[done], lifts, data, uniforms = engine._trial_batch(
+            seed, range(trials)[done], randomize_sections
+        )
+        picks, _, fail_at, _ = engine._decode_batch(data, lifts, uniforms)
+        decoded[done] = engine._lookup[np.arange(N), picks, 0]
+        failed[done] = fail_at < N
+    return _experiment_report(plan, truth, decoded, failed)
+
+
+def _experiment_report(plan: CodePlan, truth, decoded, failed) -> dict:
+    """The report of an experiment from its trials' sent and decoded representatives.
+
+    ``truth`` and ``decoded`` are (trials, N) coset representatives per step;
+    ``failed`` (trials,) flags the trials whose decoding failed.
+    """
+    trials, N = truth.shape
     bad = (decoded != truth) & ~failed[:, None]
     wrong = bad.any(axis=1)
     n_fail = int(failed.sum())

@@ -456,8 +456,13 @@ class SectionMap:
 
 
 def random_section_map(H: Subgroup, rng) -> SectionMap:
-    """Draw a section mapping uniformly: an independent uniform member per coset."""
-    return SectionMap(H, tuple(row[int(rng.integers(H.order))] for row in H.partition[0]))
+    """Draw a section mapping uniformly: an independent uniform member per coset.
+
+    The members are drawn in one ``rng.integers`` call with one bound per coset.
+    """
+    members = H.partition[0]
+    picks = rng.integers(np.full(len(members), H.order)).tolist()
+    return SectionMap(H, tuple(row[p] for row, p in zip(members, picks)))
 
 
 def zero_section_map(H: Subgroup) -> SectionMap:

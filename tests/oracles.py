@@ -11,9 +11,11 @@ import math
 import numpy as np
 
 from cqpolar.channel import CqChannel
+from cqpolar.codes import random_message
+from cqpolar.decoder import SCDecoder, _experiment_report
 from cqpolar.diagonal import _MERGE_DECIMALS
 from cqpolar.errors import StructuralError
-from cqpolar.groups import FiniteAbelianGroup
+from cqpolar.groups import FiniteAbelianGroup, random_section_map
 
 
 def mutual_information_table(table) -> float:
@@ -234,6 +236,31 @@ def polar_encode_recursive(add_table, u):
     sums, sum_adds = polar_encode_recursive(add_table, add_table[u[0::2], u[1::2]])
     passed, pass_adds = polar_encode_recursive(add_table, add_table[u[1::2], 0])
     return np.concatenate([sums, passed]), u.size + sum_adds + pass_adds
+
+
+def experiment_one_trial_at_a_time(W, plan, trials, seed, randomize_sections=True) -> dict:
+    """decoder.error_experiment as a loop of single trials through the public calls.
+
+    Trial t runs random_message, random_section_map per decision (random
+    sections only), SCDecoder.transmit and SCDecoder.decode, all on its own
+    generator default_rng([seed, t]); the report is built from what decode
+    returned.
+    """
+    engine = SCDecoder(plan, W)
+    truth = np.zeros((trials, plan.block_length), dtype=np.int64)
+    decoded = np.zeros_like(truth)
+    failed = np.zeros(trials, dtype=bool)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        message = random_message(plan, rng)
+        sections = None
+        if randomize_sections:
+            sections = [random_section_map(d.subgroup, rng) for d in plan.decisions]
+        estimate, trace = engine.decode(engine.transmit(message, rng, sections), rng)
+        truth[t] = [c.rep_index for c in message.cosets]
+        decoded[t, : len(estimate)] = [c.rep_index for c in estimate.cosets]
+        failed[t] = trace.failed
+    return _experiment_report(plan, truth, decoded, failed)
 
 
 def subset_information_direct(mac, users) -> float:

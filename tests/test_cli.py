@@ -243,6 +243,20 @@ def test_decode_sim_rejects_invalid_plan_decisions(tmp_path, z4_plan, change):
     assert res.stderr.startswith("validation error: plan decision 0:"), res.stderr
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_decode_sim_refuses_a_non_positive_trial_count(tmp_path, z4_plan, trials):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(z4_plan))
+    res = run_cli(
+        "decode-sim", "--plan", str(path), "--trials", trials, "--out", str(tmp_path / "r.json")
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: an experiment needs at least one trial"), (
+        res.stderr
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "change",
     [

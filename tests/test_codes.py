@@ -93,6 +93,20 @@ def test_encoder_matches_recursive_oracle(orders):
             assert x.tolist() == ref.tolist() and adds == ref_adds == N * n
 
 
+@pytest.mark.parametrize("orders", [[4], [2, 2]], ids=str)
+def test_batched_encoder_matches_recursive_oracle_row_by_row(orders):
+    g = FiniteAbelianGroup(orders)
+    rng = np.random.default_rng(5)
+    for n in range(7):
+        N = 1 << n
+        u = rng.integers(g.order, size=(9, N))
+        x, adds = polar_encode_indices(g, u)
+        assert x.shape == u.shape and adds == len(u) * N * n
+        for row, word in zip(u, x):
+            ref, _ = polar_encode_recursive(g.add_table, row)
+            assert word.tolist() == ref.tolist()
+
+
 @pytest.mark.parametrize("orders,n", [([2], 3), ([4], 3), ([3], 2), ([2, 2], 2)])
 def test_encoder_bijectivity_exhaustive(orders, n):
     g = FiniteAbelianGroup(orders)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import pure_overlap_channel, random_mixed_channel
-from oracles import sc_posteriors_bruteforce
+from oracles import experiment_one_trial_at_a_time, sc_posteriors_bruteforce
 
 from cqpolar.channel import (
     CqChannel,
@@ -514,17 +514,67 @@ def test_quantum_decode_draws_one_double_per_multi_coset_step_reached():
     assert {(1.0, False), (1.004e-150, True), (0.0, True)} <= outcomes
 
 
-@pytest.mark.parametrize("key", ["bsc-0.2-n6", "pure-0.6-n3", "dense-q2-n2"])
-def test_results_do_not_depend_on_the_batch_bound(key, monkeypatch):
-    # batches of 1, of 7 and of every trial
+def _noisy_plan(key):
+    """(channel, plan, trials, pinned reports) of a _NOISY or _QUANTUM_NOISY entry."""
     if key in _NOISY:
         preset, kwargs, n, tau, trials = _NOISY[key]
         w, pinned = preset_channel(preset, **kwargs), _NOISY_PINNED[key]
     else:
         (w, n, tau, trials), pinned = _QUANTUM_NOISY[key], _QUANTUM_PINNED[key]
-    plan = build_plan(w, CodeParams(n=n, tau=tau))
+    return w, build_plan(w, CodeParams(n=n, tau=tau)), trials, pinned
+
+
+@pytest.mark.parametrize("key", ["bsc-0.2-n6", "pure-0.6-n3", "dense-q2-n2"])
+def test_results_do_not_depend_on_the_batch_bound(key, monkeypatch):
+    # batches of 1, of 7 and of every trial
+    w, plan, trials, pinned = _noisy_plan(key)
     rng = np.random.default_rng(0)
     nbytes = SCDecoder(plan, w).transmit(random_message(plan, rng), rng).data.nbytes
     for bound in (nbytes, 7 * nbytes, float("inf")):
         monkeypatch.setattr(decoder, "_BATCH_BYTES", bound)
         assert _pinned_reports(w, plan, trials) == pinned
+
+
+@pytest.mark.parametrize("key", ["symmetric-q4-0.25-n3", "pure-0.6-n3", "dense-q2-n2"])
+def test_experiment_matches_the_one_trial_at_a_time_oracle(key):
+    w, plan, trials, _ = _noisy_plan(key)
+    assert SCDecoder(plan, w).kind == ("diagonal" if key in _NOISY else key.split("-")[0])
+    for seed in range(3):
+        for randomize in (True, False):
+            assert error_experiment(w, plan, trials, seed, randomize_sections=randomize) == (
+                experiment_one_trial_at_a_time(w, plan, trials, seed, randomize)
+            )
+
+
+@pytest.mark.parametrize("key", ["symmetric-q4-0.25-n3", "bsc-0.2-n6"])
+def test_a_trials_four_draws_match_the_scalar_sequence(key):
+    # frozen steps and a trivial subgroup give bounds of 1, which draw nothing
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    assert 1 in eng._coset_counts and eng._coset_counts.max() > 1
+    for t in range(10):
+        vec, scalar = np.random.default_rng([4, t]), np.random.default_rng([4, t])
+        drawn = [vec.integers(eng._coset_counts), vec.integers(eng._section_highs),
+                 vec.random(eng.N), vec.random(eng._draws)]
+        expected = [
+            [scalar.integers(len(d.subgroup.cosets)) for d in plan.decisions],
+            [scalar.integers(d.subgroup.order) for d in plan.decisions for _ in d.subgroup.cosets],
+            scalar.random(eng.N),
+            scalar.random(eng._draws),
+        ]
+        for got, want in zip(drawn, expected):
+            assert np.array_equal(got, want)
+        assert vec.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2"])
+def test_transmitted_states_are_the_kron_chain(key):
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    codewords = np.random.default_rng(1).integers(plan.group.order, size=(5, eng.N))
+    for x, got in zip(codewords, eng._received(codewords, None)):
+        want = np.array([1.0 + 0j]) if eng.kind == "pure" else np.array([[1.0 + 0j]])
+        for v in x:
+            leaf = eng.leaf[int(v)]
+            want = np.kron(want, leaf.vecs[0] if eng.kind == "pure" else to_dense(leaf))
+        assert np.array_equal(got, want)
