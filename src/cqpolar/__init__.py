@@ -8,7 +8,10 @@ The package is organized as a small laboratory:
             measurement)
 - channel:  cq channels with hybrid classical registers, quotient channels
 - diagonal: likelihood-table engine for diagonal (classical) channels,
-            merging output classes up to a rounding grain
+            merging output classes up to a group shift and a rounding
+            grain; synthetic tables are defined up to per-column shifts,
+            so only shift-invariant functionals (I, F_d, F, quotients)
+            are the channel's
 - polarize: +/- transforms, synthetic channels, polarization scans
 - codes:    branch classification, frozen quotient structure, encoder
 - decoder:  quantum successive-cancellation Monte Carlo

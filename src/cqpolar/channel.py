@@ -186,14 +186,6 @@ def _profile_quotient(W, H: Subgroup):
     return W._average_cells(QuotientGroup(_require_product_group(W), H), H.partition[0])
 
 
-def _profile_restricted_quotient(W, M: Subgroup, D: Coset):
-    """W[M|D]: inputs are the cosets of M inside D."""
-    if not M.is_subset_of(D.subgroup):
-        raise StructuralError("M must be contained in the subgroup defining D")
-    cells = refine(D, M)
-    return W._average_cells(PlainAlphabet(cells), [M.partition[0][c.position] for c in cells])
-
-
 class CqChannel:
     """A cq channel over a finite Abelian group (or a plain input alphabet).
 
@@ -322,8 +314,16 @@ class CqChannel:
         return CqChannel(alphabet, outputs, self.tol)
 
     quotient = _profile_quotient
-    restricted_quotient = _profile_restricted_quotient
     nested_fmax = _profile_nested_fmax
+
+    def restricted_quotient(self, M: Subgroup, D: Coset) -> "CqChannel":
+        """W[M|D]: inputs are the cosets of M inside D."""
+        if not M.is_subset_of(D.subgroup):
+            raise StructuralError("M must be contained in the subgroup defining D")
+        cells = refine(D, M)
+        return self._average_cells(
+            PlainAlphabet(cells), [M.partition[0][c.position] for c in cells]
+        )
 
     def nested_information(self, M: Subgroup, H: Subgroup):
         """I(W[M]) - I(W[H]) and its coset decomposition average.

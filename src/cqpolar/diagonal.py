@@ -7,6 +7,23 @@ any information or fidelity functional.  Merging is what makes deep scans of
 classical channels feasible; alphabets that still explode hit the column cap
 and raise a capacity error.
 
+Columns are also merged when they agree up to a group shift.  Inputs are
+uniform over an Abelian group, so permuting one column's rows by x -> x + g_y
+changes no functional the engine reports, and both transforms commute with
+such shifts: the minus transform of columns y1, y2 shifted by g1, g2 is
+column (y1, y2) of W^- shifted by g1 - g2, and the plus transform's is column
+(y1, y2, u1 + g1 - g2) of W^+ shifted by g2.  So each transform rotates every
+joint column so that its first argmax row comes first, and merge_columns then
+pools columns proportional after rotation.  The base table, from
+from_cq_channel, is never rotated; the decoder reads only that one.
+
+Contract: a synthetic table is therefore a likelihood table *up to per-column
+group shifts*.  Its rows need not sum to 1 (the total mass is still q), and
+the entries of pairwise_fidelity(x, y) are not the channel's.  Only
+shift-invariant functionals are: I, every F_d, the average fidelity F,
+f_max, nested_fmax and quotient (a shift permutes the cosets of H, so the
+quotient is the true quotient up to a shift of its own columns).
+
 merge_columns groups columns by an exact key, the posteriors rounded to an
 absolute number of decimals.  It sorts the columns by a 64-bit hash of their
 keys, so equal keys sit next to each other, and sorts only one column per run
@@ -36,7 +53,6 @@ from .channel import (
     _profile_fd_table,
     _profile_nested_fmax,
     _profile_quotient,
-    _profile_restricted_quotient,
 )
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
@@ -50,16 +66,25 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 class DiagonalChannel:
-    """A classical channel P[x, y] over a group-indexed input alphabet."""
+    """A classical channel P[x, y] over a group-indexed input alphabet.
 
-    def __init__(self, alphabet: GroupOps, table: np.ndarray):
+    A table passed in must be row-stochastic.  The transforms and quotients
+    build theirs with ``shifted=True``: such a table is a likelihood table up
+    to a group shift of each column's rows (see the module docstring), so only
+    its total mass, q, is checked, and only shift-invariant functionals belong
+    to the channel.
+    """
+
+    def __init__(self, alphabet: GroupOps, table: np.ndarray, *, shifted: bool = False):
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[0] != alphabet.order:
             raise StructuralError("likelihood table must have one row per input")
         if np.any(table < -1e-12):
             raise StructuralError("likelihoods must be nonnegative")
-        rows = table.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-8:
+        if shifted:
+            if abs(table.sum() - alphabet.order) > 1e-8 * alphabet.order:
+                raise StructuralError("likelihood table must hold total mass q (one per input)")
+        elif np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-8:
             raise StructuralError("likelihood rows must sum to 1")
         self.alphabet = alphabet
         self.table = np.clip(table, 0.0, None)
@@ -84,7 +109,12 @@ class DiagonalChannel:
 
     # -- functionals -----------------------------------------------------------
     def holevo_information(self) -> float:
-        """Mutual information with uniform input, in nats."""
+        """Mutual information with uniform input, in nats.
+
+        Shift-invariant: the output distribution is the column sums, and the
+        row entropies enter only through their sum, which is a sum over all
+        entries, unchanged by permuting the entries within a column.
+        """
         avg = self.table.mean(axis=0)
         return max(
             0.0,
@@ -96,10 +126,15 @@ class DiagonalChannel:
         return float(self.pairwise_fidelity_matrix()[self._index(x), self._index(y)])
 
     def pairwise_fidelity_matrix(self) -> np.ndarray:
-        """Bhattacharyya coefficients sqrt(P) sqrt(P)^T, clipped to 1; cached."""
+        """Bhattacharyya coefficients sqrt(P) sqrt(P)^T, with diagonal 1; cached.
+
+        Of a shifted table only the shift-invariant sums of entries are the
+        channel's (F_d sums the d-th diagonal).  Single entries can exceed 1,
+        so they are not clipped: clipping would change those sums.
+        """
         if self._fidelity_matrix is None:
             root = np.sqrt(self.table)
-            self._fidelity_matrix = _frozen(np.minimum(root @ root.T, 1.0))
+            self._fidelity_matrix = _frozen(root @ root.T)
         return self._fidelity_matrix
 
     fd = _profile_fd
@@ -109,7 +144,7 @@ class DiagonalChannel:
 
     # -- transforms --------------------------------------------------------------
     def minus_transform(self, caps: ResourceCaps = None) -> "DiagonalChannel":
-        """P-(u1; y1 y2) = (1/q) sum_u2 P(u1+u2; y1) P(u2; y2), merged."""
+        """P-(u1; y1 y2) = (1/q) sum_u2 P(u1+u2; y1) P(u2; y2), rotated, merged."""
         q, m = self.q, self.alphabet_size
         (caps or default_caps()).check_columns(m * m, "minus transform joint alphabet")
         tab = self.alphabet.add_table
@@ -117,10 +152,11 @@ class DiagonalChannel:
         A = self.table[tab]
         joint = np.einsum("uvy,vz->uyz", A, self.table)
         joint /= q
-        return DiagonalChannel(self.alphabet, merge_columns(joint.reshape(q, m * m)))
+        joint = self._shift_canonical(joint.reshape(q, m * m))
+        return DiagonalChannel(self.alphabet, merge_columns(joint), shifted=True)
 
     def plus_transform(self, caps: ResourceCaps = None) -> "DiagonalChannel":
-        """P+(u2; y1 y2 u1) = (1/q) P(u1+u2; y1) P(u2; y2), merged."""
+        """P+(u2; y1 y2 u1) = (1/q) P(u1+u2; y1) P(u2; y2), rotated, merged."""
         q, m = self.q, self.alphabet_size
         (caps or default_caps()).check_columns(q * m * m, "plus transform joint alphabet")
         tab = self.alphabet.add_table
@@ -131,16 +167,21 @@ class DiagonalChannel:
                 "uy,uz->uyz", self.table[tab[u1]], self.table
             )
         out /= q
-        return DiagonalChannel(self.alphabet, merge_columns(out.reshape(q, q * m * m)))
+        out = self._shift_canonical(out.reshape(q, q * m * m))
+        return DiagonalChannel(self.alphabet, merge_columns(out), shifted=True)
+
+    def _shift_canonical(self, table: np.ndarray) -> np.ndarray:
+        """Rotate each column by a group shift so its first argmax row comes first."""
+        shifts = self.alphabet.add_table[:, np.argmax(table, axis=0)]
+        return np.take_along_axis(table, shifts, axis=0)
 
     # -- quotients ------------------------------------------------------------------
     def _average_cells(self, alphabet: GroupOps, cells) -> "DiagonalChannel":
         """The channel over ``alphabet`` whose row i averages the rows in cells[i]."""
         rows = self.table[np.array(cells)].mean(axis=1)
-        return DiagonalChannel(alphabet, merge_columns(rows))
+        return DiagonalChannel(alphabet, merge_columns(rows), shifted=True)
 
     quotient = _profile_quotient
-    restricted_quotient = _profile_restricted_quotient
     nested_fmax = _profile_nested_fmax
 
 

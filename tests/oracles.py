@@ -71,13 +71,15 @@ def classical_plus(table, add, q):
     return out
 
 
-def merge_columns_unique(table):
+def merge_columns_unique(table, decimals=_MERGE_DECIMALS):
     """Reference for diagonal.merge_columns, grouped with np.unique(axis=1).
 
     Same keys as the package (posteriors rounded to _MERGE_DECIMALS), but the
     columns are sorted whole, as records.  Groups come out in the same order
     and np.add.at sums each in column order, so the package must match this
-    bit for bit.
+    bit for bit.  With ``decimals=None`` the posteriors are not rounded: only
+    columns with float-equal posteriors merge, which leaves every functional
+    exact up to summation order.
     """
     table = np.asarray(table, dtype=float)
     sums = table.sum(axis=0)
@@ -85,7 +87,9 @@ def merge_columns_unique(table):
     table, sums = table[:, keep], sums[keep]
     if table.shape[1] == 0:
         raise StructuralError("channel has no outputs with positive probability")
-    posteriors = np.round(table / sums, _MERGE_DECIMALS)
+    posteriors = table / sums
+    if decimals is not None:
+        posteriors = np.round(posteriors, decimals)
     _, inverse = np.unique(posteriors, axis=1, return_inverse=True)
     merged = np.zeros((table.shape[0], int(inverse.max()) + 1))
     np.add.at(merged.T, inverse, table.T)

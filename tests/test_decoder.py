@@ -419,16 +419,18 @@ _NOISY = {
 
 # (errors, sha256 prefix of the sorted-key JSON report) for experiment seeds
 # 0-2, each with random then fixed sections, as the per-trial recursive
-# decoder reported them
+# decoder reported them; the z3-0.15, symmetric-q4-0.15 and depolarized
+# digests are re-pinned for the shift-canonical table engine, under which
+# only the plan's ``bound`` moved, in its last ulps
 _NOISY_PINNED = {
     "bsc-0.2-n6": [(21, "74a674a86d09"), (22, "6b91109f5c9c"), (22, "98c21e32272e"),
                    (24, "d028c01f1839"), (24, "46ff85f647a0"), (25, "4c210a001e30")],
-    "z3-0.15-n4": [(31, "d0a91e89f0b6"), (27, "ebf647f0e61b"), (31, "ce30247fd74d"),
-                   (30, "e3888c4ecbe5"), (29, "3a55a452fddf"), (34, "a1e3bf606d17")],
-    "symmetric-q4-0.15-n3": [(49, "1142b9a44fab"), (34, "48f2c67ee760"), (36, "b1e4e91cbe07"),
-                             (44, "0a101205c5f3"), (41, "6feee4234ec9"), (39, "9efdfcfdee74")],
-    "depolarized-q4-0.4-n3": [(8, "838e95c34013"), (11, "c393156b97fc"), (6, "382f2061ebd0"),
-                              (6, "382f2061ebd0"), (8, "838e95c34013"), (9, "1c1094e01b59")],
+    "z3-0.15-n4": [(31, "b3fbb1264eca"), (27, "5188eb6cfaee"), (31, "145f08e36cc9"),
+                   (30, "128cb2a96a97"), (29, "ed16adffc496"), (34, "70df194521aa")],
+    "symmetric-q4-0.15-n3": [(49, "096234e73945"), (34, "1ac1fdc92f7d"), (36, "370a665686fb"),
+                             (44, "00b0cdc484d7"), (41, "2cfdd22693b6"), (39, "8e0230ee054e")],
+    "depolarized-q4-0.4-n3": [(8, "6d04d49a395a"), (11, "a13639a5fd95"), (6, "2a41c6114106"),
+                              (6, "2a41c6114106"), (8, "6d04d49a395a"), (9, "79f31534ef93")],
     "symmetric-q4-0.25-n3": [(75, "b718e9d04e75"), (69, "758ad8f68a72"), (71, "6da1e44cd0f4"),
                              (75, "ee48eaf27a2a"), (82, "d25096abdf62"), (77, "f4693bb059d3")],
 }

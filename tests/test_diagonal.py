@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,11 +7,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     bec_erasure,
+    bhattacharyya,
     classical_fd,
     classical_minus,
     classical_plus,
+    coset_partition,
     merge_columns_unique,
     mutual_information_table,
+    residue_add,
+    residue_vectors,
 )
 
 from cqpolar.channel import CqChannel, HybridState, preset_channel
@@ -17,12 +23,14 @@ from cqpolar.config import ResourceCaps
 import cqpolar.diagonal as diagonal_mod
 from cqpolar.diagonal import DiagonalChannel, from_cq_channel, merge_columns
 from cqpolar.errors import CapacityError, StructuralError
-from cqpolar.groups import FiniteAbelianGroup, Subgroup
+from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
 from cqpolar.polarize import (
+    branch_order,
     minus_transform,
     parse_label,
     plus_transform,
     polarization_scan,
+    scan_conservation_defect,
     synthesize,
 )
 
@@ -229,6 +237,73 @@ def test_minus_plus_match_hybrid_engine_exactly():
             assert hybrid.fd(dd) == pytest.approx(table.fd(dd), abs=1e-10), name
 
 
+def _oracle_functionals(table, orders, add, subgroups):
+    """I, every F_d, and I and F of every quotient, by the oracle loops."""
+    q = len(table)
+    values = [mutual_information_table(table)]
+    values += [classical_fd(table, add, q, d) for d in range(q)]
+    for H in subgroups:
+        cells = coset_partition(orders, H.indices)
+        quot = np.array([np.mean([table[x] for x in cell], axis=0) for cell in cells])
+        pairs = [bhattacharyya(quot[i], quot[j])
+                 for i in range(len(cells)) for j in range(i + 1, len(cells))]
+        values += [mutual_information_table(quot), float(np.mean(pairs)) if pairs else 0.0]
+    return np.array(values)
+
+
+def _engine_functionals(d, subgroups):
+    values = [d.holevo_information()] + [d.fd(x) for x in range(d.q)]
+    for H in subgroups:
+        quot = d.quotient(H)
+        values += [quot.holevo_information(), quot.avg_fidelity()]
+    return np.array(values)
+
+
+@pytest.mark.parametrize(
+    "orders, outputs, n",
+    [([2], 2, 3), ([3], 3, 2), ([4], 3, 2), ([2, 2], 3, 2), ([5], 3, 2), ([6], 3, 2)],
+    ids=["Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6"],
+)
+def test_shifted_transforms_keep_every_invariant_on_random_tables(monkeypatch, orders, outputs, n):
+    """Shift-canonical columns against unshifted oracle transforms, both merged exactly.
+
+    With the rounded 12-decimal key the two sides would differ by ~1e-10 (the
+    key's own error, ROADMAP item 2), so both merge only float-equal posteriors.
+    """
+    merge_exact = functools.partial(merge_columns_unique, decimals=None)
+    monkeypatch.setattr(diagonal_mod, "merge_columns", merge_exact)
+    g = FiniteAbelianGroup(orders)
+    subgroups = enumerate_subgroups(g)
+    residues = residue_vectors(orders)
+    index = {r: i for i, r in enumerate(residues)}
+    add = lambda a, b: index[residue_add(orders, residues[a], residues[b])]
+    table = np.random.default_rng(sum(orders) * 10 + len(orders)).dirichlet(
+        np.ones(outputs), size=g.order
+    )
+    base = DiagonalChannel(g, table)
+    for signs in branch_order(n):
+        ref = table
+        for sign in signs:
+            step = classical_minus if sign == "-" else classical_plus
+            ref = merge_exact(step(ref, add, g.order))
+        got = _engine_functionals(synthesize(base, signs), subgroups)
+        want = _oracle_functionals(ref, orders, add, subgroups)
+        assert np.max(np.abs(got - want)) <= 1e-12, signs
+
+
+def test_z3_scans_to_depth_5_under_default_caps():
+    w = preset_channel("classical-symmetric", q=3, p=0.1)
+    recs = polarization_scan(w, 5)
+    assert len(recs) == 32
+    assert scan_conservation_defect(recs, w.holevo_information(), 5) <= 1e-10
+
+
+def test_bsc_depth_7_overflows_at_the_plus_transform():
+    with pytest.raises(CapacityError, match=r"branch [+-]{7} at depth 7: plus transform "
+                       r"joint alphabet: output alphabet size 3281922 exceeds cap"):
+        polarization_scan(preset_channel("classical-symmetric", q=2, p=0.11), 7)
+
+
 def engine_caps():
     return ResourceCaps()
 
@@ -286,3 +361,22 @@ def test_diagonal_channel_validation():
         DiagonalChannel(g, np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(StructuralError):
         DiagonalChannel(g, np.array([[1.2, -0.2], [0.5, 0.5]]))
+
+
+def test_only_shifted_tables_skip_the_row_check():
+    # total mass q, but the rows are not distributions
+    skewed = np.array([[0.6, 0.5], [0.4, 0.5]])
+    g = FiniteAbelianGroup([2])
+    with pytest.raises(StructuralError, match="rows must sum to 1"):
+        DiagonalChannel(g, skewed)
+    assert DiagonalChannel(g, skewed, shifted=True).table.sum() == pytest.approx(2.0)
+    with pytest.raises(StructuralError, match="total mass q"):
+        DiagonalChannel(g, 0.9 * skewed, shifted=True)
+
+
+def test_transforms_build_shifted_tables_from_a_stochastic_base():
+    w = preset_channel("classical-symmetric", q=3, p=0.1)
+    minus = minus_transform(from_cq_channel(w))
+    # a shift moves mass between rows, so the synthetic rows are not distributions
+    assert np.max(np.abs(minus.table.sum(axis=1) - 1.0)) > 1e-3
+    assert minus.table.sum() == pytest.approx(3.0, abs=1e-12)
