@@ -40,7 +40,6 @@ from .groups import (
 )
 from .linalg import (
     Povm,
-    Tolerances,
     angle,
     fidelity,
     pretty_good_measurement,
@@ -85,7 +84,6 @@ __all__ = [
     "random_section_map",
     "refine",
     "Povm",
-    "Tolerances",
     "angle",
     "fidelity",
     "pretty_good_measurement",

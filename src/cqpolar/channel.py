@@ -31,7 +31,7 @@ from .groups import (
     Subgroup,
     refine,
 )
-from .linalg import DEFAULT_TOL, Tolerances, entropy_of_probs, validate_density_matrix
+from .linalg import EQ_TOL, entropy_of_probs, validate_density_matrix
 from .states import (
     PureMixture,
     as_mixture,
@@ -57,8 +57,8 @@ class HybridState:
 
     __slots__ = ("branches", "_dict")
 
-    def __init__(self, branches, validate: bool = True, tol: Tolerances = DEFAULT_TOL):
-        cleaned = [(float(w), lab, as_mixture(st, tol)) for w, lab, st in branches if w > 0.0]
+    def __init__(self, branches, validate: bool = True):
+        cleaned = [(float(w), lab, as_mixture(st)) for w, lab, st in branches if w > 0.0]
         cleaned.sort(key=lambda b: _label_key(b[1]))
         self.branches = cleaned
         self._dict = None
@@ -67,7 +67,7 @@ class HybridState:
             if len(set(map(_label_key, labels))) != len(labels):
                 raise StructuralError("duplicate branch labels")
             total = sum(w for w, _, _ in cleaned)
-            if abs(total - 1.0) > max(tol.tol_trace, 1e-7):
+            if abs(total - 1.0) > EQ_TOL:
                 raise StructuralError(f"branch weights sum to {total!r}, not 1")
             dims = {st.dim for _, _, st in cleaned}
             if len(dims) > 1:
@@ -198,7 +198,7 @@ class CqChannel:
         One output per input index.
     """
 
-    def __init__(self, alphabet: GroupOps, outputs, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, alphabet: GroupOps, outputs):
         if len(outputs) != alphabet.order:
             raise StructuralError("channel must define an output for every input")
         dims = {h.dim for h in outputs}
@@ -207,7 +207,6 @@ class CqChannel:
         self.alphabet = alphabet
         self.outputs = list(outputs)
         self.k = dims.pop()
-        self.tol = tol
         self._fidelity_matrix = None
 
     # -- conveniences ---------------------------------------------------------
@@ -262,7 +261,7 @@ class CqChannel:
 
     # -- information functionals ----------------------------------------------
     def average_output(self) -> HybridState:
-        return _average_hybrid(self.outputs, self.tol)
+        return _average_hybrid(self.outputs)
 
     def holevo_information(self) -> float:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
@@ -310,8 +309,8 @@ class CqChannel:
     # -- quotient constructions --------------------------------------------------
     def _average_cells(self, alphabet: GroupOps, cells) -> "CqChannel":
         """The channel over ``alphabet`` whose i-th output averages cells[i]."""
-        outputs = [_average_hybrid([self.outputs[i] for i in c], self.tol) for c in cells]
-        return CqChannel(alphabet, outputs, self.tol)
+        outputs = [_average_hybrid([self.outputs[i] for i in c]) for c in cells]
+        return CqChannel(alphabet, outputs)
 
     quotient = _profile_quotient
     nested_fmax = _profile_nested_fmax
@@ -359,10 +358,10 @@ class CqChannel:
                 rows.append(block)
             flat = PureMixture(np.concatenate(weights), np.vstack(rows))
             outputs.append(HybridState([(1.0, (), flat)], validate=False))
-        return CqChannel(self.alphabet, outputs, self.tol)
+        return CqChannel(self.alphabet, outputs)
 
 
-def _average_hybrid(hybrids, tol: Tolerances) -> HybridState:
+def _average_hybrid(hybrids) -> HybridState:
     n = len(hybrids)
     per_label: dict = {}
     for h in hybrids:
@@ -374,7 +373,7 @@ def _average_hybrid(hybrids, tol: Tolerances) -> HybridState:
         (wtot, lab, mix_states([(w / wtot, st) for w, st in parts]))
         for lab, wtot, parts in per_label.values()
     ]
-    return HybridState(branches, tol=tol)
+    return HybridState(branches)
 
 
 # -- random channels and presets ---------------------------------------------------
@@ -411,8 +410,17 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
     depolarized-orthogonal(q, lam): (1-lam)|x><x| + lam I/q.
     random(q, k, seed, mixed=False): Haar-like random pure (or Wishart mixed) outputs.
     """
+
+    def param(key: str, kind):
+        if key not in params:
+            raise LoadError(f"preset {name!r} needs the parameter {key!r}")
+        try:
+            return kind(params[key])
+        except (TypeError, ValueError) as exc:
+            raise LoadError(f"preset {name!r}: bad {key} {params[key]!r}") from exc
+
     if name == "classical-symmetric":
-        q, p = int(params["q"]), float(params["p"])
+        q, p = param("q", int), param("p", float)
         if not 0.0 <= p <= 1.0:
             raise LoadError("flip probability must be in [0, 1]")
         g = FiniteAbelianGroup([q])
@@ -423,14 +431,14 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
             outputs.append(HybridState([(1.0, (), np.diag(probs.astype(complex)))]))
         return CqChannel(g, outputs)
     if name == "pure-states":
-        angles = [float(a) for a in params["angles"]]
+        angles = param("angles", lambda v: [float(a) for a in v])
         g = FiniteAbelianGroup([len(angles)])
         outputs = [
             HybridState([(1.0, (), pure_state([np.cos(a), np.sin(a)]))]) for a in angles
         ]
         return CqChannel(g, outputs)
     if name == "depolarized-orthogonal":
-        q, lam = int(params["q"]), float(params["lam"])
+        q, lam = param("q", int), param("lam", float)
         if not 0.0 <= lam <= 1.0:
             raise LoadError("depolarization weight must be in [0, 1]")
         g = FiniteAbelianGroup([q])
@@ -441,7 +449,7 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
             outputs.append(HybridState([(1.0, (), np.diag(m))]))
         return CqChannel(g, outputs)
     if name == "random":
-        q, k = int(params["q"]), int(params["k"])
+        q, k = param("q", int), param("k", int)
         g = FiniteAbelianGroup(params.get("group", [q]))
         if g.order != q:
             raise LoadError("group order does not match q")
@@ -515,7 +523,7 @@ def _real_matrix(value, k: int, what: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _state_from_json(spec, k: int, tol: Tolerances) -> HybridState:
+def _state_from_json(spec, k: int) -> HybridState:
     """A state entry: weighted, labelled ``branches``, or one bare matrix.
 
     A bare matrix reads as one branch of weight 1 labelled ().
@@ -529,14 +537,14 @@ def _state_from_json(spec, k: int, tol: Tolerances) -> HybridState:
         re = _real_matrix(br.get("re"), k, f"{at}re")
         im = np.zeros_like(re) if br.get("im") is None else _real_matrix(br["im"], k, f"{at}im")
         try:
-            mat = validate_density_matrix(re + 1j * im, tol)
+            mat = validate_density_matrix(re + 1j * im)
         except StructuralError as exc:
             raise StructuralError(f"{at}{exc}") from exc
         branches.append((float(w), () if bare else str(br.get("label", j)), mat))
-    return HybridState(branches, tol=tol)
+    return HybridState(branches)
 
 
-def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
+def load_channel(source) -> CqChannel:
     """Load and validate a channel from a JSON file path, string, or dict."""
     if isinstance(source, dict):
         obj = source
@@ -563,7 +571,7 @@ def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
         if outputs[idx] is not None:
             raise LoadError(f"input {key}: another key already names this input")
         try:
-            outputs[idx] = _state_from_json(spec, k, tol)
+            outputs[idx] = _state_from_json(spec, k)
         except StructuralError as exc:
             raise LoadError(f"input {key}: {exc}") from exc
     missing = [i for i, h in enumerate(outputs) if h is None]
@@ -571,7 +579,7 @@ def load_channel(source, tol: Tolerances = DEFAULT_TOL) -> CqChannel:
         shown = ", ".join(repr(g.element_by_index(i)) for i in missing[:5])
         more = ", ..." if len(missing) > 5 else ""
         raise LoadError(f"channel does not define inputs: {shown}{more} ({len(missing)} missing)")
-    return CqChannel(g, outputs, tol)
+    return CqChannel(g, outputs)
 
 
 def channel_to_json(W: CqChannel) -> dict:

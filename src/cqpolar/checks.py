@@ -1,7 +1,7 @@
 """Numerical verification suite: one runnable check per proved inequality.
 
 Every check evaluates both sides on a concrete instance and reports the
-slack.  ``margin`` is always oriented so that nonnegative (within tol_eq)
+slack.  ``margin`` is always oriented so that nonnegative (within EQ_TOL)
 means the statement holds; equality checks report minus the absolute
 deviation.  Conditional statements evaluate their hypotheses explicitly and
 pass vacuously (flagged) when the hypothesis fails, and the fuzz driver
@@ -46,7 +46,7 @@ from .groups import (
     quotient_cosets,
 )
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
     angle,
     fidelity,
     helstrom_error,
@@ -92,7 +92,7 @@ def _report(instance, lhs, rhs, eq=False, tol=None, hypothesis=True):
     if eq:
         margin, tol = -abs(lhs - rhs), EQ_TOL_STRICT if tol is None else tol
     else:
-        margin, tol = rhs - lhs, DEFAULT_TOL.tol_eq if tol is None else tol
+        margin, tol = rhs - lhs, EQ_TOL if tol is None else tol
     return CheckReport(
         "", instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
         bool(not hypothesis or margin >= -tol),
@@ -622,6 +622,8 @@ def _stable_hash(text: str) -> int:
 def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=None,
             caps: ResourceCaps = None):
     """Run every (or the named) check over a fuzz grid of channel sizes."""
+    if trials < 1:
+        raise StructuralError(f"a verify run needs at least one trial, got {trials}")
     caps = caps or default_caps()
     names = list(CHECKS) if checks in (None, "all") else list(checks)
     for name in names:

@@ -89,7 +89,7 @@ def _channel_from_args(args) -> CqChannel:
     if getattr(args, "k", None) is not None:
         params["k"] = args.k
     if getattr(args, "angles", None):
-        params["angles"] = [float(a) for a in args.angles.split(",")]
+        params["angles"] = args.angles.split(",")
     if getattr(args, "mixed", False):
         params["mixed"] = True
     return preset_channel(name, seed=getattr(args, "seed", None), **params)

@@ -41,7 +41,7 @@ import numpy as np
 from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
-from .linalg import Povm, hermitize, pretty_good_measurement, psd_inv_sqrt_support, psd_sqrt
+from .linalg import RCOND, Povm, hermitize, pretty_good_measurement, psd_inv_sqrt_support, psd_sqrt
 from .codes import (
     CodePlan,
     MessageVector,
@@ -54,7 +54,6 @@ from .polarize import decode_index, format_label
 from .states import mix_states, tensor_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
-_RCOND = 1e-12
 #: Received data of the trials decoded together, in bytes; bounds memory, not results.
 _BATCH_BYTES = 1 << 25
 
@@ -270,14 +269,14 @@ def _subspace_pgm(sigmas) -> _SubspacePovm:
     stack = np.vstack(comps)
     # basis of span{components}: SVD of the stacked component matrix
     ub, svals, _ = np.linalg.svd(stack.T, full_matrices=False)
-    keep = svals > _RCOND * (svals[0] if svals.size else 1.0)
+    keep = svals > RCOND * (svals[0] if svals.size else 1.0)
     basis = ub[:, keep]  # d x r
     m = len(sigmas)
     projected = []
     for c in comps:
         b = c @ basis.conj()  # rows: components in basis coords
         projected.append((b.T @ b.conj()) / m)  # prior 1/m folded in
-    s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)), rcond=_RCOND)
+    s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)))
     # remainder inside the subspace (rank-deficient S') plus the full kernel
     inner_rem = (np.eye(basis.shape[1]) - supp) / m
     effect_eigs = []
@@ -291,9 +290,9 @@ def _subspace_pgm(sigmas) -> _SubspacePovm:
 class _DensePovm:
     """A dense POVM with the square roots of its effects, for the state update."""
 
-    def __init__(self, povm: Povm, tol):
+    def __init__(self, povm: Povm):
         self.povm = povm
-        self.sqrts = [psd_sqrt(e, tol) for e in povm.effects]
+        self.sqrts = [psd_sqrt(e) for e in povm.effects]
 
     def probabilities(self, rho):
         return self.povm.outcome_probabilities(rho)
@@ -307,9 +306,9 @@ class _DensePovm:
         return self.povm
 
 
-def _dense_pgm(sigmas, tol) -> _DensePovm:
+def _dense_pgm(sigmas) -> _DensePovm:
     dense = [to_dense(s) for s in sigmas]
-    return _DensePovm(pretty_good_measurement(dense, tol=tol), tol)
+    return _DensePovm(pretty_good_measurement(dense))
 
 
 class _QuantumTrials:
@@ -364,7 +363,6 @@ class SCDecoder:
         self.group = plan.group
         self.n = plan.params.n
         self.N = plan.block_length
-        self.tol = self.channel.tol
         self.kind = self._classify()
         self._cells = [d.subgroup.cosets for d in plan.decisions]
         self._members = [d.subgroup.partition[0] for d in plan.decisions]
@@ -529,7 +527,7 @@ class SCDecoder:
         if hit is not None:
             return hit
         sigmas = self.conditional_states(i, prefix)
-        rep = _subspace_pgm(sigmas) if self.kind == "pure" else _dense_pgm(sigmas, self.tol)
+        rep = _subspace_pgm(sigmas) if self.kind == "pure" else _dense_pgm(sigmas)
         self._povm_cache[key] = rep
         return rep
 

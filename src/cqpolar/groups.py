@@ -167,10 +167,10 @@ class FiniteAbelianGroup(GroupOps):
 
     # -- element construction --------------------------------------------------
     def element(self, residues: Iterable[int]) -> GroupElement:
-        res = tuple(int(r) % n for r, n in zip(residues, self.cyclic_orders))
-        if len(res) != len(self.cyclic_orders):
+        residues = tuple(residues)
+        if len(residues) != len(self.cyclic_orders):
             raise StructuralError("residue vector length does not match the group")
-        return GroupElement(self, res)
+        return GroupElement(self, tuple(int(r) % n for r, n in zip(residues, self.cyclic_orders)))
 
     def zero(self) -> GroupElement:
         return GroupElement(self, (0,) * len(self.cyclic_orders))

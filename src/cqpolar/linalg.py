@@ -3,6 +3,15 @@
 Everything works on plain complex ndarrays.  All matrix functions go through
 a Hermitian eigendecomposition after explicit symmetrization, and entropies
 are in nats (natural logarithm) throughout.
+
+The tolerances of this toolkit, read also by states, channels, the decoder,
+the checks and rate regions, are module constants.  HERM_TOL, PSD_TOL and
+TRACE_TOL (1e-9) bound the accepted Hermiticity defect, eigenvalue negativity
+(relative to max(1, top eigenvalue); for a POVM effect, also the excess over
+1) and trace defect.  EQ_TOL (1e-7) is the slack of statements that rounding
+can break by a few ulps: inequality checks, weights summing to 1, effects
+summing to I, rate bounds.  RCOND (1e-12) is the share of the top eigenvalue
+below which an eigenvalue counts as kernel.
 """
 
 from __future__ import annotations
@@ -13,27 +22,11 @@ import numpy as np
 
 from .errors import StructuralError
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances used by validators and matrix repair.
-
-    tol_herm / tol_psd / tol_trace bound the accepted Hermiticity defect,
-    eigenvalue negativity and trace defect; tol_eq is the slack granted to
-    inequality checks.
-    """
-
-    tol_herm: float = 1e-9
-    tol_psd: float = 1e-9
-    tol_trace: float = 1e-9
-    tol_eq: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.tol_herm, self.tol_psd, self.tol_trace, self.tol_eq) < 0:
-            raise StructuralError("tolerances must be nonnegative")
-
-
-DEFAULT_TOL = Tolerances()
+HERM_TOL = 1e-9
+PSD_TOL = 1e-9
+TRACE_TOL = 1e-9
+EQ_TOL = 1e-7
+RCOND = 1e-12
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -41,54 +34,54 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
-def eigh_psd(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def eigh_psd(mat: np.ndarray):
     """Eigendecomposition of a nominally-PSD Hermitian matrix.
 
-    Eigenvalues in [-tol_psd, 0) are clipped to zero; anything more negative
-    is a hard error rather than a silent repair.
+    Eigenvalues in [-PSD_TOL * max(1, top), 0) are clipped to zero; anything
+    more negative is a hard error rather than a silent repair.
     """
     vals, vecs = np.linalg.eigh(hermitize(mat))
-    if vals.size and vals[0] < -tol.tol_psd * max(1.0, float(vals[-1])):
+    if vals.size and vals[0] < -PSD_TOL * max(1.0, float(vals[-1])):
         raise StructuralError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
     return np.clip(vals, 0.0, None), vecs
 
 
-def validate_density_matrix(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
     """Check Hermiticity/PSD/trace of a density matrix and return a repaired copy.
 
     Repair is limited to symmetrization, clipping eigenvalues in
-    [-tol_psd, 0) and renormalizing the trace within tol_trace.
+    [-PSD_TOL, 0) and renormalizing the trace within TRACE_TOL.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StructuralError(f"density matrix must be square, got shape {mat.shape}")
     defect = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    if defect > tol.tol_herm:
+    if defect > HERM_TOL:
         raise StructuralError(f"matrix is not Hermitian: defect {defect:.3e}")
-    vals, vecs = eigh_psd(mat, tol)
+    vals, vecs = eigh_psd(mat)
     tr = float(vals.sum())
-    if abs(tr - 1.0) > tol.tol_trace:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise StructuralError(f"density matrix trace {tr!r} != 1")
     vals = vals / tr
     return (vecs * vals) @ vecs.conj().T
 
 
-def psd_sqrt(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    vals, vecs = eigh_psd(mat, tol)
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    vals, vecs = eigh_psd(mat)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def psd_inv_sqrt_support(mat: np.ndarray, tol: Tolerances = DEFAULT_TOL, rcond: float = 1e-12):
+def psd_inv_sqrt_support(mat: np.ndarray):
     """Inverse square root on the support of a PSD matrix.
 
-    Returns (inv_sqrt, support_projector); eigenvalues below ``rcond`` times
+    Returns (inv_sqrt, support_projector); eigenvalues below ``RCOND`` times
     the largest are treated as kernel.
     """
-    vals, vecs = eigh_psd(mat, tol)
+    vals, vecs = eigh_psd(mat)
     top = float(vals[-1]) if vals.size else 0.0
     if top <= 0.0:
         raise StructuralError("matrix has empty support")
-    keep = vals > rcond * top
+    keep = vals > RCOND * top
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
     inv_sqrt = (vecs * inv) @ vecs.conj().T
@@ -101,7 +94,7 @@ def _check_same_dim(rho: np.ndarray, sigma: np.ndarray) -> None:
         raise StructuralError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)), clipped to [0, 1].
 
     Evaluated as the nuclear norm of sqrt(rho) sqrt(sigma): the singular
@@ -109,7 +102,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) 
     product, whose clipping noise gets amplified by the square root.
     """
     _check_same_dim(rho, sigma)
-    prod = psd_sqrt(rho, tol) @ psd_sqrt(sigma, tol)
+    prod = psd_sqrt(rho) @ psd_sqrt(sigma)
     return float(min(1.0, np.linalg.svd(prod, compute_uv=False).sum()))
 
 
@@ -127,15 +120,15 @@ def entropy_of_probs(p: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(rho log rho) in nats; tiny eigenvalues are clipped to zero."""
-    vals, _ = eigh_psd(rho, tol)
+    vals, _ = eigh_psd(rho)
     return entropy_of_probs(vals)
 
 
-def angle(rho: np.ndarray, sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> float:
+def angle(rho: np.ndarray, sigma: np.ndarray) -> float:
     """arccos of the fidelity; a metric on density matrices."""
-    return float(np.arccos(np.clip(fidelity(rho, sigma, tol), 0.0, 1.0)))
+    return float(np.arccos(np.clip(fidelity(rho, sigma), 0.0, 1.0)))
 
 
 def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float:
@@ -156,17 +149,17 @@ class Povm:
     def dim(self) -> int:
         return self.effects[0].shape[0]
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for e in self.effects:
             vals = np.linalg.eigvalsh(hermitize(e))
-            if vals[0] < -tol.tol_psd:
+            if vals[0] < -PSD_TOL:
                 raise StructuralError(f"effect not PSD: min eigenvalue {vals[0]:.3e}")
-            if vals[-1] > 1.0 + tol.tol_psd:
+            if vals[-1] > 1.0 + PSD_TOL:
                 raise StructuralError(f"effect exceeds identity: max eigenvalue {vals[-1]:.3e}")
             total += e
         defect = np.max(np.abs(total - np.eye(self.dim)))
-        if defect > max(tol.tol_trace, 1e-7):
+        if defect > EQ_TOL:
             raise StructuralError(f"effects do not sum to the identity: defect {defect:.3e}")
 
     def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
@@ -174,9 +167,7 @@ class Povm:
         return np.clip(p, 0.0, None)
 
 
-def pretty_good_measurement(
-    states: list, priors=None, tol: Tolerances = DEFAULT_TOL
-) -> Povm:
+def pretty_good_measurement(states: list, priors=None) -> Povm:
     """The square-root measurement for an ensemble of density matrices.
 
     Effects are S^{-1/2} p_x rho_x S^{-1/2} with S the ensemble average; the
@@ -187,13 +178,13 @@ def pretty_good_measurement(
     if priors is None:
         priors = np.full(n, 1.0 / n)
     priors = np.asarray(priors, dtype=float)
-    if abs(priors.sum() - 1.0) > 1e-9 or np.any(priors < 0):
+    if abs(priors.sum() - 1.0) > TRACE_TOL or np.any(priors < 0):
         raise StructuralError("priors must be a probability vector")
     dim = states[0].shape[0]
     avg = sum(p * s for p, s in zip(priors, states))
     if float(np.real(np.trace(avg))) <= 0.0:
         raise StructuralError("ensemble average state is zero")
-    inv_sqrt, proj = psd_inv_sqrt_support(avg, tol)
+    inv_sqrt, proj = psd_inv_sqrt_support(avg)
     remainder = (np.eye(dim) - proj) / n
     effects = [hermitize(inv_sqrt @ (p * s) @ inv_sqrt) + remainder for p, s in zip(priors, states)]
     return Povm(effects)
@@ -210,7 +201,7 @@ def povm_error_probability(povm: Povm, states: list, priors=None) -> float:
     return float(1.0 - min(1.0, success))
 
 
-def sequential_measure(effects: list, rho: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def sequential_measure(effects: list, rho: np.ndarray):
     """Apply sqrt(Pi_i) . sqrt(Pi_i) for each operator in order.
 
     Returns (survival probability, unnormalized post-state).  Each operator
@@ -219,9 +210,9 @@ def sequential_measure(effects: list, rho: np.ndarray, tol: Tolerances = DEFAULT
     post = np.asarray(rho, dtype=complex)
     for pi in effects:
         vals = np.linalg.eigvalsh(hermitize(pi))
-        if vals[0] < -tol.tol_psd or vals[-1] > 1.0 + tol.tol_psd:
+        if vals[0] < -PSD_TOL or vals[-1] > 1.0 + PSD_TOL:
             raise StructuralError("sequential-measurement operator is not in [0, I]")
-        sq = psd_sqrt(pi, tol)
+        sq = psd_sqrt(pi)
         post = sq @ post @ sq
     return float(np.real(np.trace(post))), post
 
@@ -233,9 +224,7 @@ def union_bound_rhs(effects: list, rho: np.ndarray) -> float:
     return float(2.0 * np.sqrt(r) * np.sqrt(missing))
 
 
-def trace_sqrt_subadditivity_check(
-    A: np.ndarray, B: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> bool:
-    """True iff Tr sqrt(A+B) <= Tr sqrt(A) + Tr sqrt(B) within tol_eq."""
+def trace_sqrt_subadditivity_check(A: np.ndarray, B: np.ndarray) -> bool:
+    """True iff Tr sqrt(A+B) <= Tr sqrt(A) + Tr sqrt(B) within EQ_TOL."""
     tr = lambda m: float(np.sqrt(np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)).sum())
-    return tr(A + B) <= tr(A) + tr(B) + tol.tol_eq
+    return tr(A + B) <= tr(A) + tr(B) + EQ_TOL

@@ -18,8 +18,7 @@ from .channel import CqChannel, random_cq_channel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import FiniteAbelianGroup, Subgroup
-
-_TOL = 1e-9
+from .linalg import EQ_TOL
 
 
 def _subset_rate(channel, info: float, gs: Subgroup) -> float:
@@ -92,15 +91,15 @@ class RateRegion:
     num_users: int
     constraints: dict  # frozenset -> float
 
-    def validate(self, tol: float = 1e-7) -> None:
-        if self.constraints.get(frozenset(), 0.0) > tol:
+    def validate(self) -> None:
+        if self.constraints.get(frozenset(), 0.0) > EQ_TOL:
             raise StructuralError("the empty subset must have zero rate")
         subsets = list(self.constraints)
         for s in subsets:
-            if self.constraints[s] < -tol:
+            if self.constraints[s] < -EQ_TOL:
                 raise StructuralError("rate bounds must be nonnegative")
             for t in subsets:
-                if s < t and self.constraints[s] > self.constraints[t] + tol:
+                if s < t and self.constraints[s] > self.constraints[t] + EQ_TOL:
                     raise StructuralError("rate bounds must be monotone in the subset")
 
     def bound(self, users) -> float:

@@ -103,8 +103,8 @@ def minus_transform(W, caps: ResourceCaps = None):
             (wtot, lab, mix_states([(w / wtot, st) for w, st in parts]))
             for lab, (wtot, parts) in acc.items()
         ]
-        outputs.append(HybridState(branches, tol=W.tol))
-    return CqChannel(W.alphabet, outputs, W.tol)
+        outputs.append(HybridState(branches))
+    return CqChannel(W.alphabet, outputs)
 
 
 def plus_transform(W, caps: ResourceCaps = None):
@@ -123,8 +123,8 @@ def plus_transform(W, caps: ResourceCaps = None):
             for w, lab, st in _pair_branches(W, u1, u2, pos)
         ]
         caps.check_branches(len(branches), "plus transform")
-        outputs.append(HybridState(branches, tol=W.tol))
-    return CqChannel(W.alphabet, outputs, W.tol)
+        outputs.append(HybridState(branches))
+    return CqChannel(W.alphabet, outputs)
 
 
 def _child(W, signs: BranchLabel, caps: ResourceCaps):
@@ -203,7 +203,12 @@ def make_record(channel, branch: BranchLabel, subgroups) -> PolarizationRecord:
 
 
 def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None):
-    """Depth-first generator of (signs, W^signs) over all depth-n branches."""
+    """Depth-first generator of (signs, W^signs) over all depth-n branches.
+
+    A negative depth is refused here, when it is called, before any transform.
+    """
+    if n < 0:
+        raise StructuralError(f"depth n must be >= 0, got {n}")
     caps = caps or default_caps()
 
     def rec(channel, signs):
@@ -213,7 +218,7 @@ def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None):
         for sign in (MINUS, PLUS):
             yield from rec(_child(channel, signs + (sign,), caps), signs + (sign,))
 
-    yield from rec(_routed(W), ())
+    return rec(_routed(W), ())
 
 
 def polarization_scan(W, n: int, caps: ResourceCaps = None, subgroups=None):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .linalg import DEFAULT_TOL, Tolerances, eigh_psd, entropy_of_probs, hermitize
+from .linalg import PSD_TOL, eigh_psd, entropy_of_probs, hermitize
 
 _EPS = np.finfo(float).eps
 
@@ -59,7 +59,7 @@ def pure_state(vec) -> PureMixture:
     return PureMixture(np.array([1.0]), (v / n)[None, :])
 
 
-def _eigen_factor(mat: np.ndarray, tol: Tolerances) -> PureMixture:
+def _eigen_factor(mat: np.ndarray) -> PureMixture:
     """A dense state as the mixture of its eigenvectors.
 
     Eigenvalues at rounding level (at most dim * eps * the largest) are
@@ -70,20 +70,20 @@ def _eigen_factor(mat: np.ndarray, tol: Tolerances) -> PureMixture:
     d = mat.shape[0]
     diag = np.real(np.diag(mat))
     if not np.any(mat - np.diag(diag)):
-        if diag.size and diag.min() < -tol.tol_psd * max(1.0, float(diag.max())):
+        if diag.size and diag.min() < -PSD_TOL * max(1.0, float(diag.max())):
             raise StructuralError(f"matrix is not PSD: min eigenvalue {diag.min():.3e}")
         keep = diag > 0.0
         return PureMixture(diag[keep], np.eye(d, dtype=complex)[keep])
-    vals, vecs = eigh_psd(mat, tol)
+    vals, vecs = eigh_psd(mat)
     keep = vals > d * _EPS * vals[-1]
     return PureMixture(vals[keep], vecs[:, keep].T)
 
 
-def as_mixture(state, tol: Tolerances = DEFAULT_TOL) -> PureMixture:
+def as_mixture(state) -> PureMixture:
     """Any branch state (a mixture or a dense matrix) in factored form."""
     if isinstance(state, PureMixture):
         return state
-    return _eigen_factor(np.asarray(state, dtype=complex), tol)
+    return _eigen_factor(np.asarray(state, dtype=complex))
 
 
 def to_dense(state: PureMixture) -> np.ndarray:
@@ -110,7 +110,7 @@ def mix_states(weighted) -> PureMixture:
         np.vstack([s.vecs for _, s in weighted]),
     )
     if mix.rank_bound > mix.dim:
-        return _eigen_factor(to_dense(mix), DEFAULT_TOL)
+        return _eigen_factor(to_dense(mix))
     return mix
 
 
@@ -159,9 +159,6 @@ def state_fidelity(a: PureMixture, b: PureMixture) -> float:
     return factor_fidelity(a.scaled_components(), b.scaled_components())
 
 
-def state_is_diagonal(state: PureMixture, atol: float = 0.0) -> bool:
+def state_is_diagonal(state: PureMixture) -> bool:
     m = to_dense(state)
-    if not m.size:
-        return True
-    off = m - np.diag(np.diag(m))
-    return bool(np.max(np.abs(off)) <= atol)
+    return not np.any(m - np.diag(np.diag(m)))

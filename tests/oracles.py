@@ -294,5 +294,5 @@ def subset_information_direct(mac, users) -> float:
             for c, r in zip(fixed_coords, fres):
                 res[c] = r
             outputs.append(mac.channel.outputs[g.element(res).index])
-        values.append(CqChannel(free_group, outputs, mac.channel.tol).holevo_information())
+        values.append(CqChannel(free_group, outputs).holevo_information())
     return float(np.mean(values))

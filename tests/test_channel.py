@@ -218,6 +218,10 @@ def test_presets():
         preset_channel("no-such-family", q=2)
     with pytest.raises(LoadError):
         preset_channel("classical-symmetric", q=2, p=1.5)
+    with pytest.raises(LoadError, match="needs the parameter 'lam'"):
+        preset_channel("depolarized-orthogonal", q=3)
+    with pytest.raises(LoadError, match="bad q"):
+        preset_channel("random", q="two", k=2)
 
 
 def test_channel_json_roundtrip():

@@ -336,6 +336,49 @@ def test_missing_channel_args_is_validation_error(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "preset,named",
+    [
+        (["--preset", "pure-states", "--angles", "0,x"], "angles"),
+        (["--preset", "classical-symmetric", "--p", "0.1"], "'q'"),
+        (["--preset", "random", "--q", "2"], "'k'"),
+    ],
+    ids=["bad-angle", "symmetric-without-q", "random-without-k"],
+)
+def test_bad_preset_parameters_are_validation_errors(tmp_path, preset, named):
+    res = run_cli("polarize", *preset, "--n", "1", "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: preset "), res.stderr
+    assert named in res.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        ["--preset", "classical-symmetric", "--q", "2", "--p", "0.1"],
+        ["--preset", "pure-states", "--angles", "0,0.9"],
+    ],
+    ids=["bsc", "pure-qubit"],
+)
+def test_polarize_refuses_a_negative_depth(tmp_path, preset):
+    res = run_cli("polarize", *preset, "--n", "-1", "--out", str(tmp_path / "s.csv"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: depth n must be >= 0"), res.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_refuses_a_non_positive_trial_count(tmp_path, trials):
+    out = tmp_path / "v.jsonl"
+    res = run_cli("verify", "--trials", trials, "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: a verify run needs at least one trial"), (
+        res.stderr
+    )
+    assert not out.exists()
+
+
 def test_verify_all_checks(tmp_path):
     out = tmp_path / "verify.jsonl"
     res = run_cli("verify", "--checks", "all", "--trials", "3", "--seed", "2", "--out", str(out))

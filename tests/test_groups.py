@@ -48,6 +48,14 @@ def test_add_mismatched_groups():
         add(Z4.element([1]), Z22.element([1, 0]))
 
 
+@pytest.mark.parametrize("residues", [(1,), (1, 2, 5), ()], ids=["short", "long", "empty"])
+def test_element_refuses_a_wrong_residue_count(residues):
+    z2z3 = FiniteAbelianGroup([2, 3])
+    assert z2z3.element((1, 5)).residues == (1, 2)
+    with pytest.raises(StructuralError, match="residue vector length"):
+        z2z3.element(residues)
+
+
 def test_negation_and_subtraction():
     a = Z4.element([3])
     assert (-a).residues == (1,)

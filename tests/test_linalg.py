@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqpolar.channel import random_density
+from cqpolar.channel import HybridState, random_density
 from cqpolar.errors import StructuralError
 from cqpolar.linalg import (
     Povm,
-    Tolerances,
     angle,
+    eigh_psd,
     fidelity,
     helstrom_error,
     povm_error_probability,
     pretty_good_measurement,
+    psd_inv_sqrt_support,
     sequential_measure,
     trace_distance,
     trace_sqrt_subadditivity_check,
@@ -20,6 +21,7 @@ from cqpolar.linalg import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from cqpolar.mac import RateRegion
 from cqpolar.states import (
     PureMixture,
     as_mixture,
@@ -203,16 +205,57 @@ def test_trace_sqrt_subadditivity():
         assert trace_sqrt_subadditivity_check(a, b)
 
 
+def _rates(empty=0.0, first=0.5):
+    """A two-user region {S: bound}; the full set bounds 0.5."""
+    return RateRegion(
+        2, {frozenset(): empty, frozenset({0}): first, frozenset({1}): 0.1, frozenset({0, 1}): 0.5}
+    )
+
+
+# Each check that reads the linalg tolerance table, as (limit, check run at a defect d).
+# The check must accept d = 0.9 * limit and raise StructuralError at d = 1.1 * limit.
+THRESHOLDS = [
+    pytest.param(1e-9, lambda d: validate_density_matrix(np.array([[0.5, 0.25 + d], [0.25, 0.5]])),
+                 id="density-hermiticity"),
+    pytest.param(1e-9, lambda d: validate_density_matrix(np.diag([0.5 + d, 0.5])),
+                 id="density-trace"),
+    pytest.param(1e-9, lambda d: eigh_psd(np.diag([-d, 1.0])), id="eigh-psd"),
+    pytest.param(1e-8, lambda d: eigh_psd(np.diag([-d, 10.0])), id="eigh-psd-relative"),
+    pytest.param(1e-9, lambda d: as_mixture(np.diag([-d, 1.0]).astype(complex)),
+                 id="diagonal-state-psd"),
+    pytest.param(1e-7, lambda d: HybridState([(0.5 + d, "a", KET0), (0.5, "b", KET1)]),
+                 id="branch-weight-sum"),
+    pytest.param(1e-7, lambda d: Povm([np.diag([0.5 + d, 0.5]), np.eye(2) / 2]).validate(),
+                 id="povm-completeness"),
+    pytest.param(1e-9, lambda d: Povm([np.diag([-d, 0.5]), np.diag([1 + d, 0.5])]).validate(),
+                 id="povm-effect-range"),
+    pytest.param(1e-9, lambda d: sequential_measure([np.diag([1 + d, 0.5])], KET0),
+                 id="sequential-operator-range"),
+    pytest.param(1e-7, lambda d: _rates(empty=d).validate(), id="rate-empty-subset"),
+    pytest.param(1e-7, lambda d: _rates(first=-d).validate(), id="rate-nonnegative"),
+    pytest.param(1e-7, lambda d: _rates(first=0.5 + d).validate(), id="rate-monotone"),
+]
+
+
+@pytest.mark.parametrize("limit,check", THRESHOLDS)
+def test_threshold_accepts_just_inside_and_rejects_just_outside(limit, check):
+    check(0.9 * limit)
+    with pytest.raises(StructuralError):
+        check(1.1 * limit)
+
+
+@pytest.mark.parametrize("small,in_support", [(1.1e-12, True), (0.9e-12, False)])
+def test_support_cutoff_is_relative_to_the_largest_eigenvalue(small, in_support):
+    for top in (1.0, 100.0):
+        _, proj = psd_inv_sqrt_support(np.diag([top, small * top]))
+        assert np.array_equal(proj.real.round(12), np.diag([1.0, float(in_support)]))
+
+
 def test_povm_validation_failures():
     with pytest.raises(StructuralError):
         Povm([np.diag([1.5, 0.0]).astype(complex), np.diag([-0.5, 1.0]).astype(complex)]).validate()
     with pytest.raises(StructuralError):
         Povm([np.eye(2, dtype=complex) * 0.5]).validate()
-
-
-def test_tolerances_nonnegative():
-    with pytest.raises(StructuralError):
-        Tolerances(tol_herm=-1.0)
 
 
 # -- pure-mixture representation ---------------------------------------------------

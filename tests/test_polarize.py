@@ -7,13 +7,15 @@ from oracles import classical_fd, classical_minus, classical_plus, mutual_inform
 from cqpolar.channel import CqChannel, HybridState, preset_channel
 from cqpolar.config import ResourceCaps
 from cqpolar.diagonal import from_cq_channel
-from cqpolar.errors import CapacityError
+from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
+import cqpolar.polarize as polarize_mod
 from cqpolar.polarize import (
     branch_order,
     decode_index,
     format_label,
     intermediate_fraction,
+    iter_synthetic_channels,
     label_from_index,
     make_record,
     minus_transform,
@@ -128,6 +130,22 @@ def test_synthesize_capacity_error():
     w = pure_overlap_channel(0.5)
     with pytest.raises(CapacityError):
         synthesize(w, parse_label("-----"), ResourceCaps(dim_cap=8))
+
+
+@pytest.mark.parametrize(
+    "W",
+    [preset_channel("classical-symmetric", q=2, p=0.1), pure_overlap_channel(0.5)],
+    ids=["bsc", "pure"],
+)
+def test_negative_depth_is_refused_before_any_transform(monkeypatch, W):
+    def no_transform(*args):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(polarize_mod, "_child", no_transform)
+    with pytest.raises(StructuralError, match="depth n must be >= 0"):
+        iter_synthetic_channels(W, -1)
+    with pytest.raises(StructuralError, match="depth n must be >= 0"):
+        polarization_scan(W, -3)
 
 
 def test_scan_fixture_is_homomorphism_endpoint(z4_homomorphism_channel):

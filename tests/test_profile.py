@@ -229,7 +229,7 @@ def _count_calls(monkeypatch, cls, attr):
 
 @pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
 def test_each_pair_evaluated_once(monkeypatch, name, W):
-    W = CqChannel(W.alphabet, W.outputs, W.tol)  # a fresh, uncached channel
+    W = CqChannel(W.alphabet, W.outputs)  # a fresh, uncached channel
     calls = _count_calls(monkeypatch, CqChannel, "pairwise_fidelity")
     full = Subgroup(W.alphabet, tuple(range(W.q)))
     for _ in range(3):
@@ -248,9 +248,9 @@ def test_each_dense_branch_decomposed_once(monkeypatch):
     calls = []
     original = states_mod._eigen_factor
 
-    def counted(mat, tol):
+    def counted(mat):
         calls.append(mat.shape)
-        return original(mat, tol)
+        return original(mat)
 
     monkeypatch.setattr(states_mod, "_eigen_factor", counted)
     W = _mixed_branch_channel(np.random.default_rng(3), [4])

@@ -1,11 +1,13 @@
 """The benchmark tracer still finds every name it wraps, and puts each one back.
 
 ``perfbench/tracing.py`` wraps functions and methods of the package from the
-outside, by name.  A refactor that moves or deletes one of those names fails
-here instead of in a traced benchmark run.
+outside, by name, and some of its callbacks read their positional arguments.
+A refactor that moves or deletes one of those names, or reorders those
+arguments, fails here instead of in a traced benchmark run.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -30,10 +32,15 @@ def _changed(before: dict, after: dict) -> set:
     return {key for key in before.keys() | after.keys() if before.get(key) is not after.get(key)}
 
 
-def test_tracer_install_wraps_and_uninstall_restores():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_install_wraps_and_uninstall_restores():
+    tracing = _load_tracing()
     tracer = tracing.Tracer()
     import cqpolar.cli  # noqa: F401 -- load every module install() imports first
 
@@ -47,3 +54,30 @@ def test_tracer_install_wraps_and_uninstall_restores():
     finally:
         tracer.uninstall()
     assert not _changed(before, _package_attributes())
+
+
+def test_traced_pass_runs_every_callback_and_yields_finite_metrics(tmp_path):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    from cqpolar import cli
+
+    tracing.install(tracer)
+    try:
+        tracer.begin_pass()
+        assert cli.main([
+            "verify", "--checks", "mixture-fidelity-subadditive,pgm-error-bound",
+            "--trials", "1", "--out", str(tmp_path / "v.jsonl"),
+        ]) == 0
+        assert cli.main([
+            "polarize", "--preset", "pure-states", "--angles", "0,0.9", "--n", "1",
+            "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+        tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+    assert metrics["linalg.fidelity_calls"] > 0
+    assert metrics["linalg.pgm_calls"] > 0
+    assert metrics["linalg.max_dim"] > 0  # the fidelity and PGM callbacks read their arguments
+    assert metrics["polarize.transform_calls"] == 2
