@@ -624,6 +624,9 @@ def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=Non
     """Run every (or the named) check over a fuzz grid of channel sizes."""
     if trials < 1:
         raise StructuralError(f"a verify run needs at least one trial, got {trials}")
+    for what, sizes, least in (("q", qs, 2), ("k", ks, 1)):  # the checks need an input x != 0
+        if not sizes or min(sizes) < least:
+            raise StructuralError(f"verify sizes {what} must be >= {least}, got {list(sizes)}")
     caps = caps or default_caps()
     names = list(CHECKS) if checks in (None, "all") else list(checks)
     for name in names:

@@ -106,6 +106,16 @@ def _add_channel_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mixed", action="store_true", help="mixed outputs (random preset)")
 
 
+def _user_orders(text: str) -> list:
+    """``--users`` as per-user cyclic orders: ';' between users, ',' between factors."""
+    try:
+        return [[int(x) for x in user.split(",")] for user in text.split(";")]
+    except ValueError:
+        raise StructuralError(
+            f"--users {text!r}: want integer cyclic orders, e.g. '2;2' or '2,2;4'"
+        ) from None
+
+
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -230,8 +240,8 @@ def cmd_decode_sim(args) -> int:
 def cmd_verify(args) -> int:
     started = time.time()
     names = None if args.checks == "all" else [c.strip() for c in args.checks.split(",")]
-    qs = [args.q] if args.q else (2, 3, 4)
-    ks = [args.k] if args.k else (2, 3)
+    qs = [args.q] if args.q is not None else (2, 3, 4)
+    ks = [args.k] if args.k is not None else (2, 3)
     reports = run_all(seed=args.seed, trials=args.trials, qs=qs, ks=ks, checks=names)
     lines = [json.dumps(r.as_json(), sort_keys=True) for r in reports]
     summary = summarize(reports)
@@ -251,7 +261,7 @@ def cmd_verify(args) -> int:
 
 def cmd_mac_region(args) -> int:
     started = time.time()
-    user_orders = [[int(x) for x in user.split(",")] for user in args.users.split(";")]
+    user_orders = _user_orders(args.users)
     if args.channel:
         ch = load_channel(args.channel)
         mac = MacChannel(user_orders, ch)

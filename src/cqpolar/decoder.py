@@ -21,13 +21,16 @@ drawn in advance, one per multi-coset step, as ``Generator.choice`` would.
 The quantum step object, ``_QuantumTrials``, measures each trial with the PGM
 of the conditional states and applies the sqrt(E) . sqrt(E) update to the
 outcome picked; a trial whose state vanishes collapses and is skipped from
-then on.  Conditional states are factored mixtures, computed by the polar
-block recursion and memoized; step POVMs are cached by (step, prefix) across
-trials.  A channel whose outputs carry several classical labels is first
-flattened into one block-diagonal state per input.
+then on.  Trials that share a decided prefix share that POVM, so each step
+measures and updates the trials group by group, one stack per prefix, and
+builds the step's missing POVMs in stacked LAPACK calls.  Conditional states
+are factored mixtures, computed by the polar block recursion and memoized;
+step POVMs are cached by (step, prefix) across trials.  A channel whose
+outputs carry several classical labels is first flattened into one
+block-diagonal state per input.
 
 ``error_experiment`` runs whole batches of trials as arrays: each trial's
-randomness comes from four vectorized draws, and the batch is lifted through
+randomness comes from two vectorized draws, and the batch is lifted through
 one member table, encoded by the batched butterfly and transmitted in one
 step before ``_decode_batch`` decodes it.
 """
@@ -41,7 +44,7 @@ import numpy as np
 from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
-from .linalg import RCOND, Povm, hermitize, pretty_good_measurement, psd_inv_sqrt_support, psd_sqrt
+from .linalg import RCOND, Povm, hermitize, pgm_effects, psd_inv_sqrt_support, psd_sqrt
 from .codes import (
     CodePlan,
     MessageVector,
@@ -218,134 +221,186 @@ def _padded(rows, width: int) -> np.ndarray:
 # -- step objects ------------------------------------------------------------------
 
 
+def _sqnorms(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of each row of a (t, d) array, one dot product per row."""
+    return (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
+
+
+def _groups(keys) -> list:
+    """The positions of equal keys, one list per distinct key, in order of first appearance."""
+    out = {}
+    for j, key in enumerate(keys):
+        out.setdefault(key, []).append(j)
+    return list(out.values())
+
+
 class _SubspacePovm:
     """A POVM stored in the span of its conditional-state components.
 
     E_u = Q M_u Q† + kernel_share (I - Q Q†), with Q an orthonormal basis of
-    the joint support.  Initial states always lie in the support, so the
-    kernel part never fires during decoding; it exists so densified effects
-    sum to the identity exactly.
+    the joint support and M_u = U_u diag(vals_u) U_u†.  Initial states always
+    lie in the support, so the kernel part never fires during decoding; it
+    exists so densified effects sum to the identity exactly.  It measures a
+    stack of state vectors at once, the trials of one prefix group, with one
+    product per trial, so that a trial's numbers do not depend on its group.
     """
 
-    def __init__(self, basis, effect_eigs, kernel_share):
+    def __init__(self, basis, vecs, vals, kernel_share):
         self.basis = basis  # d x r, orthonormal columns
-        self.effect_eigs = effect_eigs  # list of (U r x r, vals r)
+        self.vecs = vecs  # (outcomes, r, r): the eigenbases U_u
+        self.vals = vals  # (outcomes, r): their eigenvalues, clipped at 0
         self.kernel_share = kernel_share
 
-    def probabilities(self, psi):
-        coords = self.basis.conj().T @ psi
-        norm2 = float(np.real(np.vdot(psi, psi)))
-        in2 = float(np.real(np.vdot(coords, coords)))
-        leak = max(0.0, norm2 - in2)
-        out = []
-        for u, vals in self.effect_eigs:
-            w = u.conj().T @ coords
-            out.append(float(np.real(np.sum(vals * np.abs(w) ** 2))) + self.kernel_share * leak)
-        return np.clip(np.array(out), 0.0, None)
+    def probabilities(self, psis) -> np.ndarray:
+        """Outcome probabilities of (t, d) state vectors, (t, outcomes)."""
+        coords = psis[:, None, :] @ self.basis.conj()  # (t, 1, r)
+        leak = np.maximum(0.0, _sqnorms(psis) - _sqnorms(coords[:, 0]))
+        weights = np.abs(coords[:, None] @ self.vecs.conj()) ** 2  # (t, outcomes, 1, r)
+        inside = (weights @ self.vals[:, :, None])[:, :, 0, 0]
+        return np.clip(inside + self.kernel_share * leak[:, None], 0.0, None)
 
-    def post_measurement(self, psi, idx):
-        u, vals = self.effect_eigs[idx]
-        coords = self.basis.conj().T @ psi
-        inside = self.basis @ (u @ (np.sqrt(np.clip(vals, 0, None)) * (u.conj().T @ coords)))
-        if self.kernel_share > 0.0:
-            inside = inside + np.sqrt(self.kernel_share) * (psi - self.basis @ coords)
-        nrm = float(np.real(np.vdot(inside, inside)))
-        return inside / np.sqrt(nrm) if nrm > _SURVIVAL_FLOOR else None
+    def post_measurement(self, psis, picks):
+        """The normalised states after outcomes ``picks`` (t,), and which survived."""
+        coords = psis[:, None, :] @ self.basis.conj()  # (t, 1, r)
+        u = self.vecs[picks]
+        scaled = (coords @ u.conj()) * np.sqrt(self.vals[picks])[:, None, :]
+        inside = scaled @ u.mT @ self.basis.T
+        inside += np.sqrt(self.kernel_share) * (psis[:, None, :] - coords @ self.basis.T)
+        inside = inside[:, 0]
+        nrm = _sqnorms(inside)
+        kept = nrm > _SURVIVAL_FLOOR
+        return inside / np.sqrt(np.where(kept, nrm, 1.0))[:, None], kept
 
     def to_povm(self) -> Povm:
         d = self.basis.shape[0]
-        proj = self.basis @ self.basis.conj().T
-        kern = (np.eye(d) - proj) * self.kernel_share
-        effects = []
-        for u, vals in self.effect_eigs:
-            core = (u * vals) @ u.conj().T
-            effects.append(hermitize(self.basis @ core @ self.basis.conj().T + kern))
-        return Povm(effects)
+        kern = (np.eye(d) - self.basis @ self.basis.conj().T) * self.kernel_share
+        core = (self.vecs * self.vals[:, None, :]) @ self.vecs.conj().mT
+        return Povm(list(hermitize(self.basis @ core @ self.basis.conj().T + kern)))
 
 
-def _subspace_pgm(sigmas) -> _SubspacePovm:
-    """PGM of equal-prior pure mixtures, built inside their joint span."""
-    comps = [s.scaled_components() for s in sigmas]
-    stack = np.vstack(comps)
-    # basis of span{components}: SVD of the stacked component matrix
-    ub, svals, _ = np.linalg.svd(stack.T, full_matrices=False)
-    keep = svals > RCOND * (svals[0] if svals.size else 1.0)
-    basis = ub[:, keep]  # d x r
-    m = len(sigmas)
-    projected = []
-    for c in comps:
-        b = c @ basis.conj()  # rows: components in basis coords
-        projected.append((b.T @ b.conj()) / m)  # prior 1/m folded in
-    s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)))
-    # remainder inside the subspace (rank-deficient S') plus the full kernel
-    inner_rem = (np.eye(basis.shape[1]) - supp) / m
-    effect_eigs = []
-    for p in projected:
-        e = hermitize(s_isqrt @ p @ s_isqrt + inner_rem)
-        ev, evec = np.linalg.eigh(e)
-        effect_eigs.append((evec, np.clip(ev, 0.0, None)))
-    return _SubspacePovm(basis, effect_eigs, kernel_share=1.0 / m)
+def _subspace_pgm(sigma_lists) -> list:
+    """PGMs of equal-prior pure mixtures, one per list of candidate states, each in its span.
+
+    The lists whose components stack to one shape are built together: their
+    span SVDs, S^{-1/2} eighs and effect eighs run as stacked LAPACK calls,
+    which decompose each matrix as a lone call would.
+    """
+    comps = [[s.scaled_components() for s in sigmas] for sigmas in sigma_lists]
+    out = [None] * len(comps)
+    for shaped in _groups([tuple(c.shape for c in cs) for cs in comps]):
+        m = len(comps[shaped[0]])
+        stack = np.array([np.vstack(comps[j]) for j in shaped])
+        # basis of span{components}: SVD of each stacked component matrix
+        ub, svals, _ = np.linalg.svd(stack.mT, full_matrices=False)
+        ranks = np.sum(svals > RCOND * svals[:, :1], axis=1)
+        for ranked in _groups(ranks.tolist()):  # positions in ``shaped`` of one rank r
+            r = int(ranks[ranked[0]])
+            basis = ub[ranked, :, :r]  # (b, d, r)
+            projected = []  # each candidate state in basis coordinates, prior 1/m folded in
+            for c in range(m):
+                b = np.array([comps[shaped[k]][c] for k in ranked]) @ basis.conj()
+                projected.append((b.mT @ b.conj()) / m)
+            s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)))
+            # remainder inside the subspace (rank-deficient S') plus the full kernel
+            inner_rem = ((np.eye(r) - supp) / m)[:, None]
+            s_isqrt = s_isqrt[:, None]
+            effects = hermitize(s_isqrt @ np.stack(projected, axis=1) @ s_isqrt + inner_rem)
+            vals, vecs = np.linalg.eigh(effects)
+            vals = np.clip(vals, 0.0, None)
+            for j, k in enumerate(ranked):
+                out[shaped[k]] = _SubspacePovm(basis[j], vecs[j], vals[j], kernel_share=1.0 / m)
+    return out
 
 
 class _DensePovm:
-    """A dense POVM with the square roots of its effects, for the state update."""
+    """A dense POVM with the square roots of its effects.
 
-    def __init__(self, povm: Povm):
-        self.povm = povm
-        self.sqrts = [psd_sqrt(e) for e in povm.effects]
+    It measures a stack of density matrices at once, the trials of one prefix
+    group, with one product per trial, as ``_SubspacePovm`` does.
+    """
 
-    def probabilities(self, rho):
-        return self.povm.outcome_probabilities(rho)
+    def __init__(self, effects, sqrts):
+        self.effects = effects  # (outcomes, d, d)
+        self.sqrts = sqrts  # (outcomes, d, d)
+        # Tr(E rho) = sum_ij E_ij rho_ji: rho's entries against E's transposed
+        self._traces = effects.mT.reshape(len(effects), -1).T
 
-    def post_measurement(self, rho, idx):
-        out = self.sqrts[idx] @ rho @ self.sqrts[idx]
-        tr = float(np.real(np.trace(out)))
-        return out / tr if tr > _SURVIVAL_FLOOR else None
+    def probabilities(self, rhos) -> np.ndarray:
+        """Outcome probabilities of (t, d, d) density matrices, (t, outcomes)."""
+        out = (rhos.reshape(len(rhos), 1, -1) @ self._traces)[:, 0].real
+        return np.clip(out, 0.0, None)
+
+    def post_measurement(self, rhos, picks):
+        """The normalised states after outcomes ``picks`` (t,), and which survived."""
+        roots = self.sqrts[picks]
+        out = roots @ rhos @ roots
+        tr = np.trace(out, axis1=1, axis2=2).real
+        kept = tr > _SURVIVAL_FLOOR
+        return out / np.where(kept, tr, 1.0)[:, None, None], kept
 
     def to_povm(self) -> Povm:
-        return self.povm
+        return Povm(list(self.effects))
 
 
-def _dense_pgm(sigmas) -> _DensePovm:
-    dense = [to_dense(s) for s in sigmas]
-    return _DensePovm(pretty_good_measurement(dense))
+def _dense_pgm(sigma_lists) -> list:
+    """PGMs of the densified candidate states, one per list; lists of one shape in one stack."""
+    dense = [np.array([to_dense(s) for s in sigmas]) for sigmas in sigma_lists]
+    out = [None] * len(dense)
+    for same in _groups([d.shape for d in dense]):
+        effects = pgm_effects(np.array([dense[j] for j in same]))
+        for j, e, root in zip(same, effects, psd_sqrt(effects)):
+            out[j] = _DensePovm(e, root)
+    return out
 
 
 class _QuantumTrials:
-    """The quantum step object: each trial's received state and decoded prefix.
+    """The quantum step object: the trials' received states, measured in prefix groups.
 
-    A trial is measured with the cached step POVM of its prefix; its state is
-    None once it has collapsed or failed, and it is skipped from then on.
+    At each step the live trials are grouped by their decided prefix.  A group
+    shares one step POVM (the step's missing POVMs are built together, in one
+    builder call) and is measured and updated with it as one stack.  A trial
+    that collapses or fails leaves ``live`` and is skipped from then on.
     """
 
     def __init__(self, engine, states):
         self.engine = engine
-        self.states = [np.asarray(s).astype(complex) for s in states]
-        self.prefixes = [()] * len(self.states)
-        self.povms = [None] * len(self.states)
+        self.states = np.array(states, dtype=complex)
+        self.live = np.ones(len(self.states), dtype=bool)
+        self.prefixes = np.zeros((len(self.states), engine.N), dtype=np.int64)
+        self.measured = []  # (trial rows, POVM) per prefix group of the step last measured
 
     def probabilities(self, i: int) -> np.ndarray:
         """Unnormalised coset probabilities of step i, (trials, cosets); 0 when skipped."""
         out = np.zeros((len(self.states), len(self.engine._cells[i])))
-        for t, state in enumerate(self.states):
-            if state is not None:
-                self.povms[t] = self.engine.step_povm_rep(i, self.prefixes[t])
-                out[t] = self.povms[t].probabilities(state)
+        rows = np.flatnonzero(self.live)
+        self.measured = []
+        if not rows.size:
+            return out
+        # rows, not integer codes: q^i overflows int64 for long prefixes
+        keys, which = np.unique(self.prefixes[rows, :i], axis=0, return_inverse=True)
+        prefixes = [tuple(k) for k in keys.tolist()]
+        self.engine._build_povms(i, prefixes)
+        order = np.argsort(which, kind="stable")
+        members = np.split(rows[order], np.cumsum(np.bincount(which))[:-1])
+        for prefix, group in zip(prefixes, members):
+            povm = self.engine.step_povm_rep(i, prefix)
+            out[group] = povm.probabilities(self.states[group])
+            self.measured.append((group, povm))
         return out
 
     def collapse(self, picks, failed) -> np.ndarray:
-        """Apply each picked outcome's state update; which trials collapsed now."""
+        """Apply each group's picked state updates; which trials collapsed now."""
         lost = np.zeros(len(picks), dtype=bool)
-        for t, state in enumerate(self.states):
-            if state is not None:
-                new = None if failed[t] else self.povms[t].post_measurement(state, picks[t])
-                lost[t] = new is None and not failed[t]
-                self.states[t] = new
+        for group, povm in self.measured:
+            go = group[~failed[group]]
+            self.states[go], kept = povm.post_measurement(self.states[go], picks[go])
+            lost[go[~kept]] = True
+        self.live &= ~(failed | lost)
         return lost
 
     def fix(self, i: int, u) -> None:
-        """Extend each trial's prefix with step i's lifted value."""
-        self.prefixes = [p + (int(v),) for p, v in zip(self.prefixes, u)]
+        """Record step i's lifted values (trials,) in each trial's prefix."""
+        self.prefixes[:, i] = u
 
 
 # -- decoder engine -------------------------------------------------------------------
@@ -473,23 +528,23 @@ class SCDecoder:
     def _trial_batch(self, seed, trials: range, randomize: bool) -> tuple:
         """Draw, lift, encode and transmit a batch of experiment trials, as arrays.
 
-        Each trial makes the four draws ``error_experiment`` lists.  Returns
+        Each trial makes the draws ``error_experiment`` lists, in two calls.  Returns
         the coset representatives sent (trials, N), the section values
         (trials, N, q), the received data and the decoder's doubles.
         """
         count, q = len(trials), self.group.order
-        positions = np.empty((count, self.N), dtype=np.int64)
-        members = np.empty((count, self._section_highs.size), dtype=np.int64) if randomize else None
-        noise = np.empty((count, self.N)) if self.kind == "diagonal" else None
-        uniforms = np.empty((count, self._draws))
+        highs = self._coset_counts
+        if randomize:
+            highs = np.concatenate([highs, self._section_highs])
+        uses = self.N if self.kind == "diagonal" else 0  # the noise doubles
+        ints = np.empty((count, highs.size), dtype=np.int64)
+        doubles = np.empty((count, uses + self._draws))
         for row, t in enumerate(trials):
             rng = np.random.default_rng([seed, t])
-            positions[row] = rng.integers(self._coset_counts)
-            if randomize:
-                members[row] = rng.integers(self._section_highs)
-            if noise is not None:
-                noise[row] = rng.random(self.N)
-            uniforms[row] = rng.random(self._draws)
+            ints[row] = rng.integers(highs)
+            doubles[row] = rng.random(uses + self._draws)
+        positions, members = ints[:, : self.N], ints[:, self.N :]
+        noise, uniforms = (doubles[:, :uses] if uses else None), doubles[:, uses:]
         steps = np.arange(self.N)
         if randomize:
             lifts = self._lookup[steps[:, None], np.arange(q), members[:, self._section_at]]
@@ -522,14 +577,17 @@ class SCDecoder:
         return out
 
     def step_povm_rep(self, i: int, prefix: tuple):
-        key = (i, prefix)
-        hit = self._povm_cache.get(key)
-        if hit is not None:
-            return hit
-        sigmas = self.conditional_states(i, prefix)
-        rep = _subspace_pgm(sigmas) if self.kind == "pure" else _dense_pgm(sigmas)
-        self._povm_cache[key] = rep
-        return rep
+        """The cached step-i POVM of one decoded prefix, built if missing."""
+        self._build_povms(i, [prefix])
+        return self._povm_cache[(i, prefix)]
+
+    def _build_povms(self, i: int, prefixes) -> None:
+        """Cache the step-i POVMs of the prefixes not cached yet, built in one builder call."""
+        missing = [p for p in prefixes if (i, p) not in self._povm_cache]
+        if missing:
+            build = _subspace_pgm if self.kind == "pure" else _dense_pgm
+            built = build([self.conditional_states(i, p) for p in missing])
+            self._povm_cache.update(zip([(i, p) for p in missing], built))
 
     # -- decoding ------------------------------------------------------------------------
     def decode(self, received: JointOutputState, seed) -> tuple:
@@ -655,18 +713,20 @@ def error_experiment(
 
     Messages are uniform; section mappings are redrawn per trial (matching
     the averaged analysis) unless randomize_sections is False.  Trial t draws
-    from its own generator, ``default_rng([seed, t])``, in four vectorized
-    calls, in this order:
+    from its own generator, ``default_rng([seed, t])``, in two vectorized
+    calls:
 
-    - ``integers(coset counts)``: its message's coset position at every step;
-    - ``integers(subgroup orders)``, one bound per coset of every step: the
-      member each coset's section picks (random sections only);
-    - ``random(N)``: the channel noise, one double per use (classical
-      channels only);
-    - ``random(draws)``: the doubles its decoding may use, one per step with
-      more than one coset.
+    - ``integers(bounds)``: first one bound per step, the coset counts, for
+      its message's coset position at every step; then (random sections only)
+      one bound per coset of every step, its subgroup's order, for the member
+      each coset's section picks;
+    - ``random(uses + draws)``: first the channel noise, one double per use
+      (classical channels only); then the doubles its decoding may use, one
+      per step with more than one coset.
 
-    These are the draws of ``random_message``, one ``random_section_map`` per
+    A generator keeps its leftover 32 random bits in its bit generator, so a
+    call over concatenated bounds or lengths draws what separate calls would:
+    these are the draws of ``random_message``, one ``random_section_map`` per
     step, ``SCDecoder.transmit`` and ``SCDecoder.decode`` in turn.  Each batch
     of trials is then lifted, encoded and transmitted as arrays and decoded
     together.  A batch holds at most _BATCH_BYTES of received data (at least

@@ -30,19 +30,24 @@ RCOND = 1e-12
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """(M + M†)/2; cheap insurance before any eigendecomposition."""
-    return 0.5 * (mat + mat.conj().T)
+    """(M + M†)/2, per matrix of a stack; cheap insurance before any eigendecomposition."""
+    return 0.5 * (mat + mat.conj().mT)
 
 
 def eigh_psd(mat: np.ndarray):
-    """Eigendecomposition of a nominally-PSD Hermitian matrix.
+    """Eigendecomposition of a nominally-PSD Hermitian matrix, or of a stack of them.
 
     Eigenvalues in [-PSD_TOL * max(1, top), 0) are clipped to zero; anything
-    more negative is a hard error rather than a silent repair.
+    more negative is a hard error rather than a silent repair.  A stack is
+    decomposed in one LAPACK call per matrix, as a lone matrix would be.
     """
     vals, vecs = np.linalg.eigh(hermitize(mat))
-    if vals.size and vals[0] < -PSD_TOL * max(1.0, float(vals[-1])):
-        raise StructuralError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
+    if vals.ndim == 1:  # plain floats: far cheaper than array operations on one matrix
+        bad = vals.size and vals[0] < -PSD_TOL * max(1.0, float(vals[-1]))
+    else:
+        bad = np.any(vals[..., 0] < -PSD_TOL * np.maximum(1.0, vals[..., -1]))
+    if bad:
+        raise StructuralError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None), vecs
 
 
@@ -67,25 +72,25 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """The PSD square root of a matrix or of each matrix in a stack."""
     vals, vecs = eigh_psd(mat)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
 
 def psd_inv_sqrt_support(mat: np.ndarray):
-    """Inverse square root on the support of a PSD matrix.
+    """Inverse square root on the support of a PSD matrix, or of each matrix in a stack.
 
     Returns (inv_sqrt, support_projector); eigenvalues below ``RCOND`` times
     the largest are treated as kernel.
     """
     vals, vecs = eigh_psd(mat)
-    top = float(vals[-1]) if vals.size else 0.0
-    if top <= 0.0:
+    if not vals.size or (vals[..., -1] <= 0.0).any():
         raise StructuralError("matrix has empty support")
-    keep = vals > RCOND * top
+    keep = vals > RCOND * vals[..., -1:]
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    inv_sqrt = (vecs * inv) @ vecs.conj().T
-    proj = (vecs * keep.astype(float)) @ vecs.conj().T
+    inv_sqrt = (vecs * inv[..., None, :]) @ vecs.conj().mT
+    proj = (vecs * keep[..., None, :].astype(float)) @ vecs.conj().mT
     return inv_sqrt, proj
 
 
@@ -168,26 +173,33 @@ class Povm:
 
 
 def pretty_good_measurement(states: list, priors=None) -> Povm:
-    """The square-root measurement for an ensemble of density matrices.
+    """The square-root measurement for an ensemble of density matrices (see ``pgm_effects``)."""
+    return Povm(list(pgm_effects(states, priors)))
 
-    Effects are S^{-1/2} p_x rho_x S^{-1/2} with S the ensemble average; the
-    inverse square root is taken on the support of S and the kernel remainder
-    is distributed uniformly over the effects so they sum to the identity.
+
+def pgm_effects(states, priors=None) -> np.ndarray:
+    """The square-root measurement's effects, for one ensemble or a stack of them.
+
+    ``states`` is (..., n, d, d): n density matrices per ensemble, all with the
+    same priors.  Effects are S^{-1/2} p_x rho_x S^{-1/2} with S the ensemble
+    average; the inverse square root is taken on the support of S and the
+    kernel remainder is distributed uniformly over the effects so they sum to
+    the identity.  Returns the (..., n, d, d) effects.
     """
-    n = len(states)
+    states = np.asarray(states)
+    n, dim = states.shape[-3], states.shape[-1]
     if priors is None:
         priors = np.full(n, 1.0 / n)
     priors = np.asarray(priors, dtype=float)
     if abs(priors.sum() - 1.0) > TRACE_TOL or np.any(priors < 0):
         raise StructuralError("priors must be a probability vector")
-    dim = states[0].shape[0]
-    avg = sum(p * s for p, s in zip(priors, states))
-    if float(np.real(np.trace(avg))) <= 0.0:
+    avg = sum(p * states[..., x, :, :] for x, p in enumerate(priors))
+    if np.any(np.real(np.trace(avg, axis1=-2, axis2=-1)) <= 0.0):
         raise StructuralError("ensemble average state is zero")
     inv_sqrt, proj = psd_inv_sqrt_support(avg)
-    remainder = (np.eye(dim) - proj) / n
-    effects = [hermitize(inv_sqrt @ (p * s) @ inv_sqrt) + remainder for p, s in zip(priors, states)]
-    return Povm(effects)
+    inv_sqrt = inv_sqrt[..., None, :, :]
+    remainder = ((np.eye(dim) - proj) / n)[..., None, :, :]
+    return hermitize(inv_sqrt @ (priors[:, None, None] * states) @ inv_sqrt) + remainder
 
 
 def povm_error_probability(povm: Povm, states: list, priors=None) -> float:

@@ -379,6 +379,30 @@ def test_verify_refuses_a_non_positive_trial_count(tmp_path, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "size,named",
+    [(["--q", "0"], "q must be >= 2"), (["--q", "1"], "q must be >= 2"),
+     (["--k", "0"], "k must be >= 1")],
+    ids=["q0", "q1", "k0"],
+)
+def test_verify_refuses_a_size_below_its_least(tmp_path, size, named):
+    # 0 once read as unset and ran the default grid
+    out = tmp_path / "v.jsonl"
+    res = run_cli("verify", *size, "--trials", "1", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"validation error: verify sizes {named}"), res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("users", ["2;x", "2,;2", ""])
+def test_mac_region_refuses_non_integer_user_orders(tmp_path, users):
+    out = tmp_path / "mac.json"
+    res = run_cli("mac-region", "--users", users, "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"validation error: --users {users!r}"), res.stderr
+    assert not out.exists()
+
+
 def test_verify_all_checks(tmp_path):
     out = tmp_path / "verify.jsonl"
     res = run_cli("verify", "--checks", "all", "--trials", "3", "--seed", "2", "--out", str(out))

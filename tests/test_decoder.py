@@ -569,6 +569,91 @@ def test_a_trials_four_draws_match_the_scalar_sequence(key):
         assert vec.bit_generator.state == scalar.bit_generator.state
 
 
+def test_concatenated_draws_are_the_separate_draws():
+    # the generator keeps its leftover 32 random bits in the bit generator, so
+    # one call over concatenated bounds or lengths draws what separate calls
+    # draw; bounds of 1, empty bound sets, no noise and no decoder doubles included
+    meta = np.random.default_rng(11)
+    for t in range(300):
+        counts, highs = (meta.integers(1, 5, size=meta.integers(0, 9)) for _ in range(2))
+        uses, draws = (int(v) for v in meta.integers(0, 7, size=2))
+        apart, joint = np.random.default_rng([3, t]), np.random.default_rng([3, t])
+        want = [apart.integers(counts), apart.integers(highs), apart.random(uses),
+                apart.random(draws)]
+        ints, doubles = joint.integers(np.concatenate([counts, highs])), joint.random(uses + draws)
+        got = [ints[: counts.size], ints[counts.size :], doubles[:uses], doubles[uses:]]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert joint.bit_generator.state == apart.bit_generator.state
+
+
+@pytest.mark.parametrize("key", ["bsc-0.2-n6", "symmetric-q4-0.25-n3", "pure-0.6-n3"])
+def test_trial_batch_draws_what_the_separate_calls_draw(key):
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    steps = np.arange(eng.N)
+    for randomize in (True, False):
+        truth, lifts, _, uniforms = eng._trial_batch(5, range(4), randomize)
+        for t in range(4):
+            rng = np.random.default_rng([5, t])
+            positions = rng.integers(eng._coset_counts)
+            if randomize:
+                members = rng.integers(eng._section_highs)
+                want = eng._lookup[steps[:, None], np.arange(w.q), members[eng._section_at]]
+                assert np.array_equal(lifts[t], want)
+            if eng.kind == "diagonal":
+                rng.random(eng.N)
+            assert np.array_equal(truth[t], eng._lookup[steps, positions, 0])
+            assert np.array_equal(uniforms[t], rng.random(eng._draws))
+
+
+@pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2"])
+def test_a_prefix_group_with_mixed_fates_decodes_as_its_rows_alone(key):
+    # every row sends under the plan's sections, so all share the prefix at the
+    # first multi-coset step; row 0 is zero and fails there, row 1 is scaled to
+    # just above the survival floor and collapses after its pick, the rest decode
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    first = next(i for i, cells in enumerate(eng._cells) if len(cells) > 1)
+    rng = np.random.default_rng(2)
+    data = np.array([eng.transmit(random_message(plan, rng), rng).data for _ in range(6)])
+    data[0] = 0.0
+    data[1] *= 1.004e-150 if eng.kind == "pure" else 1.008e-300
+    lifts = np.broadcast_to(eng._lifts(None), (6, eng.N, plan.group.order))
+    uniforms = rng.random((6, eng._draws))
+    batch = eng._decode_batch(data, lifts, uniforms)
+    _, _, fail_at, used = batch
+    assert fail_at[0] == fail_at[1] == first and (used[0], used[1]) == (0, 1)
+    assert np.all(fail_at[2:] == eng.N) and np.all(used[2:] == eng._draws)
+    for row in range(6):
+        one = slice(row, row + 1)
+        alone = eng._decode_batch(data[one], lifts[one], uniforms[one])
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[row], want[0])
+
+
+@pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2", "dense-q3-n2"])
+def test_step_povms_built_together_are_those_built_alone(key):
+    # one builder call over every 7th prefix of every multi-coset step: the
+    # stacked LAPACK calls decompose each matrix as a lone call would
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    build = decoder._subspace_pgm if eng.kind == "pure" else decoder._dense_pgm
+    lists = [
+        eng.conditional_states(i, prefix)
+        for i, cells in enumerate(eng._cells) if len(cells) > 1
+        for prefix in itertools.islice(itertools.product(range(w.q), repeat=i), 0, None, 7)
+    ]
+    together = build(lists)
+    if eng.kind == "pure":  # several shapes and span ranks in one call
+        assert len({tuple(s.rank_bound for s in sigmas) for sigmas in lists}) > 1
+        assert len({povm.basis.shape[1] for povm in together}) > 1
+    for sigmas, povm in zip(lists, together):
+        (alone,) = build([sigmas])
+        for got, want in zip(povm.to_povm().effects, alone.to_povm().effects):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2"])
 def test_transmitted_states_are_the_kron_chain(key):
     w, plan, _, _ = _noisy_plan(key)

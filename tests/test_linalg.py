@@ -11,9 +11,11 @@ from cqpolar.linalg import (
     eigh_psd,
     fidelity,
     helstrom_error,
+    pgm_effects,
     povm_error_probability,
     pretty_good_measurement,
     psd_inv_sqrt_support,
+    psd_sqrt,
     sequential_measure,
     trace_distance,
     trace_sqrt_subadditivity_check,
@@ -163,6 +165,36 @@ def test_pgm_respects_support_remainder():
 def test_pgm_zero_average_rejected():
     with pytest.raises(StructuralError):
         pretty_good_measurement([np.zeros((2, 2), dtype=complex)])
+
+
+def test_stacked_decompositions_are_those_of_each_matrix():
+    # one LAPACK call per matrix of a stack: bit-identical to lone calls
+    rng = np.random.default_rng(8)
+    stack = np.array([random_density(rng, 3) for _ in range(5)])
+    stack[2] = np.diag([0.5, 0.5, 0.0]).astype(complex)  # a kernel in one matrix only
+    ensembles = stack.reshape(1, 5, 3, 3)[:, :4].repeat(2, axis=0)
+    ensembles[1, 0] = stack[4]
+    for stacked, lone in [
+        (eigh_psd(stack), [eigh_psd(m) for m in stack]),
+        (psd_sqrt(stack), [psd_sqrt(m) for m in stack]),
+        (psd_inv_sqrt_support(stack), [psd_inv_sqrt_support(m) for m in stack]),
+        (pgm_effects(ensembles), [pretty_good_measurement(list(e)).effects for e in ensembles]),
+    ]:
+        for j, one in enumerate(lone):
+            if isinstance(stacked, tuple):
+                assert all(np.array_equal(a[j], b) for a, b in zip(stacked, one))
+            else:
+                assert np.array_equal(stacked[j], np.array(one))
+
+
+def test_stacked_psd_checks_name_the_worst_matrix():
+    good = np.eye(2, dtype=complex)
+    with pytest.raises(StructuralError, match="not PSD: min eigenvalue -1.000e-03"):
+        eigh_psd(np.array([good, np.diag([1.0, -1e-3]).astype(complex)]))
+    with pytest.raises(StructuralError, match="empty support"):
+        psd_inv_sqrt_support(np.array([good, np.zeros((2, 2), dtype=complex)]))
+    with pytest.raises(StructuralError, match="ensemble average state is zero"):
+        pgm_effects(np.zeros((2, 2, 2, 2), dtype=complex))
 
 
 def test_sequential_measure_examples():
