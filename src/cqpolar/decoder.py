@@ -264,7 +264,7 @@ class _SubspacePovm:
         coords = psis[:, None, :] @ self.basis.conj()  # (t, 1, r)
         u = self.vecs[picks]
         scaled = (coords @ u.conj()) * np.sqrt(self.vals[picks])[:, None, :]
-        inside = scaled @ u.mT @ self.basis.T
+        inside = scaled @ u.swapaxes(-1, -2) @ self.basis.T
         inside += np.sqrt(self.kernel_share) * (psis[:, None, :] - coords @ self.basis.T)
         inside = inside[:, 0]
         nrm = _sqnorms(inside)
@@ -274,7 +274,7 @@ class _SubspacePovm:
     def to_povm(self) -> Povm:
         d = self.basis.shape[0]
         kern = (np.eye(d) - self.basis @ self.basis.conj().T) * self.kernel_share
-        core = (self.vecs * self.vals[:, None, :]) @ self.vecs.conj().mT
+        core = (self.vecs * self.vals[:, None, :]) @ self.vecs.conj().swapaxes(-1, -2)
         return Povm(list(hermitize(self.basis @ core @ self.basis.conj().T + kern)))
 
 
@@ -291,7 +291,7 @@ def _subspace_pgm(sigma_lists) -> list:
         m = len(comps[shaped[0]])
         stack = np.array([np.vstack(comps[j]) for j in shaped])
         # basis of span{components}: SVD of each stacked component matrix
-        ub, svals, _ = np.linalg.svd(stack.mT, full_matrices=False)
+        ub, svals, _ = np.linalg.svd(stack.swapaxes(-1, -2), full_matrices=False)
         ranks = np.sum(svals > RCOND * svals[:, :1], axis=1)
         for ranked in _groups(ranks.tolist()):  # positions in ``shaped`` of one rank r
             r = int(ranks[ranked[0]])
@@ -299,7 +299,7 @@ def _subspace_pgm(sigma_lists) -> list:
             projected = []  # each candidate state in basis coordinates, prior 1/m folded in
             for c in range(m):
                 b = np.array([comps[shaped[k]][c] for k in ranked]) @ basis.conj()
-                projected.append((b.mT @ b.conj()) / m)
+                projected.append((b.swapaxes(-1, -2) @ b.conj()) / m)
             s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)))
             # remainder inside the subspace (rank-deficient S') plus the full kernel
             inner_rem = ((np.eye(r) - supp) / m)[:, None]
@@ -323,7 +323,7 @@ class _DensePovm:
         self.effects = effects  # (outcomes, d, d)
         self.sqrts = sqrts  # (outcomes, d, d)
         # Tr(E rho) = sum_ij E_ij rho_ji: rho's entries against E's transposed
-        self._traces = effects.mT.reshape(len(effects), -1).T
+        self._traces = effects.swapaxes(-1, -2).reshape(len(effects), -1).T
 
     def probabilities(self, rhos) -> np.ndarray:
         """Outcome probabilities of (t, d, d) density matrices, (t, outcomes)."""
@@ -373,16 +373,14 @@ class _QuantumTrials:
         """Unnormalised coset probabilities of step i, (trials, cosets); 0 when skipped."""
         out = np.zeros((len(self.states), len(self.engine._cells[i])))
         rows = np.flatnonzero(self.live)
-        self.measured = []
-        if not rows.size:
-            return out
-        # rows, not integer codes: q^i overflows int64 for long prefixes
-        keys, which = np.unique(self.prefixes[rows, :i], axis=0, return_inverse=True)
-        prefixes = [tuple(k) for k in keys.tolist()]
+        # tuples, not integer codes: q^i overflows int64 for long prefixes
+        keys = list(map(tuple, self.prefixes[rows, :i].tolist()))
+        members = _groups(keys)
+        prefixes = [keys[g[0]] for g in members]
         self.engine._build_povms(i, prefixes)
-        order = np.argsort(which, kind="stable")
-        members = np.split(rows[order], np.cumsum(np.bincount(which))[:-1])
-        for prefix, group in zip(prefixes, members):
+        self.measured = []
+        for prefix, g in zip(prefixes, members):
+            group = rows[g]
             povm = self.engine.step_povm_rep(i, prefix)
             out[group] = povm.probabilities(self.states[group])
             self.measured.append((group, povm))

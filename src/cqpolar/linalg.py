@@ -31,7 +31,7 @@ RCOND = 1e-12
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
     """(M + M†)/2, per matrix of a stack; cheap insurance before any eigendecomposition."""
-    return 0.5 * (mat + mat.conj().mT)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def eigh_psd(mat: np.ndarray):
@@ -42,11 +42,7 @@ def eigh_psd(mat: np.ndarray):
     decomposed in one LAPACK call per matrix, as a lone matrix would be.
     """
     vals, vecs = np.linalg.eigh(hermitize(mat))
-    if vals.ndim == 1:  # plain floats: far cheaper than array operations on one matrix
-        bad = vals.size and vals[0] < -PSD_TOL * max(1.0, float(vals[-1]))
-    else:
-        bad = np.any(vals[..., 0] < -PSD_TOL * np.maximum(1.0, vals[..., -1]))
-    if bad:
+    if vals.size and (vals[..., 0] < -PSD_TOL * np.maximum(1.0, vals[..., -1])).any():
         raise StructuralError(f"matrix is not PSD: min eigenvalue {vals.min():.3e}")
     return np.clip(vals, 0.0, None), vecs
 
@@ -74,7 +70,7 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """The PSD square root of a matrix or of each matrix in a stack."""
     vals, vecs = eigh_psd(mat)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def psd_inv_sqrt_support(mat: np.ndarray):
@@ -89,8 +85,9 @@ def psd_inv_sqrt_support(mat: np.ndarray):
     keep = vals > RCOND * vals[..., -1:]
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / np.sqrt(vals[keep])
-    inv_sqrt = (vecs * inv[..., None, :]) @ vecs.conj().mT
-    proj = (vecs * keep[..., None, :].astype(float)) @ vecs.conj().mT
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    inv_sqrt = (vecs * inv[..., None, :]) @ adjoint
+    proj = (vecs * keep[..., None, :].astype(float)) @ adjoint
     return inv_sqrt, proj
 
 
