@@ -7,6 +7,11 @@ expanded into tensor factors, which is what keeps repeated plus-transforms
 affordable.  Every branch state is a factored :class:`~.states.PureMixture`;
 a dense matrix handed in is factored once, when its ``HybridState`` is built.
 All information/fidelity functionals respect the block structure exactly.
+A branch with orthonormal factor rows (see :mod:`.states`) has its weights
+as spectrum, so its entropy needs no decomposition.  A full quotient W[H]
+has the same average output as W, so I(W[H]) takes H(avg output) from W,
+computed once per channel, and decomposes only its coset averages; a
+restricted quotient W[M|D] averages over D alone and computes its own.
 Every fidelity functional (F_d, F, F_max, nested F_max) is read off one
 cached q x q matrix of pairwise fidelities, built with one evaluation per
 unordered pair.
@@ -86,32 +91,52 @@ class HybridState:
         return [lab for _, lab, _ in self.branches]
 
     def entropy(self) -> float:
-        """H(weights) + sum of weighted branch entropies, batched by shape.
+        """H(weights) + sum of weighted branch entropies.
 
-        Branches sharing a component-array shape go through one stacked
-        eigvalsh call; channels with many thousands of classical labels are
-        otherwise dominated by per-branch dispatch overhead.
+        A branch with orthonormal rows has its weights as spectrum (the Gram
+        matrix of its scaled rows is diag(weights)), so the entropies of all
+        such branches are read off their concatenated weights in one pass.
+        Every other mixed branch is decomposed, branches sharing a
+        component-array shape in one stacked eigvalsh call; channels with
+        many thousands of classical labels are otherwise dominated by
+        per-branch dispatch overhead.
         """
         weights = np.array([w for w, _, _ in self.branches])
         total = entropy_of_probs(weights)
+        spectra, scales = [], []
         groups: dict = {}
         for w, _, st in self.branches:
-            if st.rank_bound > 1:
+            if st.rank_bound == 1:
+                continue
+            if st.orthonormal:
+                spectra.append(st.weights)
+                scales.append(np.full(st.rank_bound, w))
+            else:
                 groups.setdefault(st.vecs.shape, []).append((w, st.scaled_components()))
+        if spectra:
+            p = np.concatenate(spectra)
+            total -= float(np.concatenate(scales) @ (p * np.log(np.where(p > 0.0, p, 1.0))))
         for items in groups.values():
             ent = batched_mixture_entropies([c for _, c in items])
             total += float(np.array([w for w, _ in items]) @ ent)
         return total
 
 
+#: Entries of the factor copies one stacked SVD may take (4 MiB of complex):
+#: small factors, whose cost is per-call overhead, share a call, while large
+#: ones, which gain nothing from stacking, are not all copied at once.
+_STACK_ENTRIES = 1 << 18
+
+
 def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
     """Fidelity of two block-diagonal states: sum over shared labels of
     sqrt(w w') F(rho, rho').  Pairs of pure branches are batched into one
-    vectorized overlap computation; any other pair is the nuclear norm of
-    the cross-Gram matrix of the two branches' factors."""
+    vectorized overlap computation; the other pairs go through
+    :func:`~.states.factor_fidelity`, pairs of one shape in stacked SVDs of
+    at most ``_STACK_ENTRIES`` factor entries, and are summed in label order."""
     db = b.as_dict()
-    total = 0.0
-    left, right = [], []
+    left, right, scales = [], [], []
+    shapes: dict = {}  # (ra, rb) -> [(term position, sa, sb)]
     for key, (wa, sa) in a.as_dict().items():
         hit = db.get(key)
         if hit is None:
@@ -121,9 +146,21 @@ def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
             left.append(np.sqrt(wa) * sa.scaled_components()[0])
             right.append(np.sqrt(wb) * sb.scaled_components()[0])
         else:
-            total += np.sqrt(wa * wb) * factor_fidelity(
-                sa.scaled_components(), sb.scaled_components()
+            shapes.setdefault((sa.rank_bound, sb.rank_bound), []).append((len(scales), sa, sb))
+            scales.append(np.sqrt(wa * wb))
+    fids = np.empty(len(scales))
+    for items in shapes.values():
+        _, first_a, first_b = items[0]
+        chunk = max(1, _STACK_ENTRIES // (first_a.vecs.size + first_b.vecs.size))
+        for lo in range(0, len(items), chunk):
+            part = items[lo : lo + chunk]
+            fids[[i for i, _, _ in part]] = factor_fidelity(
+                np.stack([sa.scaled_components() for _, sa, _ in part]),
+                np.stack([sb.scaled_components() for _, _, sb in part]),
             )
+    # a running sum in label order: the value is bit-identical to adding each
+    # pair's term as its label is reached
+    total = sum((np.array(scales) * fids).tolist())
     if left:
         overlaps = np.abs((np.stack(left) * np.stack(right).conj()).sum(axis=1))
         total += float(overlaps.sum())
@@ -208,6 +245,8 @@ class CqChannel:
         self.outputs = list(outputs)
         self.k = dims.pop()
         self._fidelity_matrix = None
+        self._avg_entropy = None
+        self._avg_parent = None  # a full quotient's parent, until it is read
 
     # -- conveniences ---------------------------------------------------------
     @property
@@ -265,9 +304,24 @@ class CqChannel:
 
     def holevo_information(self) -> float:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
-        avg = self._average_entropy_fast()
+        avg = self.average_output_entropy()
         per_input = sum(h.entropy() for h in self.outputs) / self.q
         return max(0.0, avg - per_input)
+
+    def average_output_entropy(self) -> float:
+        """H(avg output), computed once per channel.
+
+        A full quotient W[H] has the average output of W, so it takes the
+        value from W (computing it there, once, if W has not yet).  The
+        quotient holds W only until then, and W never holds its quotients.
+        """
+        if self._avg_entropy is None:
+            parent, self._avg_parent = self._avg_parent, None
+            if parent is None:
+                self._avg_entropy = self._average_entropy_fast()
+            else:
+                self._avg_entropy = parent.average_output_entropy()
+        return self._avg_entropy
 
     def _average_entropy_fast(self) -> float:
         # entropy of a block-diagonal state = -sum of lambda log lambda over
@@ -312,11 +366,20 @@ class CqChannel:
         outputs = [_average_hybrid([self.outputs[i] for i in c]) for c in cells]
         return CqChannel(alphabet, outputs)
 
-    quotient = _profile_quotient
+    def quotient(self, H: Subgroup) -> "CqChannel":
+        """W[H]; it inherits H(avg output) from W (see average_output_entropy)."""
+        quot = _profile_quotient(self, H)
+        quot._avg_parent = self
+        return quot
+
     nested_fmax = _profile_nested_fmax
 
     def restricted_quotient(self, M: Subgroup, D: Coset) -> "CqChannel":
-        """W[M|D]: inputs are the cosets of M inside D."""
+        """W[M|D]: inputs are the cosets of M inside D.
+
+        Its average output is the average over D, not W's, so unlike a full
+        quotient it computes its own H(avg output).
+        """
         if not M.is_subset_of(D.subgroup):
             raise StructuralError("M must be contained in the subgroup defining D")
         cells = refine(D, M)
@@ -392,6 +455,8 @@ def random_cq_channel(group, k: int, mixed: bool, rng) -> CqChannel:
     Outputs are drawn from ``rng`` in input-index order; every seeded channel
     of the package and its tests depends on that order.
     """
+    if k < 1:
+        raise StructuralError(f"output dimension k must be >= 1, got {k}")
     outputs = []
     for _ in range(group.order):
         if mixed:
@@ -432,6 +497,8 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
         return CqChannel(g, outputs)
     if name == "pure-states":
         angles = param("angles", lambda v: [float(a) for a in v])
+        if not np.isfinite(angles).all():
+            raise LoadError(f"preset {name!r}: angles must be finite, got {angles}")
         g = FiniteAbelianGroup([len(angles)])
         outputs = [
             HybridState([(1.0, (), pure_state([np.cos(a), np.sin(a)]))]) for a in angles
@@ -534,10 +601,13 @@ def _state_from_json(spec, k: int) -> HybridState:
     for j, br in enumerate(raw):
         at = "" if bare else f"branch {j} "
         w = _scalar(_expect(br, dict, f"branch {j}").get("w"), "a number", f"{at}w")
-        re = _real_matrix(br.get("re"), k, f"{at}re")
-        im = np.zeros_like(re) if br.get("im") is None else _real_matrix(br["im"], k, f"{at}im")
+        if not np.isfinite(w):
+            raise StructuralError(f"{at}w must be finite, got {w!r}")
+        mat = _real_matrix(br.get("re"), k, f"{at}re").astype(complex)
+        if br.get("im") is not None:
+            mat.imag = _real_matrix(br["im"], k, f"{at}im")
         try:
-            mat = validate_density_matrix(re + 1j * im)
+            mat = validate_density_matrix(mat)
         except StructuralError as exc:
             raise StructuralError(f"{at}{exc}") from exc
         branches.append((float(w), () if bare else str(br.get("label", j)), mat))

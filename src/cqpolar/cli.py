@@ -261,12 +261,14 @@ def cmd_verify(args) -> int:
 
 def cmd_mac_region(args) -> int:
     started = time.time()
+    if args.n < 0:
+        raise StructuralError(f"depth n must be >= 0, got {args.n}")
     user_orders = _user_orders(args.users)
     if args.channel:
         ch = load_channel(args.channel)
         mac = MacChannel(user_orders, ch)
     else:
-        mac = random_mac(user_orders, args.k or 2, args.seed, mixed=args.mixed)
+        mac = random_mac(user_orders, 2 if args.k is None else args.k, args.seed, mixed=args.mixed)
     reg = region(mac)
     estimates = {}
     for n in range(1, args.n + 1):
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", required=True,
                    help="per-user cyclic orders, e.g. '2;2' or '2,2;4'")
     p.add_argument("--channel", help="channel JSON over the product group")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="output dimension of the random MAC (default 2)")
     p.add_argument("--mixed", action="store_true")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

@@ -48,7 +48,7 @@ def eigh_psd(mat: np.ndarray):
 
 
 def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
-    """Check Hermiticity/PSD/trace of a density matrix and return a repaired copy.
+    """Check finiteness/Hermiticity/PSD/trace of a density matrix and return a repaired copy.
 
     Repair is limited to symmetrization, clipping eigenvalues in
     [-PSD_TOL, 0) and renormalizing the trace within TRACE_TOL.
@@ -56,6 +56,8 @@ def validate_density_matrix(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise StructuralError(f"density matrix must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise StructuralError("density matrix has non-finite entries")
     defect = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
     if defect > HERM_TOL:
         raise StructuralError(f"matrix is not Hermitian: defect {defect:.3e}")

@@ -8,6 +8,14 @@ the vectors, mixtures concatenate them.  Entropies come from small Gram
 matrices and fidelities from cross-Gram matrices of the scaled vectors, so no
 k^(2^n)-dimensional state is ever decomposed just to be read.
 
+A mixture whose rows are orthonormal carries ``orthonormal = True``.  Its
+weights are then its spectrum (the Gram matrix of its scaled rows is
+diag(weights)), so its entropy is read off the weights with no decomposition.
+Only the constructors that know the rows are orthonormal set the flag:
+:func:`pure_state`, the eigen-factor (of a dense matrix, or of a re-factored
+mixture) and :func:`tensor_states` of two flagged factors.  Every other
+mixture, a mixture of several states above all, is unflagged.
+
 A dense matrix enters only through :func:`as_mixture`, which replaces it by
 its eigen-factor (an exactly diagonal matrix by one-hot rows, without an
 eigendecomposition).  A mixture with more vectors than its dimension is
@@ -27,11 +35,12 @@ _EPS = np.finfo(float).eps
 class PureMixture:
     """sum_i w_i |v_i><v_i| with unit vectors stored as rows of ``vecs``."""
 
-    __slots__ = ("weights", "vecs", "_scaled")
+    __slots__ = ("weights", "vecs", "orthonormal", "_scaled")
 
     def __init__(self, weights, vecs):
         self.weights = np.asarray(weights, dtype=float)
         self.vecs = np.asarray(vecs, dtype=complex)
+        self.orthonormal = False
         self._scaled = None
         if self.vecs.ndim != 2 or self.weights.shape != (self.vecs.shape[0],):
             raise StructuralError("mixture weights and vectors are inconsistent")
@@ -51,12 +60,21 @@ class PureMixture:
         return self._scaled
 
 
+def _orthonormal(weights, vecs) -> PureMixture:
+    """A mixture whose rows are orthonormal, flagged so."""
+    mix = PureMixture(weights, vecs)
+    mix.orthonormal = True
+    return mix
+
+
 def pure_state(vec) -> PureMixture:
     v = np.asarray(vec, dtype=complex)
+    if not np.isfinite(v).all():
+        raise StructuralError("pure state vector must be finite")
     n = np.linalg.norm(v)
     if n <= 0:
         raise StructuralError("pure state vector must be nonzero")
-    return PureMixture(np.array([1.0]), (v / n)[None, :])
+    return _orthonormal(np.array([1.0]), (v / n)[None, :])
 
 
 def _eigen_factor(mat: np.ndarray) -> PureMixture:
@@ -73,10 +91,10 @@ def _eigen_factor(mat: np.ndarray) -> PureMixture:
         if diag.size and diag.min() < -PSD_TOL * max(1.0, float(diag.max())):
             raise StructuralError(f"matrix is not PSD: min eigenvalue {diag.min():.3e}")
         keep = diag > 0.0
-        return PureMixture(diag[keep], np.eye(d, dtype=complex)[keep])
+        return _orthonormal(diag[keep], np.eye(d, dtype=complex)[keep])
     vals, vecs = eigh_psd(mat)
     keep = vals > d * _EPS * vals[-1]
-    return PureMixture(vals[keep], vecs[:, keep].T)
+    return _orthonormal(vals[keep], vecs[:, keep].T)
 
 
 def as_mixture(state) -> PureMixture:
@@ -92,11 +110,17 @@ def to_dense(state: PureMixture) -> np.ndarray:
 
 
 def tensor_states(a: PureMixture, b: PureMixture) -> PureMixture:
-    """Tensor product: products of weights, Kronecker products of vectors."""
+    """Tensor product: products of weights, Kronecker products of vectors.
+
+    Kronecker products of two orthonormal row sets are orthonormal, so the
+    product of two flagged factors is flagged.
+    """
     w = np.multiply.outer(a.weights, b.weights).reshape(-1)
     v = (a.vecs[:, None, :, None] * b.vecs[None, :, None, :]).reshape(
         a.rank_bound * b.rank_bound, a.dim * b.dim
     )
+    if a.orthonormal and b.orthonormal:
+        return _orthonormal(w, v)
     return PureMixture(w, v)
 
 
@@ -143,20 +167,22 @@ def state_entropy(state: PureMixture) -> float:
     return entropy_of_probs(vals)
 
 
-def factor_fidelity(va: np.ndarray, vb: np.ndarray) -> float:
+def factor_fidelity(va: np.ndarray, vb: np.ndarray):
     """F(A A†, B B†) = ||A† B||_1 (Uhlmann) for any factors, given as rows A^T, B^T.
 
     A†B is the ra x rb cross-Gram matrix, independent of the ambient dimension.
+    Equal-length stacks of factors give the array of their pairwise fidelities,
+    from one stacked SVD.
     """
-    cross = va @ vb.conj().T
-    return float(min(1.0, np.linalg.svd(cross, compute_uv=False).sum()))
+    cross = va @ vb.conj().swapaxes(-1, -2)
+    return np.minimum(1.0, np.linalg.svd(cross, compute_uv=False).sum(axis=-1))
 
 
 def state_fidelity(a: PureMixture, b: PureMixture) -> float:
     """Fidelity between two states of equal dimension."""
     if a.dim != b.dim:
         raise StructuralError("states live in different dimensions")
-    return factor_fidelity(a.scaled_components(), b.scaled_components())
+    return float(factor_fidelity(a.scaled_components(), b.scaled_components()))
 
 
 def state_is_diagonal(state: PureMixture) -> bool:

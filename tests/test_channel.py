@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from oracles import (
     qary_symmetric_pair_fidelity,
 )
 
+import cqpolar.channel as channel_module
 from cqpolar.channel import (
     CqChannel,
     HybridState,
     channel_to_json,
+    hybrid_fidelity,
     load_channel,
     preset_channel,
 )
@@ -23,9 +28,9 @@ from cqpolar.codes import CodeParams, build_plan
 from cqpolar.decoder import SCDecoder
 from cqpolar.diagonal import from_cq_channel, merge_columns
 from cqpolar.errors import LoadError, StructuralError
-from cqpolar.groups import FiniteAbelianGroup, Subgroup, quotient_cosets
-from cqpolar.polarize import plus_transform, polarization_scan
-from cqpolar.states import pure_state, to_dense
+from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, quotient_cosets
+from cqpolar.polarize import make_record, minus_transform, plus_transform, polarization_scan
+from cqpolar.states import factor_fidelity, pure_state, to_dense
 
 Z2 = FiniteAbelianGroup([2])
 Z4 = FiniteAbelianGroup([4])
@@ -426,3 +431,69 @@ def test_classical_tables_read_the_diagonals_exactly():
             prod = np.multiply.outer(rows[g.add_index(u1, u2)], rows[u2]).reshape(-1)
             plus_rows[u2, u1 * q * q : (u1 + 1) * q * q] = prod / q
     assert np.array_equal(from_cq_channel(plus_transform(W)).table, merge_columns(plus_rows))
+
+
+# -- spectra reused across channels -------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("orders", [[4], [2, 2], [6]], ids=["Z4", "Z2xZ2", "Z6"])
+def test_full_quotients_inherit_the_average_output_entropy(orders, kind):
+    make = random_mixed_channel if kind == "mixed" else random_pure_channel
+    W = make(np.random.default_rng(30), int(np.prod(orders)), 2, group=orders)
+    for channel in (W, minus_transform(W), plus_transform(W)):
+        parent = channel.average_output_entropy()
+        for H in enumerate_subgroups(channel.alphabet):
+            quot = channel.quotient(H)
+            assert quot.average_output_entropy() == parent
+            assert abs(parent - quot._average_entropy_fast()) <= 1e-12
+
+
+def test_restricted_quotients_compute_their_own_average_output_entropy():
+    W = random_mixed_channel(np.random.default_rng(31), 4, 2)
+    H = Subgroup(W.alphabet, (0, 2))
+    M = Subgroup(W.alphabet, (0,))
+    for D in quotient_cosets(W.alphabet, H):
+        restricted = W.restricted_quotient(M, D)
+        own = restricted.average_output_entropy()
+        assert own == restricted._average_entropy_fast()
+        assert abs(own - W.average_output_entropy()) > 1e-6
+
+
+@pytest.mark.parametrize("stack_entries", [None, 1], ids=["one-stack", "stacks-of-one"])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_stacked_branch_fidelities_are_the_per_pair_sum(kind, stack_entries, monkeypatch):
+    if stack_entries is not None:
+        monkeypatch.setattr(channel_module, "_STACK_ENTRIES", stack_entries)
+    make = random_mixed_channel if kind == "mixed" else random_pure_channel
+    W = make(np.random.default_rng(32), 3, 2)
+    for channel in (minus_transform(plus_transform(W)), plus_transform(minus_transform(W))):
+        for x, y in itertools.combinations(range(channel.q), 2):
+            a, b = channel.outputs[x], channel.outputs[y]
+            db = b.as_dict()
+            expected = sum(
+                np.sqrt(wa * db[key][0])
+                * factor_fidelity(sa.scaled_components(), db[key][1].scaled_components())
+                for key, (wa, sa) in a.as_dict().items()
+                if key in db
+            )
+            assert abs(hybrid_fidelity(a, b) - min(1.0, expected)) <= 1e-14
+
+
+def test_a_scanned_channel_is_freed_without_the_cycle_collector():
+    # a quotient holds its parent only until it has read H(avg output), and a
+    # channel never holds its quotients, so no reference cycle keeps it alive
+    W = plus_transform(random_mixed_channel(np.random.default_rng(33), 4, 2))
+    H = Subgroup(W.alphabet, (0, 2))
+    gc.disable()
+    try:
+        ref = weakref.ref(W)
+        make_record(W, (), enumerate_subgroups(W.alphabet))
+        read = W.quotient(H)
+        read.holevo_information()
+        unread = W.quotient(H)
+        del unread, W
+        assert ref() is None
+        assert read.holevo_information() >= 0.0
+    finally:
+        gc.enable()

@@ -53,6 +53,28 @@ def test_channel_validate_rejects_bad_matrix(tmp_path):
     assert "(1)" in res.stderr  # names the offending input symbol
 
 
+@pytest.mark.parametrize(
+    "branch",
+    [{"w": 1.0, "re": [[float("nan"), 0], [0, 1]]},
+     {"w": 1.0, "re": [[0.5, 0], [0, 0.5]], "im": [[0, float("inf")], [float("-inf"), 0]]},
+     {"w": float("nan"), "re": [[1, 0], [0, 0]]}],
+    ids=["nan-re", "inf-im", "nan-weight"],
+)
+def test_channel_validate_rejects_non_finite_numbers(tmp_path, branch):
+    # NaN compares false, so it once passed every tolerance check and printed ok
+    ok = {"w": 1.0, "re": [[1, 0], [0, 0]]}
+    branches = [branch] if branch["w"] == 1.0 else [branch, dict(ok, label="b")]
+    channel = {"group": [2], "k": 2,
+               "states": {"(0)": {"re": [[1, 0], [0, 0]]}, "(1)": {"branches": branches}}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(channel))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    res = run_cli("channel", "validate", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: input (1): branch 0 "), res.stderr
+    assert "finite" in res.stderr
+
+
 def test_channel_preset_and_validate(tmp_path):
     out = tmp_path / "ch.json"
     res = run_cli(
@@ -366,6 +388,47 @@ def test_polarize_refuses_a_negative_depth(tmp_path, preset):
     assert res.returncode == 1
     assert res.stderr.startswith("validation error: depth n must be >= 0"), res.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("angles", ["0,nan", "0,inf"])
+def test_polarize_refuses_non_finite_angles(tmp_path, angles):
+    # a NaN state once reached LAPACK and died with a LinAlgError traceback
+    out = tmp_path / "s.csv"
+    res = run_cli("polarize", "--preset", "pure-states", "--angles", angles, "--n", "1",
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: preset 'pure-states': angles must be finite"), (
+        res.stderr
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mac-region", "--users", "2;2"],
+     ["mac-region", "--users", "2;2", "--mixed"],
+     ["polarize", "--preset", "random", "--q", "2", "--n", "1"]],
+    ids=["mac-pure", "mac-mixed", "random-preset"],
+)
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_an_output_dimension_below_one_is_refused(tmp_path, command, k):
+    # mac-region once ran k=0 as k=2 and recorded k: 0 in its manifest
+    out = tmp_path / "out"
+    res = run_cli(*command, "--k", k, "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"validation error: output dimension k must be >= 1, got {k}"), (
+        res.stderr
+    )
+    assert not out.exists()
+
+
+def test_mac_region_refuses_a_negative_depth(tmp_path):
+    # it once exited 0 with empty polarized estimates
+    out = tmp_path / "mac.json"
+    res = run_cli("mac-region", "--users", "2;2", "--n", "-1", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: depth n must be >= 0, got -1"), res.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

@@ -122,6 +122,18 @@ def test_validate_density_matrix():
     assert np.trace(repaired).real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "-inf", "imag-nan"])
+def test_non_finite_input_is_refused(bad):
+    # NaN compares false, so it once passed every tolerance check
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(StructuralError, match="non-finite"):
+        validate_density_matrix(mat)
+    with pytest.raises(StructuralError, match="must be finite"):
+        pure_state([1.0, bad])
+
+
 def test_pgm_orthogonal_states_projective():
     povm = pretty_good_measurement([KET0, KET1])
     povm.validate()
@@ -349,6 +361,51 @@ def test_dense_state_becomes_its_eigen_factor():
     assert np.array_equal(to_dense(onehot), diag)
     with pytest.raises(StructuralError):
         as_mixture(np.diag([1.5, -0.5]).astype(complex))
+
+
+def _flagged_factors(rng):
+    """A mixture from each constructor that flags its rows orthonormal."""
+    pure = pure_state(rng.normal(size=3) + 1j * rng.normal(size=3))
+    dense = as_mixture(random_density(rng, 3))
+    onehot = as_mixture(np.diag([0.2, 0.0, 0.8]).astype(complex))
+    refactored = mix_states([(0.25, random_mixture(rng, 2, 2)) for _ in range(4)])
+    return [pure, dense, onehot, refactored, tensor_states(pure, dense),
+            tensor_states(dense, onehot), tensor_states(tensor_states(dense, pure), onehot)]
+
+
+def test_flagged_factors_have_their_weights_as_gram():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        for mix in _flagged_factors(rng):
+            assert mix.orthonormal
+            v = mix.scaled_components()
+            np.testing.assert_allclose(v @ v.conj().T, np.diag(mix.weights), rtol=0, atol=1e-12)
+
+
+def test_unrefactored_mixtures_are_not_flagged():
+    rng = np.random.default_rng(22)
+    built = random_mixture(rng, 2, 3)
+    flagged = as_mixture(random_density(rng, 3))
+    mixed = mix_states([(0.5, pure_state([1, 0, 0])), (0.5, pure_state([1, 1, 0]))])
+    assert mixed.rank_bound <= mixed.dim
+    for mix in (built, mixed, tensor_states(built, flagged), tensor_states(flagged, mixed)):
+        assert not mix.orthonormal
+
+
+def test_branch_entropies_off_weights_match_the_gram_spectra():
+    # flagged and unflagged branches of one state, for each dimension
+    rng = np.random.default_rng(23)
+    factors = _flagged_factors(rng)
+    for dim in (3, 9):
+        states = [s for s in factors if s.dim == dim]
+        states += [random_mixture(rng, 3, dim), random_mixture(rng, 2, dim)]
+        weights = rng.random(len(states))
+        weights /= weights.sum()
+        h = HybridState([(w, str(i), s) for i, (w, s) in enumerate(zip(weights, states))])
+        expected = -(weights * np.log(weights)).sum() + sum(
+            w * state_entropy(s) for w, s in zip(weights, states)
+        )
+        assert abs(h.entropy() - expected) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
