@@ -36,12 +36,11 @@ from .groups import (
     Subgroup,
     refine,
 )
-from .linalg import EQ_TOL, entropy_of_probs, validate_density_matrix
+from .linalg import EQ_TOL, entropy_of_probs, factor_fidelity, validate_density_matrix
 from .states import (
     PureMixture,
     as_mixture,
     batched_mixture_entropies,
-    factor_fidelity,
     mix_states,
     pure_state,
     state_is_diagonal,
@@ -49,8 +48,8 @@ from .states import (
 )
 
 
-def _label_key(label):
-    return repr(label)
+#: How a branch label is keyed in dicts and ordered: by its repr.
+_label_key = repr
 
 
 class HybridState:
@@ -87,39 +86,62 @@ class HybridState:
             self._dict = {_label_key(lab): (w, st) for w, lab, st in self.branches}
         return self._dict
 
-    def labels(self) -> list:
-        return [lab for _, lab, _ in self.branches]
-
     def entropy(self) -> float:
-        """H(weights) + sum of weighted branch entropies.
+        """H(weights) + sum of weighted branch entropies (see ``_block_entropy``)."""
+        return _block_entropy([((w, st),) for w, _, st in self.branches])
 
-        A branch with orthonormal rows has its weights as spectrum (the Gram
-        matrix of its scaled rows is diag(weights)), so the entropies of all
-        such branches are read off their concatenated weights in one pass.
-        Every other mixed branch is decomposed, branches sharing a
-        component-array shape in one stacked eigvalsh call; channels with
-        many thousands of classical labels are otherwise dominated by
-        per-branch dispatch overhead.
-        """
-        weights = np.array([w for w, _, _ in self.branches])
-        total = entropy_of_probs(weights)
-        spectra, scales = [], []
-        groups: dict = {}
-        for w, _, st in self.branches:
-            if st.rank_bound == 1:
-                continue
-            if st.orthonormal:
-                spectra.append(st.weights)
-                scales.append(np.full(st.rank_bound, w))
-            else:
-                groups.setdefault(st.vecs.shape, []).append((w, st.scaled_components()))
-        if spectra:
-            p = np.concatenate(spectra)
-            total -= float(np.concatenate(scales) @ (p * np.log(np.where(p > 0.0, p, 1.0))))
-        for items in groups.values():
-            ent = batched_mixture_entropies([c for _, c in items])
-            total += float(np.array([w for w, _ in items]) @ ent)
-        return total
+
+def _block_entropy(blocks) -> float:
+    """Entropy of a block-diagonal state: the sum over its blocks X of -Tr X log X.
+
+    A block is its weighted parts [(w, mixture)], X = sum of w rho.  A one-part
+    block gives -w log w, summed as the Shannon entropy of those weights, plus
+    w H(rho), read off the weights of an orthonormal mixture in one pass.  The
+    other blocks are decomposed, those of one component shape in one stacked
+    eigvalsh call (per-block dispatch would dominate channels with thousands of
+    labels): the stacked components sqrt(w) V of its parts, or a mixture's own.
+    """
+    weights, spectra, scales = [], [], []
+    groups: dict = {}
+    for parts in blocks:
+        if len(parts) > 1:
+            comps = np.vstack([np.sqrt(w) * st.scaled_components() for w, st in parts])
+            groups.setdefault(comps.shape, []).append((1.0, comps))
+            continue
+        ((w, st),) = parts
+        weights.append(w)
+        if st.rank_bound == 1:
+            continue
+        if st.orthonormal:
+            spectra.append(st.weights)
+            scales.append(np.full(st.rank_bound, w))
+        else:
+            groups.setdefault(st.vecs.shape, []).append((w, st.scaled_components()))
+    total = entropy_of_probs(np.array(weights)) if weights else 0.0
+    if spectra:
+        p = np.concatenate(spectra)
+        total -= float(np.concatenate(scales) @ (p * np.log(np.where(p > 0.0, p, 1.0))))
+    for items in groups.values():
+        ent = batched_mixture_entropies([c for _, c in items])
+        total += float(np.array([w for w, _ in items]) @ ent)
+    return total
+
+
+def _label_groups(branches) -> list:
+    """Branches (w, label, state) as [label, total weight, [(w, state)]], in first-seen order."""
+    groups: dict = {}
+    for w, lab, st in branches:
+        ent = groups.setdefault(_label_key(lab), [lab, 0.0, []])
+        ent[1] += w
+        ent[2].append((w, st))
+    return list(groups.values())
+
+
+def _mixed_hybrid(groups) -> HybridState:
+    """One branch per label group: its total weight and the mixture of its states."""
+    return HybridState(
+        [(t, lab, mix_states([(w / t, st) for w, st in parts])) for lab, t, parts in groups]
+    )
 
 
 #: Entries of the factor copies one stacked SVD may take (4 MiB of complex):
@@ -132,7 +154,7 @@ def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
     """Fidelity of two block-diagonal states: sum over shared labels of
     sqrt(w w') F(rho, rho').  Pairs of pure branches are batched into one
     vectorized overlap computation; the other pairs go through
-    :func:`~.states.factor_fidelity`, pairs of one shape in stacked SVDs of
+    :func:`~.linalg.factor_fidelity`, pairs of one shape in stacked SVDs of
     at most ``_STACK_ENTRIES`` factor entries, and are summed in label order."""
     db = b.as_dict()
     left, right, scales = [], [], []
@@ -245,14 +267,12 @@ class CqChannel:
         self.outputs = list(outputs)
         self.k = dims.pop()
         self._fidelity_matrix = None
+        self._label_union = None
+        self._diag_flag = None
         self._avg_entropy = None
         self._avg_parent = None  # a full quotient's parent, until it is read
 
     # -- conveniences ---------------------------------------------------------
-    @property
-    def group(self) -> GroupOps:
-        return self.alphabet
-
     @property
     def q(self) -> int:
         return self.alphabet.order
@@ -271,32 +291,21 @@ class CqChannel:
         return int(x)
 
     def label_union(self) -> list:
-        cached = getattr(self, "_label_union", None)
-        if cached is not None:
-            return cached
-        seen, out = set(), []
-        for h in self.outputs:
-            for lab in h.labels():
-                key = _label_key(lab)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(lab)
-        out.sort(key=_label_key)
-        self._label_union = out
-        return out
+        """Every output's labels, each once, in key order; cached."""
+        if self._label_union is None:
+            seen = {_label_key(lab): lab for h in self.outputs for _, lab, _ in h.branches}
+            self._label_union = [seen[key] for key in sorted(seen)]
+        return self._label_union
 
     def label_positions(self) -> dict:
         """Map label key -> position in the sorted label union."""
         return {_label_key(lab): i for i, lab in enumerate(self.label_union())}
 
     def is_diagonal(self) -> bool:
-        flag = getattr(self, "_diag_flag", None)
-        if flag is None:
-            flag = all(
-                state_is_diagonal(st) for h in self.outputs for _, _, st in h.branches
-            )
-            self._diag_flag = flag
-        return flag
+        if self._diag_flag is None:
+            branches = (br for h in self.outputs for br in h.branches)
+            self._diag_flag = all(state_is_diagonal(st) for _, _, st in branches)
+        return self._diag_flag
 
     # -- information functionals ----------------------------------------------
     def average_output(self) -> HybridState:
@@ -324,24 +333,10 @@ class CqChannel:
         return self._avg_entropy
 
     def _average_entropy_fast(self) -> float:
-        # entropy of a block-diagonal state = -sum of lambda log lambda over
-        # the eigenvalues of the unnormalized blocks; blocks assembled as
-        # stacked component Grams without intermediate mixture objects
+        # the average output's label blocks, their parts left unmixed
         q = self.q
-        acc: dict = {}
-        for h in self.outputs:
-            for w, lab, st in h.branches:
-                acc.setdefault(_label_key(lab), []).append(
-                    np.sqrt(w / q) * st.scaled_components()
-                )
-        groups: dict = {}
-        for parts in acc.values():
-            comps = parts[0] if len(parts) == 1 else np.vstack(parts)
-            groups.setdefault(comps.shape, []).append(comps)
-        total = 0.0
-        for mats in groups.values():
-            total += float(batched_mixture_entropies(mats).sum())
-        return total
+        groups = _label_groups((w / q, lab, st) for h in self.outputs for w, lab, st in h.branches)
+        return _block_entropy([parts for _, _, parts in groups])
 
     def pairwise_fidelity(self, x, y) -> float:
         return hybrid_fidelity(self.output_of(x), self.output_of(y))
@@ -426,17 +421,9 @@ class CqChannel:
 
 def _average_hybrid(hybrids) -> HybridState:
     n = len(hybrids)
-    per_label: dict = {}
-    for h in hybrids:
-        for w, lab, st in h.branches:
-            ent = per_label.setdefault(_label_key(lab), [lab, 0.0, []])
-            ent[1] += w / n
-            ent[2].append((w / n, st))
-    branches = [
-        (wtot, lab, mix_states([(w / wtot, st) for w, st in parts]))
-        for lab, wtot, parts in per_label.values()
-    ]
-    return HybridState(branches)
+    return _mixed_hybrid(
+        _label_groups((w / n, lab, st) for h in hybrids for w, lab, st in h.branches)
+    )
 
 
 # -- random channels and presets ---------------------------------------------------

@@ -35,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .channel import CqChannel, HybridState, preset_channel, random_cq_channel, random_density
-from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import (
     FiniteAbelianGroup,
@@ -47,6 +46,8 @@ from .groups import (
 )
 from .linalg import (
     EQ_TOL,
+    EQ_TOL_STRICT,
+    TRANSFORM_TOL,
     angle,
     fidelity,
     helstrom_error,
@@ -59,9 +60,6 @@ from .linalg import (
 )
 from .polarize import minus_transform, plus_transform
 from .states import pure_state, to_dense
-
-EQ_TOL_STRICT = 1e-9
-
 
 @dataclass
 class CheckReport:
@@ -145,15 +143,14 @@ def random_subidentity(rng, dim: int) -> np.ndarray:
 class Instance:
     """What one check runs on.
 
-    The random stream, the grid point (q, k), the caps and the instance tag,
-    plus the channel ``W`` and the subgroup ``H`` it is built around when the
-    check's family supplies them.
+    The random stream, the grid point (q, k) and the instance tag, plus the
+    channel ``W`` and the subgroup ``H`` it is built around when the check's
+    family supplies them.  Transforms run under the default caps.
     """
 
     rng: np.random.Generator
     q: int
     k: int
-    caps: ResourceCaps
     tag: str
     W: CqChannel | None = None
     H: Subgroup | None = None
@@ -241,14 +238,14 @@ def check_sequential_union_bound(inst: Instance):
 @check("fd-plus-squares", "channel")
 def check_fd_plus_squares(inst: Instance):
     W = inst.W
-    plus = plus_transform(W, inst.caps)
+    plus = plus_transform(W)
     return [_report(f"{inst.tag},d={d}", plus.fd(d), W.fd(d) ** 2, eq=True) for d in range(W.q)]
 
 
 @check("fd-minus-sandwich", "channel")
 def check_fd_minus_sandwich(inst: Instance):
     W = inst.W
-    minus = minus_transform(W, inst.caps)
+    minus = minus_transform(W)
     g = W.alphabet
     out = []
     for d in range(1, W.q):
@@ -267,14 +264,14 @@ def check_fd_minus_sandwich(inst: Instance):
 @check("fmax-plus-squares", "channel")
 def check_fmax_plus_squares(inst: Instance):
     W = inst.W
-    plus = plus_transform(W, inst.caps)
+    plus = plus_transform(W)
     return [_report(inst.tag, plus.f_max(), W.f_max() ** 2, eq=True)]
 
 
 @check("fmax-minus-growth", "channel")
 def check_fmax_minus_growth(inst: Instance):
     W = inst.W
-    minus = minus_transform(W, inst.caps)
+    minus = minus_transform(W)
     fm, fmm = W.f_max(), minus.f_max()
     return [
         _report(f"{inst.tag},lower", fm, fmm),
@@ -285,7 +282,7 @@ def check_fmax_minus_growth(inst: Instance):
 @check("favg-plus-contraction", "channel")
 def check_favg_plus_contraction(inst: Instance):
     W = inst.W
-    plus = plus_transform(W, inst.caps)
+    plus = plus_transform(W)
     q, F = W.q, W.avg_fidelity()
     rhs = min(F, (q - 1) ** 2 * F * F)
     return [_report(inst.tag, plus.avg_fidelity(), rhs)]
@@ -294,7 +291,7 @@ def check_favg_plus_contraction(inst: Instance):
 @check("favg-minus-growth", "channel")
 def check_favg_minus_growth(inst: Instance):
     W = inst.W
-    minus = minus_transform(W, inst.caps)
+    minus = minus_transform(W)
     q, F, Fm = W.q, W.avg_fidelity(), minus.avg_fidelity()
     return [
         _report(f"{inst.tag},lower", F, Fm),
@@ -305,31 +302,31 @@ def check_favg_minus_growth(inst: Instance):
 @check("info-conservation", "channel")
 def check_info_conservation(inst: Instance):
     W = inst.W
-    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
+    minus, plus = minus_transform(W), plus_transform(W)
     lhs = minus.holevo_information() + plus.holevo_information()
-    return [_report(inst.tag, lhs, 2 * W.holevo_information(), eq=True, tol=1e-8)]
+    return [_report(inst.tag, lhs, 2 * W.holevo_information(), eq=True, tol=TRANSFORM_TOL)]
 
 
 @check("info-ordering", "channel")
 def check_info_ordering(inst: Instance):
     W = inst.W
-    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
+    minus, plus = minus_transform(W), plus_transform(W)
     I = W.holevo_information()
     return [
-        _report(f"{inst.tag},minus", minus.holevo_information(), I, tol=1e-8),
-        _report(f"{inst.tag},plus", I, plus.holevo_information(), tol=1e-8),
+        _report(f"{inst.tag},minus", minus.holevo_information(), I, tol=TRANSFORM_TOL),
+        _report(f"{inst.tag},plus", I, plus.holevo_information(), tol=TRANSFORM_TOL),
     ]
 
 
 @check("quotient-info-two-branch", "group-channel")
 def check_quotient_info_two_branch(inst: Instance):
     W = inst.W
-    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
+    minus, plus = minus_transform(W), plus_transform(W)
     out = []
     for H in enumerate_subgroups(W.alphabet):
         lhs = 2 * W.quotient(H).holevo_information()
         rhs = minus.quotient(H).holevo_information() + plus.quotient(H).holevo_information()
-        out.append(_report(f"{inst.tag},H={H!r}", lhs, rhs, tol=1e-8))
+        out.append(_report(f"{inst.tag},H={H!r}", lhs, rhs, tol=TRANSFORM_TOL))
     return out
 
 
@@ -444,7 +441,7 @@ def check_generated_subgroup_fmax(inst: Instance):
 def check_quotient_fidelity_growth(inst: Instance):
     W = inst.W
     q = W.q
-    minus, plus = minus_transform(W, inst.caps), plus_transform(W, inst.caps)
+    minus, plus = minus_transform(W), plus_transform(W)
     out = []
     for H in enumerate_subgroups(W.alphabet):
         h = H.order
@@ -606,10 +603,9 @@ def check_angle_triangle(inst: Instance):
 # -- drivers --------------------------------------------------------------------------
 
 
-def run_check(check_id: str, seed: int = 0, trials: int = 1, q: int = 2, k: int = 2,
-              caps: ResourceCaps = None):
+def run_check(check_id: str, seed: int = 0, trials: int = 1, q: int = 2, k: int = 2):
     """Run one check on `trials` seeded instances."""
-    return run_all(seed, trials, qs=(q,), ks=(k,), checks=[check_id], caps=caps)
+    return run_all(seed, trials, qs=(q,), ks=(k,), checks=[check_id])
 
 
 def _stable_hash(text: str) -> int:
@@ -619,15 +615,13 @@ def _stable_hash(text: str) -> int:
     return h
 
 
-def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=None,
-            caps: ResourceCaps = None):
+def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=None):
     """Run every (or the named) check over a fuzz grid of channel sizes."""
     if trials < 1:
         raise StructuralError(f"a verify run needs at least one trial, got {trials}")
     for what, sizes, least in (("q", qs, 2), ("k", ks, 1)):  # the checks need an input x != 0
         if not sizes or min(sizes) < least:
             raise StructuralError(f"verify sizes {what} must be >= {least}, got {list(sizes)}")
-    caps = caps or default_caps()
     names = list(CHECKS) if checks in (None, "all") else list(checks)
     for name in names:
         if name not in CHECKS:
@@ -639,7 +633,7 @@ def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=Non
             q = qs[t % len(qs)]
             k = ks[(t // len(qs)) % len(ks)]
             rng = np.random.default_rng([seed, t, _stable_hash(name)])
-            inst = Instance(rng, q, k, caps, f"seed={seed},t={t},q={q},k={k}")
+            inst = Instance(rng, q, k, f"seed={seed},t={t},q={q},k={k}")
             FAMILIES[family](inst)
             for report in fn(inst):
                 report.check_id = name

@@ -35,6 +35,7 @@ from .groups import (
     random_section_map,
     zero_section_map,
 )
+from .linalg import EQ_TOL
 from .polarize import (
     PolarizationRecord,
     branch_order,
@@ -163,25 +164,42 @@ def build_plan(W: CqChannel, params: CodeParams, caps: ResourceCaps = None) -> C
                 subgroup=H,
                 section=section,
                 in_selected_set=selected,
-                info_nats=float(np.log(g.order / H.order)),
+                info_nats=_info_nats(g.order, H),
                 I=rec.I,
                 fmax=rec.fmax,
                 quot_I=rec.quot_I[H],
                 quot_F=rec.quot_F[H],
             )
         )
-    N = params.block_length
-    rate = sum(d.info_nats for d in decisions) / N
-    bound = 2.0 * np.sqrt(N) * np.sqrt(sum((g.order - 1) * d.quot_F for d in decisions))
+    rate, bound = _rate_and_bound(decisions, g.order)
     return CodePlan(
         params=params,
         group=g,
         decisions=decisions,
-        rate=float(rate),
-        bound=float(bound),
+        rate=rate,
+        bound=bound,
         base_I=W.holevo_information(),
         channel_json=channel_to_json(W),
     )
+
+
+def _info_nats(q: int, H: Subgroup) -> float:
+    """log |G/H|, the information a decision with subgroup H carries."""
+    return float(np.log(q / H.order))
+
+
+def _rate_and_bound(decisions, q: int) -> tuple:
+    """The mean of info_nats, and the error bound 2 sqrt(N) sqrt(sum of (q-1) quot_F)."""
+    N = len(decisions)
+    rate = sum(d.info_nats for d in decisions) / N
+    bound = 2.0 * np.sqrt(N) * np.sqrt(sum((q - 1) * d.quot_F for d in decisions))
+    return float(rate), float(bound)
+
+
+def _require_close(what: str, stored: float, derived: float, formula: str) -> None:
+    """Refuse a stored number more than EQ_TOL (or NaN) away from its formula's value."""
+    if not abs(stored - derived) <= EQ_TOL:
+        raise LoadError(f"{what} {stored!r} is not {formula} = {derived!r}")
 
 
 def rate_gap(plan: CodePlan, W=None) -> float:
@@ -395,6 +413,12 @@ def plan_from_json(obj) -> CodePlan:
             )
         except StructuralError as exc:
             raise LoadError(f"plan decision {i}: {exc}") from exc
+    for i, d in enumerate(decisions):
+        want = _info_nats(g.order, d.subgroup)
+        _require_close(f"plan decision {i}: info_nats", d.info_nats, want, "log(q/|H|)")
+    want_rate, want_bound = _rate_and_bound(decisions, g.order)
+    _require_close("plan: rate", rate, want_rate, "the mean of info_nats")
+    _require_close("plan: bound", bound, want_bound, "2 sqrt(N) sqrt(sum of (q-1) quot_F)")
     return CodePlan(
         params=params,
         group=g,

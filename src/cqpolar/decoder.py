@@ -43,8 +43,9 @@ import numpy as np
 
 from .channel import CqChannel
 from .config import ResourceCaps, default_caps
+from .diagonal import from_cq_channel
 from .errors import StructuralError
-from .linalg import RCOND, Povm, hermitize, pgm_effects, psd_inv_sqrt_support, psd_sqrt
+from .linalg import RCOND, Povm, hermitize, pgm_effects, psd_sqrt
 from .codes import (
     CodePlan,
     MessageVector,
@@ -296,15 +297,12 @@ def _subspace_pgm(sigma_lists) -> list:
         for ranked in _groups(ranks.tolist()):  # positions in ``shaped`` of one rank r
             r = int(ranks[ranked[0]])
             basis = ub[ranked, :, :r]  # (b, d, r)
-            projected = []  # each candidate state in basis coordinates, prior 1/m folded in
+            projected = []  # each candidate state in basis coordinates
             for c in range(m):
                 b = np.array([comps[shaped[k]][c] for k in ranked]) @ basis.conj()
-                projected.append((b.swapaxes(-1, -2) @ b.conj()) / m)
-            s_isqrt, supp = psd_inv_sqrt_support(hermitize(sum(projected)))
-            # remainder inside the subspace (rank-deficient S') plus the full kernel
-            inner_rem = ((np.eye(r) - supp) / m)[:, None]
-            s_isqrt = s_isqrt[:, None]
-            effects = hermitize(s_isqrt @ np.stack(projected, axis=1) @ s_isqrt + inner_rem)
+                projected.append(b.swapaxes(-1, -2) @ b.conj())
+            # pgm_effects shares out the kernel of S inside the span; kernel_share the rest
+            effects = pgm_effects(np.stack(projected, axis=1))
             vals, vecs = np.linalg.eigh(effects)
             vals = np.clip(vals, 0.0, None)
             for j, k in enumerate(ranked):
@@ -457,8 +455,6 @@ class SCDecoder:
 
     def _prepare_states(self):
         if self.kind == "diagonal":
-            from .diagonal import from_cq_channel
-
             diag = from_cq_channel(self.channel)
             self.table = diag.table
             # Generator.choice(p=p) checks p once per call and draws one double u,

@@ -57,7 +57,7 @@ from .channel import (
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
 from .groups import GroupOps
-from .linalg import entropy_of_probs
+from .linalg import LIKELIHOOD_NEG_TOL, LIKELIHOOD_SUM_TOL, entropy_of_probs
 from .states import to_dense
 
 _MERGE_DECIMALS = 12
@@ -79,22 +79,18 @@ class DiagonalChannel:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[0] != alphabet.order:
             raise StructuralError("likelihood table must have one row per input")
-        if np.any(table < -1e-12):
+        if np.any(table < -LIKELIHOOD_NEG_TOL):
             raise StructuralError("likelihoods must be nonnegative")
         if shifted:
-            if abs(table.sum() - alphabet.order) > 1e-8 * alphabet.order:
+            if abs(table.sum() - alphabet.order) > LIKELIHOOD_SUM_TOL * alphabet.order:
                 raise StructuralError("likelihood table must hold total mass q (one per input)")
-        elif np.max(np.abs(table.sum(axis=1) - 1.0)) > 1e-8:
+        elif np.max(np.abs(table.sum(axis=1) - 1.0)) > LIKELIHOOD_SUM_TOL:
             raise StructuralError("likelihood rows must sum to 1")
         self.alphabet = alphabet
         self.table = np.clip(table, 0.0, None)
         self._fidelity_matrix = None
 
     # -- conveniences ---------------------------------------------------------
-    @property
-    def group(self) -> GroupOps:
-        return self.alphabet
-
     @property
     def q(self) -> int:
         return self.alphabet.order
@@ -255,16 +251,10 @@ def from_cq_channel(W) -> DiagonalChannel:
     """Flatten a diagonal hybrid channel into a likelihood table."""
     if not isinstance(W, CqChannel) or not W.is_diagonal():
         raise StructuralError("channel is not diagonal")
-    labels = W.label_union()
-    cols = []
-    for lab in labels:
-        key = _label_key(lab)
-        block = np.zeros((W.q, W.k))
-        for x in range(W.q):
-            hit = W.outputs[x].as_dict().get(key)
-            if hit is not None:
-                w, st = hit
-                block[x] = w * np.real(np.diag(to_dense(st)))
-        cols.append(block)
-    table = np.concatenate(cols, axis=1)
+    pos, k = W.label_positions(), W.k
+    table = np.zeros((W.q, len(pos) * k))
+    for x, h in enumerate(W.outputs):
+        for w, lab, st in h.branches:
+            j = pos[_label_key(lab)]
+            table[x, j * k : (j + 1) * k] = w * np.real(np.diag(to_dense(st)))
     return DiagonalChannel(W.alphabet, merge_columns(table))

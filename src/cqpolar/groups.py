@@ -269,12 +269,12 @@ def generated_subgroup(d: GroupElement) -> Subgroup:
     return Subgroup(g, tuple(members))
 
 
-def enumerate_subgroups(G: FiniteAbelianGroup, order_cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def enumerate_subgroups(G: FiniteAbelianGroup) -> list[Subgroup]:
     """All subgroups of ``G``, sorted by order then lexicographic element set.
 
-    Exhaustive closure enumeration; refuses groups larger than ``order_cap``.
+    Exhaustive closure enumeration; refuses groups larger than ``DEFAULT_ORDER_CAP``.
     """
-    return subgroups_of(Subgroup(G, tuple(range(G.order))), order_cap)
+    return subgroups_of(Subgroup(G, tuple(range(G.order))))
 
 
 def _extend_subgroup(G: GroupOps, sub: frozenset, g: int) -> frozenset:
@@ -287,10 +287,12 @@ def _extend_subgroup(G: GroupOps, sub: frozenset, g: int) -> frozenset:
     return frozenset(members)
 
 
-def subgroups_of(H: Subgroup, order_cap: int = DEFAULT_ORDER_CAP) -> list[Subgroup]:
+def subgroups_of(H: Subgroup) -> list[Subgroup]:
     """All subgroups of ``G`` contained in ``H`` (as subgroups of the parent)."""
-    if H.order > order_cap:
-        raise CapacityError(f"subgroup enumeration capped at order {order_cap}, got {H.order}")
+    if H.order > DEFAULT_ORDER_CAP:
+        raise CapacityError(
+            f"subgroup enumeration capped at order {DEFAULT_ORDER_CAP}, got {H.order}"
+        )
     G = H.parent
     found = {frozenset({0})}
     frontier = [frozenset({0})]

@@ -4,14 +4,27 @@ Everything works on plain complex ndarrays.  All matrix functions go through
 a Hermitian eigendecomposition after explicit symmetrization, and entropies
 are in nats (natural logarithm) throughout.
 
-The tolerances of this toolkit, read also by states, channels, the decoder,
-the checks and rate regions, are module constants.  HERM_TOL, PSD_TOL and
-TRACE_TOL (1e-9) bound the accepted Hermiticity defect, eigenvalue negativity
-(relative to max(1, top eigenvalue); for a POVM effect, also the excess over
-1) and trace defect.  EQ_TOL (1e-7) is the slack of statements that rounding
-can break by a few ulps: inequality checks, weights summing to 1, effects
-summing to I, rate bounds.  RCOND (1e-12) is the share of the top eigenvalue
+The tolerances of the package, read by states, channels, both engines, the
+decoder, plans, the checks and rate regions, are the module constants below.
+HERM_TOL, PSD_TOL and TRACE_TOL (1e-9) bound the accepted Hermiticity
+defect, eigenvalue negativity (relative to max(1, top eigenvalue); for a
+POVM effect, also the excess over 1) and trace defect.  EQ_TOL (1e-7) is the
+slack of statements that rounding can break by a few ulps: inequality
+checks, weights summing to 1, effects summing to I, rate bounds, a plan's
+stored rate and bound.  RCOND (1e-12) is the share of the top eigenvalue
 below which an eigenvalue counts as kernel.
+
+The checks' equalities are identities whose sides are sums that agree to
+rounding (within 2e-15 over verify seeds 0-3); EQ_TOL_STRICT (1e-9), their
+slack, still fails a broken identity that EQ_TOL would forgive.  Checks
+across one +/- transform (conservation, ordering, two-branch quotient sums)
+read re-factored mixtures, each dropping eigenvalues below dim * eps of its
+top one, so TRANSFORM_TOL (1e-8) leaves them more room.  The table engine
+builds its likelihoods from sums and products of nonnegative numbers:
+entries down to -LIKELIHOOD_NEG_TOL (1e-12, no decomposition involved) are
+rounding and clipped to 0, and LIKELIHOOD_SUM_TOL (1e-8) bounds the defect
+of each row sum, or of a shifted table's total mass q relative to q, as its
+merges sum up to millions of entries.
 """
 
 from __future__ import annotations
@@ -27,6 +40,10 @@ PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EQ_TOL = 1e-7
 RCOND = 1e-12
+EQ_TOL_STRICT = 1e-9
+TRANSFORM_TOL = 1e-8
+LIKELIHOOD_NEG_TOL = 1e-12
+LIKELIHOOD_SUM_TOL = 1e-8
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -101,13 +118,24 @@ def _check_same_dim(rho: np.ndarray, sigma: np.ndarray) -> None:
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)), clipped to [0, 1].
 
-    Evaluated as the nuclear norm of sqrt(rho) sqrt(sigma): the singular
-    values come out backward-stably, unlike eigenvalues of the sandwiched
-    product, whose clipping noise gets amplified by the square root.
+    Evaluated by ``factor_fidelity`` with the square roots as factors, the
+    nuclear norm of sqrt(rho) sqrt(sigma): the singular values come out
+    backward-stably, unlike eigenvalues of the sandwiched product, whose
+    clipping noise gets amplified by the square root.
     """
     _check_same_dim(rho, sigma)
-    prod = psd_sqrt(rho) @ psd_sqrt(sigma)
-    return float(min(1.0, np.linalg.svd(prod, compute_uv=False).sum()))
+    return float(factor_fidelity(psd_sqrt(rho), psd_sqrt(sigma)))
+
+
+def factor_fidelity(va: np.ndarray, vb: np.ndarray):
+    """F(A A†, B B†) = ||A† B||_1 (Uhlmann) for any factors, given as rows A^T, B^T.
+
+    A†B is the ra x rb cross-Gram matrix, independent of the ambient dimension.
+    Equal-length stacks of factors give the array of their pairwise fidelities,
+    from one stacked SVD.
+    """
+    cross = va @ vb.conj().swapaxes(-1, -2)
+    return np.minimum(1.0, np.linalg.svd(cross, compute_uv=False).sum(axis=-1))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -136,11 +164,8 @@ def angle(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float:
-    """Error probability of the optimal two-state discriminator."""
-    _check_same_dim(rho0, rho1)
-    p1 = 1.0 - p0
-    vals = np.linalg.eigvalsh(hermitize(p0 * rho0 - p1 * rho1))
-    return float(0.5 * (1.0 - np.abs(vals).sum()))
+    """Optimal two-state discrimination error, (1 - ||p0 rho0 - p1 rho1||_1) / 2."""
+    return 0.5 - trace_distance(p0 * rho0, (1.0 - p0) * rho1)
 
 
 @dataclass
@@ -165,10 +190,6 @@ class Povm:
         defect = np.max(np.abs(total - np.eye(self.dim)))
         if defect > EQ_TOL:
             raise StructuralError(f"effects do not sum to the identity: defect {defect:.3e}")
-
-    def outcome_probabilities(self, rho: np.ndarray) -> np.ndarray:
-        p = np.array([float(np.real(np.trace(e @ rho))) for e in self.effects])
-        return np.clip(p, 0.0, None)
 
 
 def pretty_good_measurement(states: list, priors=None) -> Povm:
@@ -234,8 +255,3 @@ def union_bound_rhs(effects: list, rho: np.ndarray) -> float:
     missing = sum(max(0.0, 1.0 - float(np.real(np.trace(pi @ rho)))) for pi in effects)
     return float(2.0 * np.sqrt(r) * np.sqrt(missing))
 
-
-def trace_sqrt_subadditivity_check(A: np.ndarray, B: np.ndarray) -> bool:
-    """True iff Tr sqrt(A+B) <= Tr sqrt(A) + Tr sqrt(B) within EQ_TOL."""
-    tr = lambda m: float(np.sqrt(np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)).sum())
-    return tr(A + B) <= tr(A) + tr(B) + EQ_TOL

@@ -15,16 +15,24 @@ Both engines check the caps passed to each transform.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CqChannel, HybridState, _require_product_group
+from .channel import (
+    CqChannel,
+    HybridState,
+    _label_groups,
+    _label_key,
+    _mixed_hybrid,
+    _require_product_group,
+)
 from .config import ResourceCaps, default_caps
 from .diagonal import DiagonalChannel, from_cq_channel
 from .errors import CapacityError, StructuralError
 from .groups import Subgroup, enumerate_subgroups
-from .states import tensor_states, mix_states
+from .states import tensor_states
 
 MINUS, PLUS = "-", "+"
 
@@ -73,13 +81,14 @@ def _pair_branches(W, u1: int, u2: int, pos: dict):
     Labels are recompressed to positions in the parent's label union, which
     keeps label size constant under repeated transforms.
     """
-    q, left, right = W.q, W.outputs[W.alphabet.add_index(u1, u2)], W.outputs[u2]
+    q, left = W.q, W.outputs[W.alphabet.add_index(u1, u2)]
+    right = [(w2, pos[_label_key(l2)], s2) for w2, l2, s2 in W.outputs[u2].branches]
     for w1, l1, s1 in left.branches:
-        i1 = pos[repr(l1)]
-        for w2, l2, s2 in right.branches:
+        i1 = pos[_label_key(l1)]
+        for w2, i2, s2 in right:
             w = w1 * w2 / q
             if w > 0.0:
-                yield w, (i1, pos[repr(l2)]), tensor_states(s1, s2)
+                yield w, (i1, i2), tensor_states(s1, s2)
 
 
 def minus_transform(W, caps: ResourceCaps = None):
@@ -92,18 +101,10 @@ def minus_transform(W, caps: ResourceCaps = None):
     pos = W.label_positions()
     outputs = []
     for u1 in range(W.q):
-        acc: dict = {}  # label -> [total weight, [(weight, state)]]
-        for u2 in range(W.q):
-            for w, lab, st in _pair_branches(W, u1, u2, pos):
-                ent = acc.setdefault(lab, [0.0, []])
-                ent[0] += w
-                ent[1].append((w, st))
-        caps.check_branches(len(acc), "minus transform")
-        branches = [
-            (wtot, lab, mix_states([(w / wtot, st) for w, st in parts]))
-            for lab, (wtot, parts) in acc.items()
-        ]
-        outputs.append(HybridState(branches))
+        pairs = (_pair_branches(W, u1, u2, pos) for u2 in range(W.q))
+        groups = _label_groups(itertools.chain.from_iterable(pairs))
+        caps.check_branches(len(groups), "minus transform")
+        outputs.append(_mixed_hybrid(groups))
     return CqChannel(W.alphabet, outputs)
 
 
@@ -288,8 +289,8 @@ def process_sample(
             quot_child_I=[],
         )
         for _ in range(n):
-            minus = minus_transform(channel, caps)
-            plus = plus_transform(channel, caps)
+            minus = _child(channel, record.signs + (MINUS,), caps)
+            plus = _child(channel, record.signs + (PLUS,), caps)
             record.child_I.append((minus.holevo_information(), plus.holevo_information()))
             record.child_fmax.append((minus.f_max(), plus.f_max()))
             if subgroups:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .linalg import PSD_TOL, eigh_psd, entropy_of_probs, hermitize
+from .linalg import PSD_TOL, eigh_psd, entropy_of_probs, factor_fidelity, hermitize
 
 _EPS = np.finfo(float).eps
 
@@ -165,17 +165,6 @@ def state_entropy(state: PureMixture) -> float:
     v = state.scaled_components()
     vals = np.clip(np.linalg.eigvalsh(hermitize(v @ v.conj().T)), 0.0, None)
     return entropy_of_probs(vals)
-
-
-def factor_fidelity(va: np.ndarray, vb: np.ndarray):
-    """F(A A†, B B†) = ||A† B||_1 (Uhlmann) for any factors, given as rows A^T, B^T.
-
-    A†B is the ra x rb cross-Gram matrix, independent of the ambient dimension.
-    Equal-length stacks of factors give the array of their pairwise fidelities,
-    from one stacked SVD.
-    """
-    cross = va @ vb.conj().swapaxes(-1, -2)
-    return np.minimum(1.0, np.linalg.svd(cross, compute_uv=False).sum(axis=-1))
 
 
 def state_fidelity(a: PureMixture, b: PureMixture) -> float:

@@ -98,8 +98,8 @@ def test_margins_at_analytic_extremes():
     # lower bound is an equality at both the perfect and the useless channel
     perfect = preset_channel("classical-symmetric", q=3, p=0.0)
     useless = preset_channel("depolarized-orthogonal", q=3, lam=1.0)
-    perfect = Instance(None, 3, 2, None, "perfect", W=perfect)
-    useless = Instance(None, 3, 2, None, "useless", W=useless)
+    perfect = Instance(None, 3, 2, "perfect", W=perfect)
+    useless = Instance(None, 3, 2, "useless", W=useless)
     low_p = check_info_fidelity_lower(perfect)[0]
     low_u = check_info_fidelity_lower(useless)[0]
     assert abs(low_p.margin) <= 1e-9

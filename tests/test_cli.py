@@ -232,8 +232,38 @@ def z4_plan(tmp_path_factory):
         "--n", "2", "--tau", "0.5", "--out", str(path),
     ).returncode == 0
     plan = json.loads(path.read_text())
-    plan["decisions"][0].update(subgroup=[0, 2], section={"0": 2, "1": 1})
+    plan["decisions"][0].update(subgroup=[0, 2], section={"0": 2, "1": 1}, info_nats=np.log(2))
+    plan["rate"] = sum(d["info_nats"] for d in plan["decisions"]) / len(plan["decisions"])
     return plan
+
+
+def _inflate_info(plan):
+    for d in plan["decisions"]:
+        d["info_nats"] = 5.0
+    plan["rate"] = 5.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_inflate_info, "plan decision 0: info_nats 5.0 is not log(q/|H|) = 0.69314"),
+        (lambda p: p.update(rate=p["rate"] + 1e-6), "plan: rate "),
+        (lambda p: p.update(bound=p["bound"] * 2), "plan: bound "),
+        (lambda p: p["decisions"][1].update(quot_F=0.0), "plan: bound "),
+    ],
+    ids=["info-nats", "rate", "bound", "quot-F"],
+)
+def test_decode_sim_refuses_an_inconsistent_plan(tmp_path, z4_plan, edit, message):
+    plan = json.loads(json.dumps(z4_plan))
+    edit(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    res = run_cli(
+        "decode-sim", "--plan", str(path), "--trials", "5", "--out", str(tmp_path / "r.json")
+    )
+    assert res.returncode == 1
+    assert res.stderr.startswith("validation error: " + message), res.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from cqpolar.decoder import (
 )
 from cqpolar.errors import StructuralError
 from cqpolar.groups import FiniteAbelianGroup, random_section_map
+from cqpolar.linalg import pgm_effects
 from cqpolar.polarize import synthesize, reverse_label
 from cqpolar.states import to_dense
 
@@ -652,6 +653,23 @@ def test_step_povms_built_together_are_those_built_alone(key):
         (alone,) = build([sigmas])
         for got, want in zip(povm.to_povm().effects, alone.to_povm().effects):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2"])
+def test_step_povms_are_the_pgm_of_the_densified_candidates(key):
+    # the linalg PGM on full density matrices is the oracle for both builders
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    build = decoder._subspace_pgm if eng.kind == "pure" else decoder._dense_pgm
+    lists = [
+        eng.conditional_states(i, prefix)
+        for i, cells in enumerate(eng._cells) if len(cells) > 1
+        for prefix in itertools.product(range(w.q), repeat=i)
+    ]
+    assert lists
+    for sigmas, povm in zip(lists, build(lists)):
+        want = pgm_effects(np.array([to_dense(s) for s in sigmas]))
+        assert np.max(np.abs(np.array(povm.to_povm().effects) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2"])

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqpolar import checks
 from cqpolar.channel import HybridState, random_density
+from cqpolar.checks import Instance, check_fmax_plus_squares, check_info_conservation, run_check
+from cqpolar.diagonal import DiagonalChannel
 from cqpolar.errors import StructuralError
 from cqpolar.linalg import (
     Povm,
@@ -18,7 +21,6 @@ from cqpolar.linalg import (
     psd_sqrt,
     sequential_measure,
     trace_distance,
-    trace_sqrt_subadditivity_check,
     union_bound_rhs,
     validate_density_matrix,
     von_neumann_entropy,
@@ -34,6 +36,7 @@ from cqpolar.states import (
     tensor_states,
     to_dense,
 )
+from cqpolar.groups import FiniteAbelianGroup
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -239,14 +242,13 @@ def test_sequential_measure_rejects_large_operators():
 
 
 def test_trace_sqrt_subadditivity():
-    assert trace_sqrt_subadditivity_check(np.eye(2), np.eye(2))
-    assert trace_sqrt_subadditivity_check(np.eye(3), np.zeros((3, 3)))
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        dim = int(rng.integers(2, 7))
-        a = random_density(rng, dim) * rng.uniform(0.1, 4)
-        b = random_density(rng, dim) * rng.uniform(0.1, 4)
-        assert trace_sqrt_subadditivity_check(a, b)
+    # Tr sqrt(A+B) <= Tr sqrt(A) + Tr sqrt(B) on 40 random pairs of dimension 2-6
+    reports = run_check("trace-sqrt-subadditive", seed=7, trials=40)
+    assert len(reports) == 40 and len({r.instance.split("dim=")[1] for r in reports}) > 1
+    assert all(r.passed and r.margin >= 0.0 for r in reports)
+
+
+Z2 = FiniteAbelianGroup([2])
 
 
 def _rates(empty=0.0, first=0.5):
@@ -278,6 +280,12 @@ THRESHOLDS = [
     pytest.param(1e-7, lambda d: _rates(empty=d).validate(), id="rate-empty-subset"),
     pytest.param(1e-7, lambda d: _rates(first=-d).validate(), id="rate-nonnegative"),
     pytest.param(1e-7, lambda d: _rates(first=0.5 + d).validate(), id="rate-monotone"),
+    pytest.param(1e-12, lambda d: DiagonalChannel(Z2, [[-d, 1.0 + d], [0.5, 0.5]]),
+                 id="likelihood-negativity"),
+    pytest.param(1e-8, lambda d: DiagonalChannel(Z2, [[0.5 + d, 0.5], [0.5, 0.5]]),
+                 id="likelihood-row-sum"),
+    pytest.param(1e-8, lambda d: DiagonalChannel(Z2, [[0.5 + 2 * d, 0.5], [0.5, 0.5]], shifted=True),
+                 id="likelihood-total-mass"),
 ]
 
 
@@ -286,6 +294,36 @@ def test_threshold_accepts_just_inside_and_rejects_just_outside(limit, check):
     check(0.9 * limit)
     with pytest.raises(StructuralError):
         check(1.1 * limit)
+
+
+class _Fixed:
+    """A stand-in channel whose functionals all read one number."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def holevo_information(self):
+        return self.value
+
+    def f_max(self):
+        return self.value
+
+
+# Each check slack of the tolerance table, as (limit, check, the value its
+# stand-in transforms read at a defect d from the identity, W's reading 0.5).
+CHECK_SLACKS = [
+    pytest.param(1e-9, check_fmax_plus_squares, lambda d: 0.25 + d, id="strict-equality"),
+    pytest.param(1e-8, check_info_conservation, lambda d: 0.5 + d / 2, id="transform-information"),
+]
+
+
+@pytest.mark.parametrize("limit,check,value", CHECK_SLACKS)
+def test_check_slack_passes_just_inside_and_fails_just_outside(limit, check, value, monkeypatch):
+    inst = Instance(None, 2, 2, "stand-in", W=_Fixed(0.5))
+    for defect, passed in ((0.9 * limit, True), (1.1 * limit, False)):
+        for name in ("minus_transform", "plus_transform"):
+            monkeypatch.setattr(checks, name, lambda W: _Fixed(value(defect)))
+        assert [r.passed for r in check(inst)] == [passed]
 
 
 @pytest.mark.parametrize("small,in_support", [(1.1e-12, True), (0.9e-12, False)])

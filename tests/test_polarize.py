@@ -4,6 +4,7 @@ import pytest
 from conftest import pure_overlap_channel, random_mixed_channel, random_pure_channel
 from oracles import classical_fd, classical_minus, classical_plus, mutual_information_table
 
+import cqpolar.channel as channel_mod
 from cqpolar.channel import CqChannel, HybridState, preset_channel
 from cqpolar.config import ResourceCaps
 from cqpolar.diagonal import from_cq_channel
@@ -180,6 +181,31 @@ def test_scan_trend_bsc():
     f3 = intermediate_fraction(r3, np.log(2), 0.05)
     f6 = intermediate_fraction(r6, np.log(2), 0.05)
     assert f6 < f3
+
+
+def test_process_sample_capacity_error_names_the_branch_and_depth():
+    w = preset_channel("pure-states", angles=[0.0, 0.9])
+    with pytest.raises(CapacityError, match=r"^branch [+-]{2} at depth 2: (minus|plus) transform: "
+                       r"quantum dimension 16 exceeds cap 8$"):
+        process_sample(w, 3, trials=1, seed=0, caps=ResourceCaps(dim_cap=8))
+
+
+def test_minus_transform_checks_the_branch_cap_before_mixing(monkeypatch):
+    # W^+ of a pure qubit channel has two labels per output, so its minus
+    # transform has four labels per output and no mixture is needed to know it
+    w = plus_transform(pure_overlap_channel(0.5))
+    mixes, real_mix = [], channel_mod.mix_states
+
+    def counting_mix(weighted):
+        mixes.append(1)
+        return real_mix(weighted)
+
+    monkeypatch.setattr(channel_mod, "mix_states", counting_mix)
+    with pytest.raises(CapacityError, match="classical branch count 4 exceeds cap 3"):
+        minus_transform(w, ResourceCaps(branch_cap=3))
+    assert not mixes
+    minus_transform(w, ResourceCaps(branch_cap=4))
+    assert mixes  # the counter sees the transform's mixtures
 
 
 def test_process_sample_martingale_and_submartingale():
