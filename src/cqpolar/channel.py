@@ -8,13 +8,18 @@ affordable.  Every branch state is a factored :class:`~.states.PureMixture`;
 a dense matrix handed in is factored once, when its ``HybridState`` is built.
 All information/fidelity functionals respect the block structure exactly.
 A branch with orthonormal factor rows (see :mod:`.states`) has its weights
-as spectrum, so its entropy needs no decomposition.  A full quotient W[H]
-has the same average output as W, so I(W[H]) takes H(avg output) from W,
-computed once per channel, and decomposes only its coset averages; a
-restricted quotient W[M|D] averages over D alone and computes its own.
-Every fidelity functional (F_d, F, F_max, nested F_max) is read off one
-cached q x q matrix of pairwise fidelities, built with one evaluation per
-unordered pair.
+as spectrum, so its entropy needs no decomposition.
+
+I(W) = H(avg output) - H(W|X), H(W|X) = (1/q) sum_x H(W(x)), and every
+fidelity functional (F_d, F, F_max, nested F_max) reads one q x q matrix of
+pairwise fidelities; all three are cached.  A full quotient and the
+transforms of :mod:`.polarize` record (parent W, rule) as the child's
+*origin* and read them off W, as entropy adds and fidelity multiplies over
+tensor products: H(avg W[H]) = H(avg W); H(avg W^-) = 2 H(avg W); and, W^+(x)
+being a uniform u1 register times rho_{u1+x} ⊗ rho_x, H(W^+|X) = log q +
+2 H(W|X) and F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W).  A child drops W once
+every value its rule feeds is cached.  A channel built from a child's
+outputs has no origin: it evaluates everything itself (so do the checks).
 """
 
 from __future__ import annotations
@@ -255,9 +260,11 @@ class CqChannel:
         polarization transforms and the d-indexed fidelities.
     outputs : list of HybridState
         One output per input index.
+    origin : (CqChannel, str), optional
+        The parent and the rule, "quotient", "minus" or "plus", that built it.
     """
 
-    def __init__(self, alphabet: GroupOps, outputs):
+    def __init__(self, alphabet: GroupOps, outputs, origin: tuple = None):
         if len(outputs) != alphabet.order:
             raise StructuralError("channel must define an output for every input")
         dims = {h.dim for h in outputs}
@@ -270,7 +277,8 @@ class CqChannel:
         self._label_union = None
         self._diag_flag = None
         self._avg_entropy = None
-        self._avg_parent = None  # a full quotient's parent, until it is read
+        self._cond_entropy = None
+        self._origin = origin  # (parent, rule) until every value the rule feeds is read
 
     # -- conveniences ---------------------------------------------------------
     @property
@@ -313,23 +321,18 @@ class CqChannel:
 
     def holevo_information(self) -> float:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
-        avg = self.average_output_entropy()
-        per_input = sum(h.entropy() for h in self.outputs) / self.q
-        return max(0.0, avg - per_input)
+        return max(0.0, self.average_output_entropy() - self.conditional_output_entropy())
 
     def average_output_entropy(self) -> float:
-        """H(avg output), computed once per channel.
-
-        A full quotient W[H] has the average output of W, so it takes the
-        value from W (computing it there, once, if W has not yet).  The
-        quotient holds W only until then, and W never holds its quotients.
-        """
+        """H(avg output); a quotient or minus child reads it off its parent."""
         if self._avg_entropy is None:
-            parent, self._avg_parent = self._avg_parent, None
-            if parent is None:
-                self._avg_entropy = self._average_entropy_fast()
+            parent, rule = self._origin or (None, None)
+            if rule in ("quotient", "minus"):  # avg W[H] = avg W, avg W^- = avg W ⊗ avg W
+                scale = 2.0 if rule == "minus" else 1.0
+                self._avg_entropy = scale * parent.average_output_entropy()
+                self._origin = None  # the one value these rules feed
             else:
-                self._avg_entropy = parent.average_output_entropy()
+                self._avg_entropy = self._average_entropy_fast()
         return self._avg_entropy
 
     def _average_entropy_fast(self) -> float:
@@ -338,16 +341,39 @@ class CqChannel:
         groups = _label_groups((w / q, lab, st) for h in self.outputs for w, lab, st in h.branches)
         return _block_entropy([parts for _, _, parts in groups])
 
+    def conditional_output_entropy(self) -> float:
+        """H(W|X) = (1/q) sum_x H(W(x)); a plus child reads it off its parent."""
+        if self._cond_entropy is None:
+            parent, rule = self._origin or (None, None)
+            if rule == "plus":
+                log_q = float(np.log(self.q))
+                self._cond_entropy = log_q + 2.0 * parent.conditional_output_entropy()
+                if self._fidelity_matrix is not None:  # the plus rule feeds both
+                    self._origin = None
+            else:
+                self._cond_entropy = sum(h.entropy() for h in self.outputs) / self.q
+        return self._cond_entropy
+
     def pairwise_fidelity(self, x, y) -> float:
         return hybrid_fidelity(self.output_of(x), self.output_of(y))
 
     def pairwise_fidelity_matrix(self) -> np.ndarray:
-        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y, cached."""
+        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y, or, for
+        a plus child, F_W(x, y) F_{y-x}(W) on the upper triangle, mirrored."""
         if self._fidelity_matrix is None:
-            mat = np.eye(self.q)
-            for x, y in itertools.combinations(range(self.q), 2):
-                mat[x, y] = mat[y, x] = self.pairwise_fidelity(x, y)
+            parent, rule = self._origin or (None, None)
+            if rule == "plus":
+                fd = np.array([parent.fd(d) for d in range(self.q)])
+                diff = self.alphabet.add_table[self.alphabet.neg_table]  # diff[x, y] = y - x
+                upper = np.triu(parent.pairwise_fidelity_matrix() * fd[diff], 1)
+                mat = upper + upper.T
+            else:
+                mat = np.eye(self.q)
+                for x, y in itertools.combinations(range(self.q), 2):
+                    mat[x, y] = mat[y, x] = self.pairwise_fidelity(x, y)
             self._fidelity_matrix = _frozen(mat)
+            if rule == "plus" and self._cond_entropy is not None:
+                self._origin = None
         return self._fidelity_matrix
 
     fd = _profile_fd
@@ -364,7 +390,7 @@ class CqChannel:
     def quotient(self, H: Subgroup) -> "CqChannel":
         """W[H]; it inherits H(avg output) from W (see average_output_entropy)."""
         quot = _profile_quotient(self, H)
-        quot._avg_parent = self
+        quot._origin = (self, "quotient")
         return quot
 
     nested_fmax = _profile_nested_fmax

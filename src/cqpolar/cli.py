@@ -29,7 +29,7 @@ from .config import default_caps
 from .decoder import error_experiment
 from .errors import CapacityError, LoadError, StructuralError
 from .mac import MacChannel, polarized_region_estimate, random_mac, region
-from .polarize import format_label, polarization_scan
+from .polarize import _routed, format_label, polarization_scan
 
 EXIT_OK, EXIT_VALIDATION, EXIT_CAPACITY, EXIT_CHECK = 0, 1, 2, 3
 
@@ -123,6 +123,7 @@ def cmd_channel(args) -> int:
     started = time.time()
     if args.action == "validate":
         ch = load_channel(args.file)
+        _routed(ch)  # a diagonal channel must also pass the table engine's checks
         print(f"ok: group={ch.alphabet!r} q={ch.q} k={ch.k}")
         return EXIT_OK
     ch = _channel_from_args(args)

@@ -460,9 +460,6 @@ class SCDecoder:
             # Generator.choice(p=p) checks p once per call and draws one double u,
             # picking searchsorted(cdf, u, "right"); its cdf is kept per input row
             p = np.stack([row / row.sum() for row in self.table])
-            eps = np.sqrt(np.finfo(float).eps)
-            if not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= eps)):
-                raise StructuralError("a channel input's outputs are not a distribution")
             self._cdf = np.cumsum(p, axis=1)
             self._cdf /= self._cdf[:, -1:]
             return

@@ -85,7 +85,9 @@ class DiagonalChannel:
             if abs(table.sum() - alphabet.order) > LIKELIHOOD_SUM_TOL * alphabet.order:
                 raise StructuralError("likelihood table must hold total mass q (one per input)")
         elif np.max(np.abs(table.sum(axis=1) - 1.0)) > LIKELIHOOD_SUM_TOL:
-            raise StructuralError("likelihood rows must sum to 1")
+            at = int(np.argmax(np.abs(table.sum(axis=1) - 1.0)))
+            raise StructuralError(f"likelihood rows must sum to 1: input {alphabet.label_of(at)} "
+                                  f"sums to {float(table[at].sum())!r}")
         self.alphabet = alphabet
         self.table = np.clip(table, 0.0, None)
         self._fidelity_matrix = None

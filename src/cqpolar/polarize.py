@@ -11,6 +11,10 @@ joins them: the scans, the synthetic-channel iterator and process_sample
 send a diagonal CqChannel to the table engine once, at the start.  The
 transforms and synthesize stay in the engine of the channel they are given.
 Both engines check the caps passed to each transform.
+A hybrid child reads H(avg W^-) = 2 H(avg W), H(W^+|X) = log q + 2 H(W|X)
+and F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W) off its parent (see :mod:`.channel`);
+the table engine does not, as its shifted tables' matrix entries are not the
+channel's (see :mod:`.diagonal`).
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def minus_transform(W, caps: ResourceCaps = None):
         groups = _label_groups(itertools.chain.from_iterable(pairs))
         caps.check_branches(len(groups), "minus transform")
         outputs.append(_mixed_hybrid(groups))
-    return CqChannel(W.alphabet, outputs)
+    return CqChannel(W.alphabet, outputs, origin=(W, "minus"))
 
 
 def plus_transform(W, caps: ResourceCaps = None):
@@ -125,7 +129,7 @@ def plus_transform(W, caps: ResourceCaps = None):
         ]
         caps.check_branches(len(branches), "plus transform")
         outputs.append(HybridState(branches))
-    return CqChannel(W.alphabet, outputs)
+    return CqChannel(W.alphabet, outputs, origin=(W, "plus"))
 
 
 def _child(W, signs: BranchLabel, caps: ResourceCaps):

@@ -460,6 +460,48 @@ def test_restricted_quotients_compute_their_own_average_output_entropy():
         assert abs(own - W.average_output_entropy()) > 1e-6
 
 
+def _profile(W) -> np.ndarray:
+    """I, F, f_max, every F_d and the pairwise matrix, read in that order."""
+    head = [W.holevo_information(), W.avg_fidelity(), W.f_max(), *W.fd_table().values()]
+    return np.concatenate([head, W.pairwise_fidelity_matrix().ravel()])
+
+
+# (channel, depth): random channels, pure and mixed, over Z2, Z3, Z4, Z2xZ2
+# and Z6; the file channels are read back from dense matrices
+_RULE_CHANNELS = {
+    "pure-Z2": (lambda rng: random_pure_channel(rng, 2, 2), 3),
+    "pure-file-Z2": (lambda rng: load_channel(channel_to_json(random_pure_channel(rng, 2, 2))), 3),
+    "pure-Z4": (lambda rng: random_pure_channel(rng, 4, 2), 2),
+    "mixed-Z2": (lambda rng: random_mixed_channel(rng, 2, 2), 2),
+    "dense-file-Z3": (lambda rng: load_channel(channel_to_json(random_mixed_channel(rng, 3, 2))), 2),
+    "mixed-Z4": (lambda rng: random_mixed_channel(rng, 4, 2), 2),
+    "mixed-Z2xZ2": (lambda rng: random_mixed_channel(rng, 4, 2, group=[2, 2]), 2),
+    "pure-Z6": (lambda rng: random_pure_channel(rng, 6, 2), 2),
+    "mixed-Z6": (lambda rng: random_mixed_channel(rng, 6, 2), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_CHANNELS))
+def test_product_rules_match_a_direct_evaluation(name):
+    # every synthetic channel to the depth reads its values off its parent
+    # (2 H(avg W) for W^-; log q + 2 H(W|X) and F_W(x, y) F_{y-x}(W) for
+    # W^+; H(avg W) for quotients); the same outputs with no origin evaluate
+    # them directly
+    make, depth = _RULE_CHANNELS[name]
+    level = [make(np.random.default_rng(40))]
+    for _ in range(depth):
+        level = [t(ch) for ch in level for t in (minus_transform, plus_transform)]
+        for ch in level:
+            inherited, mat = _profile(ch), ch.pairwise_fidelity_matrix()
+            assert ch._origin is None  # every value the rule feeds was read
+            assert np.array_equal(mat, mat.T)
+            direct = CqChannel(ch.alphabet, ch.outputs)
+            assert np.abs(inherited - _profile(direct)).max() <= 1e-12
+            for H in enumerate_subgroups(ch.alphabet):
+                quot_I = ch.quotient(H).holevo_information()
+                assert abs(quot_I - direct.quotient(H).holevo_information()) <= 1e-12
+
+
 @pytest.mark.parametrize("stack_entries", [None, 1], ids=["one-stack", "stacks-of-one"])
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_stacked_branch_fidelities_are_the_per_pair_sum(kind, stack_entries, monkeypatch):

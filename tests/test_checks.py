@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from cqpolar.channel import preset_channel
+from conftest import random_mixed_channel
+
+from cqpolar import checks
+from cqpolar.channel import HybridState, preset_channel, random_density
 from cqpolar.checks import (
     CHECKS,
     Instance,
@@ -15,6 +18,8 @@ from cqpolar.checks import (
 )
 from cqpolar.errors import StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup
+from cqpolar.polarize import plus_transform
+from cqpolar.states import as_mixture, mix_states
 
 
 def test_run_all_zero_failures_small_grid():
@@ -140,3 +145,34 @@ def test_reports_serialize():
             "hypothesis_satisfied",
             "passed",
         }
+
+
+def _perturbed(transform, rng):
+    """``transform`` with its child's first output state moved by 1e-6: mixed
+    with weight 1e-6 into a random state.  The child keeps W as its origin."""
+
+    def run(W):
+        child = transform(W)
+        (w, lab, st), *rest = child.outputs[0].branches
+        noise = as_mixture(random_density(rng, st.dim))
+        moved = mix_states([(1.0 - 1e-6, st), (1e-6, noise)])
+        child.outputs[0] = HybridState([(w, lab, moved), *rest])
+        return child
+
+    return run
+
+
+@pytest.mark.parametrize("check_id", ["fd-plus-squares", "info-conservation"])
+def test_transform_checks_see_one_perturbed_output_state(check_id, monkeypatch):
+    # read by the product rules, the perturbed W^+ still shows F_d(W)^2; the
+    # checks evaluate the child's states, so they see the perturbation
+    W = random_mixed_channel(np.random.default_rng(50), 3, 2)
+    rng = np.random.default_rng(51)
+    plus = _perturbed(plus_transform, rng)(W)
+    assert max(abs(plus.fd(d) - W.fd(d) ** 2) for d in range(3)) <= 1e-15
+    inst = Instance(None, 3, 2, "perturbed", W=W)
+    _, check_fn = CHECKS[check_id]
+    assert all(r.passed for r in check_fn(inst))
+    for name in ("minus_transform", "plus_transform"):
+        monkeypatch.setattr(checks, name, _perturbed(getattr(checks, name), rng))
+    assert not all(r.passed for r in check_fn(inst))

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +74,22 @@ def test_channel_validate_rejects_non_finite_numbers(tmp_path, branch):
     assert res.returncode == 1
     assert res.stderr.startswith("validation error: input (1): branch 0 "), res.stderr
     assert "finite" in res.stderr
+
+
+def test_channel_validate_refuses_what_the_table_engine_refuses(tmp_path):
+    # input 0's branch weights sum within the 1e-7 a HybridState allows, but a
+    # diagonal channel's likelihood row must sum to 1 within 1e-8
+    ket0 = {"re": [[1, 0], [0, 0]]}
+    channel = {"group": [2], "k": 2, "states": {
+        "(0)": {"branches": [dict(ket0, w=0.50000005, label="a"), dict(ket0, w=0.5, label="b")]},
+        "(1)": {"re": [[0, 0], [0, 1]]}}}
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(channel))
+    scan = ("polarize", "--channel", str(path), "--n", "1", "--out", str(tmp_path / "s.csv"))
+    for args in (("channel", "validate", str(path)), scan):
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert re.search(r"input \(0,\) sums to 1\.00000005", res.stderr), res.stderr
 
 
 def test_channel_preset_and_validate(tmp_path):

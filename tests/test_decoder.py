@@ -472,12 +472,12 @@ _QUANTUM_NOISY = {
 _QUANTUM_PINNED = {
     "pure-0.6-n3": [(12, "533d18c6c34a"), (14, "331221ff6bb8"), (12, "02af598861fd"),
                     (13, "15810be6982d"), (12, "b848dba65884"), (12, "66f61f689af6")],
-    "pure-0.6-n3-file": [(12, "65c82b353e74"), (14, "3b0c857cc959"), (12, "636211b1c2a3"),
-                         (13, "f4dcb62daaeb"), (12, "ecd620fbc08c"), (12, "764dc6112128")],
-    "dense-q2-n2": [(4, "a7c8cd16ef9b"), (3, "981174fcc3e4"), (1, "95f4f1e8d28f"),
-                    (3, "981174fcc3e4"), (0, "20a759b72f3e"), (6, "bd683e910782")],
-    "dense-q3-n2": [(10, "889820764813"), (7, "43a91cb35691"), (3, "0fae9e1c33ed"),
-                    (5, "747f431d2c28"), (0, "338311c54752"), (7, "43a91cb35691")],
+    "pure-0.6-n3-file": [(12, "5032343d70a9"), (14, "35392a172671"), (12, "6f34f883b20f"),
+                         (13, "90e0119f7bdc"), (12, "f45251a34aa4"), (12, "36d14890a6b0")],
+    "dense-q2-n2": [(4, "585a22995a92"), (3, "31bc75dcb988"), (1, "1217bf53cc9c"),
+                    (3, "31bc75dcb988"), (0, "7a9cef657ab3"), (6, "a6f93845c7f7")],
+    "dense-q3-n2": [(10, "3aeb1bb1ac44"), (7, "f83779904fcf"), (3, "731639c94bea"),
+                    (5, "b29ba05b639d"), (0, "d30493696bc0"), (7, "f83779904fcf")],
 }
 
 
@@ -683,3 +683,17 @@ def test_transmitted_states_are_the_kron_chain(key):
             leaf = eng.leaf[int(v)]
             want = np.kron(want, leaf.vecs[0] if eng.kind == "pure" else to_dense(leaf))
         assert np.array_equal(got, want)
+
+
+def test_a_diagonal_channel_whose_row_misses_one_is_refused():
+    # branch weights off by 5e-8 make a HybridState (it allows 1e-7), but the
+    # decoder's likelihood table refuses the row
+    good = preset_channel("classical-symmetric", q=2, p=0.1)
+    plan = build_plan(good, CodeParams(n=2, tau=0.5))
+    kets = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    off = CqChannel(good.alphabet, [
+        HybridState([(0.9 + 5e-8 * (x == 0), "a", kets[x]), (0.1, "b", kets[1 - x])])
+        for x in range(2)
+    ])
+    with pytest.raises(StructuralError, match=r"input \(0,\) sums to 1\.00000005"):
+        SCDecoder(plan, off)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pure_overlap_channel
+
 from cqpolar import checks
-from cqpolar.channel import HybridState, random_density
+from cqpolar.channel import CqChannel, HybridState, random_density
 from cqpolar.checks import Instance, check_fmax_plus_squares, check_info_conservation, run_check
 from cqpolar.diagonal import DiagonalChannel
 from cqpolar.errors import StructuralError
@@ -297,7 +299,7 @@ def test_threshold_accepts_just_inside_and_rejects_just_outside(limit, check):
 
 
 class _Fixed:
-    """A stand-in channel whose functionals all read one number."""
+    """A stand-in W whose functionals all read one number."""
 
     def __init__(self, value):
         self.value = value
@@ -309,20 +311,31 @@ class _Fixed:
         return self.value
 
 
-# Each check slack of the tolerance table, as (limit, check, the value its
-# stand-in transforms read at a defect d from the identity, W's reading 0.5).
+def _erasure(info):
+    """A binary erasure channel whose Holevo information is ``info``: input x
+    shows as label x with probability p = info / log 2, else as label "e"."""
+    p, one = info / np.log(2), pure_state([1.0])
+    outputs = [HybridState([(p, str(x), one), (1.0 - p, "e", one)]) for x in range(2)]
+    return CqChannel(FiniteAbelianGroup([2]), outputs)
+
+
+# Each check slack of the tolerance table, as (limit, check, the stand-in
+# channel its transforms return at a defect d from the identity, W's
+# functionals reading 0.5).  The checks evaluate the stand-ins directly.
 CHECK_SLACKS = [
-    pytest.param(1e-9, check_fmax_plus_squares, lambda d: 0.25 + d, id="strict-equality"),
-    pytest.param(1e-8, check_info_conservation, lambda d: 0.5 + d / 2, id="transform-information"),
+    pytest.param(1e-9, check_fmax_plus_squares, lambda d: pure_overlap_channel(0.25 + d),
+                 id="strict-equality"),
+    pytest.param(1e-8, check_info_conservation, lambda d: _erasure(0.5 + d / 2),
+                 id="transform-information"),
 ]
 
 
-@pytest.mark.parametrize("limit,check,value", CHECK_SLACKS)
-def test_check_slack_passes_just_inside_and_fails_just_outside(limit, check, value, monkeypatch):
+@pytest.mark.parametrize("limit,check,child", CHECK_SLACKS)
+def test_check_slack_passes_just_inside_and_fails_just_outside(limit, check, child, monkeypatch):
     inst = Instance(None, 2, 2, "stand-in", W=_Fixed(0.5))
     for defect, passed in ((0.9 * limit, True), (1.1 * limit, False)):
         for name in ("minus_transform", "plus_transform"):
-            monkeypatch.setattr(checks, name, lambda W: _Fixed(value(defect)))
+            monkeypatch.setattr(checks, name, lambda W: child(defect))
         assert [r.passed for r in check(inst)] == [passed]
 
 
