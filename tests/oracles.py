@@ -242,6 +242,29 @@ def polar_encode_recursive(add_table, u):
     return np.concatenate([sums, passed]), u.size + sum_adds + pass_adds
 
 
+def conditional_states_bruteforce(leaves, add_table, n, prefix, members_per_cell):
+    """The step-i candidate density matrices, one per cell, by enumerating words.
+
+    ``leaves[x]`` is the density matrix input x sends.  A cell's state averages,
+    uniformly over its members v and over every later input word, the np.kron
+    chain of the codeword that polar_encode_recursive encodes from
+    prefix + (v,) + the later inputs.
+    """
+    q, later = len(leaves), (1 << n) - 1 - len(prefix)
+    out = []
+    for members in members_per_cell:
+        total, count = 0.0, 0
+        for v in members:
+            for suffix in itertools.product(range(q), repeat=later):
+                word, _ = polar_encode_recursive(add_table, list(prefix) + [v] + list(suffix))
+                rho = np.ones((1, 1), dtype=complex)
+                for x in word:
+                    rho = np.kron(rho, leaves[x])
+                total, count = total + rho, count + 1
+        out.append(total / count)
+    return out
+
+
 def experiment_one_trial_at_a_time(W, plan, trials, seed, randomize_sections=True) -> dict:
     """decoder.error_experiment as a loop of single trials through the public calls.
 

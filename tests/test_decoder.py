@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import pure_overlap_channel, random_mixed_channel
-from oracles import experiment_one_trial_at_a_time, sc_posteriors_bruteforce
+from oracles import (
+    conditional_states_bruteforce,
+    experiment_one_trial_at_a_time,
+    sc_posteriors_bruteforce,
+)
 
 from cqpolar.channel import (
     CqChannel,
@@ -103,18 +107,52 @@ def test_step_povm_error_bounded_by_quotient_fidelity():
             assert err <= bound + 1e-9
 
 
+_ORACLE_CHANNELS = {
+    "pure-qubit-0.9": lambda: preset_channel("pure-states", angles=[0.0, 0.9]),
+    "mixed-z2": lambda: preset_channel("random", q=2, k=2, mixed=True, seed=4),
+    "pure-z4": lambda: preset_channel("random", q=4, k=2, seed=5),
+    "pure-z2xz2": lambda: preset_channel("random", q=4, k=2, group=[2, 2], seed=6),
+}
+
+
+def _leaf_densities(w):
+    return [to_dense(h.branches[0][2]) for h in w.outputs]
+
+
+@pytest.mark.parametrize("n, key", [(2, key) for key in _ORACLE_CHANNELS]
+                         + [(3, "pure-qubit-0.9"), (3, "mixed-z2")])
+def test_conditional_states_match_the_enumerated_kron_chains(n, key):
+    # at n=2 every prefix of every step, at n=3 the first 16 prefixes per step;
+    # the q=4 channels stop at n=2, where enumerating 4^7 later words per step
+    # of a 256-dimensional chain would take minutes.  The cells are any plan's:
+    # at n=3 both binary channels take the pure qubit's, whose scan is cheap
+    w = _ORACLE_CHANNELS[key]()
+    plan_key = key if n == 2 else "pure-qubit-0.9"
+    plan = build_plan(_ORACLE_CHANNELS[plan_key](), CodeParams(n=n, tau=1.0))
+    eng = SCDecoder(plan, w)
+    leaves = _leaf_densities(w)
+    for i, d in enumerate(plan.decisions):
+        prefixes = itertools.product(range(w.q), repeat=i)
+        for prefix in itertools.islice(prefixes, 16 if n == 3 else None):
+            got = [to_dense(s) for s in eng.conditional_states(i, prefix)]
+            want = conditional_states_bruteforce(
+                leaves, w.alphabet.add_table, n, prefix, d.subgroup.partition[0]
+            )
+            assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+
+
 def test_induced_channel_equals_reversed_synthetic_exactly():
     # the conditional channel at decode step s, with uniform prefixes kept as
     # classical registers, is the synthetic channel of the reversed label
     for w in [pure_overlap_channel(0.5), random_mixed_channel(np.random.default_rng(7), 2, 2)]:
         plan = build_plan(w, CodeParams(n=2, tau=1.0))
-        eng = SCDecoder(plan, w)
-        q = w.q
+        q, leaves = w.q, _leaf_densities(w)
         for i, d in enumerate(plan.decisions):
             outs = []
             for v in range(q):
                 branches = [
-                    (1.0 / q**i, prefix, eng.blocks.state(eng.n, 0, tuple(prefix), v))
+                    (1.0 / q**i, prefix, conditional_states_bruteforce(
+                        leaves, w.alphabet.add_table, 2, prefix, [[v]])[0])
                     for prefix in itertools.product(range(q), repeat=i)
                 ]
                 outs.append(HybridState(branches))
