@@ -275,6 +275,7 @@ class CqChannel:
         self.k = dims.pop()
         self._fidelity_matrix = None
         self._label_union = None
+        self._label_positions = None
         self._diag_flag = None
         self._avg_entropy = None
         self._cond_entropy = None
@@ -306,8 +307,11 @@ class CqChannel:
         return self._label_union
 
     def label_positions(self) -> dict:
-        """Map label key -> position in the sorted label union."""
-        return {_label_key(lab): i for i, lab in enumerate(self.label_union())}
+        """Map label key -> position in the sorted label union; cached."""
+        if self._label_positions is None:
+            union = self.label_union()
+            self._label_positions = {_label_key(lab): i for i, lab in enumerate(union)}
+        return self._label_positions
 
     def is_diagonal(self) -> bool:
         if self._diag_flag is None:
@@ -316,9 +320,6 @@ class CqChannel:
         return self._diag_flag
 
     # -- information functionals ----------------------------------------------
-    def average_output(self) -> HybridState:
-        return _average_hybrid(self.outputs)
-
     def holevo_information(self) -> float:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
         return max(0.0, self.average_output_entropy() - self.conditional_output_entropy())

@@ -3,10 +3,12 @@
 A plan assigns every branch s a subgroup H_s (the information carried is the
 coset of H_s) and a section mapping that lifts cosets to group elements (the
 frozen content).  The conditional channel actually faced while decoding
-branch s is the synthetic channel of the REVERSED label, a bit-reversal
-artifact of the decode order; plans therefore classify each decode slot by
-the statistics of its reversed-label record.  All whole-code quantities
-(rate, error bound, conservation) are unaffected by the reversal.
+branch s is the synthetic channel of the REVERSED label (``faced``), a
+bit-reversal artifact of the decode order, with the decided prefix as its
+classical register.  Plans therefore classify each decode slot by the
+statistics of its reversed-label record, and the decoder measures that
+channel's outputs (see :mod:`.decoder`).  All whole-code quantities (rate,
+error bound, conservation) are unaffected by the reversal.
 """
 
 from __future__ import annotations
@@ -298,10 +300,6 @@ def encode(plan: CodePlan, message: MessageVector, sections=None) -> np.ndarray:
     return codeword
 
 
-def codeword_elements(plan: CodePlan, codeword: np.ndarray) -> list:
-    return [plan.group.element_by_index(int(i)) for i in codeword]
-
-
 # -- serialization ------------------------------------------------------------------
 
 
@@ -413,7 +411,13 @@ def plan_from_json(obj) -> CodePlan:
             )
         except StructuralError as exc:
             raise LoadError(f"plan decision {i}: {exc}") from exc
-    for i, d in enumerate(decisions):
+    for i, (d, s) in enumerate(zip(decisions, branch_order(params.n))):
+        labels = [format_label(x) for x in (d.branch, d.faced, s, reverse_label(s))]
+        if labels[:2] != labels[2:]:
+            raise LoadError(
+                f"plan decision {i}: branch {labels[0]} and faced {labels[1]} are not "
+                f"decode position {i}'s {labels[2]} and {labels[3]}"
+            )
         want = _info_nats(g.order, d.subgroup)
         _require_close(f"plan decision {i}: info_nats", d.info_nats, want, "log(q/|H|)")
     want_rate, want_bound = _rate_and_bound(decisions, g.order)

@@ -23,11 +23,13 @@ of the conditional states and applies the sqrt(E) . sqrt(E) update to the
 outcome picked; a trial whose state vanishes collapses and is skipped from
 then on.  Trials that share a decided prefix share that POVM, so each step
 measures and updates the trials group by group, one stack per prefix, and
-builds the step's missing POVMs in stacked LAPACK calls.  Conditional states
-are factored mixtures, computed by the polar block recursion and memoized;
-step POVMs are cached by (step, prefix) across trials.  A channel whose
-outputs carry several classical labels is first flattened into one
-block-diagonal state per input.
+builds the step's missing POVMs in stacked LAPACK calls.  Its candidate
+states are branches of the synthetic channel W^s it faces (s the reversed
+branch label, the decided prefix its classical register), built by the scans'
++/- transforms under the decoder's caps; the inner channels W^{s[:j]} stay
+cached, W^s only until the step's POVMs are built, and POVMs are cached by
+(step, prefix) across trials.  A channel whose outputs carry several
+classical labels is first flattened into one block-diagonal state per input.
 
 ``error_experiment`` runs whole batches of trials as arrays: each trial's
 randomness comes from two vectorized draws, and the batch is lifted through
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CqChannel
+from .channel import CqChannel, _label_key
 from .config import ResourceCaps, default_caps
 from .diagonal import from_cq_channel
 from .errors import StructuralError
@@ -54,8 +56,8 @@ from .codes import (
     polar_encode_indices,
     section_values,
 )
-from .polarize import decode_index, format_label
-from .states import mix_states, tensor_states, to_dense
+from .polarize import _child, decode_index, format_label
+from .states import mix_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
 #: Received data of the trials decoded together, in bytes; bounds memory, not results.
@@ -95,66 +97,6 @@ def _wilson(p_hat: float, n: int, z: float):
     center = (p_hat + z * z / (2 * n)) / denom
     half = z * np.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-# -- conditional-state recursion -----------------------------------------------------
-
-
-class _BlockStates:
-    """Memoized conditional block states of the polar butterfly.
-
-    A node (level, pos) covers codeword slots [pos*2^level, (pos+1)*2^level).
-    ``fixed`` is the tuple of that block's first inputs (in its local decode
-    order); ``head`` is the next input or None for uniform.  Pair (2j, 2j+1)
-    of a block feeds sum/pass lanes of its first/second half.
-    """
-
-    def __init__(self, group, leaf_states, leaf_avg, n):
-        self.group = group
-        self.leaf = leaf_states
-        self.leaf_avg = leaf_avg
-        self.n = n
-        self._memo = {}
-
-    def state(self, level, pos, fixed, head):
-        if level == 0:
-            if fixed:  # the block's single slot is already determined
-                return self.leaf[fixed[0]]
-            return self.leaf[head] if head is not None else self.leaf_avg
-        key = (level, pos, fixed, head)
-        if level < self.n:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-        out = self._compute(level, pos, fixed, head)
-        if level < self.n:
-            self._memo[key] = out
-        return out
-
-    def _compute(self, level, pos, fixed, head):
-        g, q = self.group, self.group.order
-        m = len(fixed)
-        t = m // 2
-        a_fixed = tuple(g.add_index(fixed[2 * j], fixed[2 * j + 1]) for j in range(t))
-        b_fixed = tuple(fixed[2 * j + 1] for j in range(t))
-        A = (level - 1, 2 * pos)
-        B = (level - 1, 2 * pos + 1)
-        if m % 2 == 0:
-            if head is None:
-                return tensor_states(
-                    self.state(*A, a_fixed, None), self.state(*B, b_fixed, None)
-                )
-            return mix_states([
-                (1.0 / q, tensor_states(self.state(*A, a_fixed, g.add_index(head, xi)),
-                                        self.state(*B, b_fixed, xi)))
-                for xi in range(q)
-            ])
-        if head is None:  # the mixture of the head-given states below
-            return mix_states([(1.0 / q, self.state(level, pos, fixed, xi)) for xi in range(q)])
-        return tensor_states(
-            self.state(*A, a_fixed + (g.add_index(fixed[-1], head),), None),
-            self.state(*B, b_fixed, head),
-        )
 
 
 class _Likelihoods:
@@ -469,8 +411,8 @@ class SCDecoder:
         self._leaves = np.array(
             [s.vecs[0] if self.kind == "pure" else to_dense(s) for s in self.leaf], dtype=complex
         )
-        self.leaf_avg = mix_states([(1.0 / self.group.order, s) for s in self.leaf])
-        self.blocks = _BlockStates(self.group, self.leaf, self.leaf_avg, self.n)
+        self._synthetic = {(): self.channel}  # sign prefix -> W^signs
+        self._labels = {((), ()): self.channel.label_union()[0]}  # (signs, decided) -> label
 
     def _lifts(self, sections) -> np.ndarray:
         """Section values by step and coset position, (N, q); None means the plan's."""
@@ -548,23 +490,56 @@ class SCDecoder:
 
     # -- conditional states and POVMs ---------------------------------------------------
     def conditional_states(self, i: int, prefix: tuple):
-        """The candidate states rho-bar_{coset, prefix} at step i, per coset."""
+        """The candidate states rho-bar_{coset, prefix} at step i, per coset.
+
+        Each is the uniform mixture, over the coset's members v, of the branch
+        of W^s(v), s = ``faced``, whose label the prefix names.  That label
+        follows the last transform, which pairs two copies of W^{s[:-1]}: copy
+        A decided the sum lanes prefix[2j] + prefix[2j+1], copy B the pass
+        lanes prefix[2j+1]; each copy's label (this map, one level down) is
+        replaced by its position in W^{s[:-1]}'s ``label_positions``, and a
+        plus transform appends the last decided input.  W^s stays cached until
+        the step's POVMs are built.
+        """
         if self.kind == "diagonal":
             raise StructuralError(
                 "a diagonal plan has no quantum step states: its decoder steps are "
                 "classical likelihoods of sampled outputs"
             )
-        H = self.plan.decisions[i].subgroup
-        out = []
-        for members in self._members[i]:
-            out.append(
-                mix_states(
-                    [
-                        (1.0 / H.order, self.blocks.state(self.n, 0, prefix, v))
-                        for v in members
-                    ]
-                )
-            )
+        d = self.plan.decisions[i]
+        key = _label_key(self._label(d.faced, self._checked_prefix(i, prefix)))
+        outputs, weight = self._faced(d.faced).outputs, 1.0 / d.subgroup.order
+        return [
+            mix_states([(weight, outputs[v].as_dict()[key][1]) for v in members])
+            for members in self._members[i]
+        ]
+
+    def _checked_prefix(self, i: int, prefix) -> tuple:
+        """``prefix`` as element indices; refused unless it is i integers in [0, q)."""
+        q = self.group.order
+        ints = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in prefix)
+        if len(prefix) != i or not (ints and all(0 <= x < q for x in prefix)):
+            msg = f"decided prefix {tuple(prefix)!r} is not {i} element indices in [0, {q})"
+            raise StructuralError(f"step {i}: {msg}")
+        return tuple(int(x) for x in prefix)
+
+    def _faced(self, signs: tuple):
+        """W^signs from its cached parent, by ``polarize._child`` under the decoder's caps."""
+        out = self._synthetic.get(signs)
+        if out is None:
+            out = self._synthetic[signs] = _child(self._faced(signs[:-1]), signs, self.caps)
+        return out
+
+    def _label(self, signs: tuple, fixed: tuple):
+        """The label of W^signs that its block's decided inputs ``fixed`` name; memoized."""
+        out = self._labels.get((signs, fixed))
+        if out is None:
+            parent, t, add = signs[:-1], len(fixed) // 2, self.group.add_index
+            pos = self._faced(parent).label_positions()
+            sums = tuple(add(fixed[2 * j], fixed[2 * j + 1]) for j in range(t))
+            a, b = self._label(parent, sums), self._label(parent, fixed[1 : 2 * t : 2])
+            out = (pos[_label_key(a)], pos[_label_key(b)]) + fixed[2 * t :]
+            self._labels[(signs, fixed)] = out
         return out
 
     def step_povm_rep(self, i: int, prefix: tuple):
@@ -578,6 +553,7 @@ class SCDecoder:
         if missing:
             build = _subspace_pgm if self.kind == "pure" else _dense_pgm
             built = build([self.conditional_states(i, p) for p in missing])
+            self._synthetic.pop(self.plan.decisions[i].faced)
             self._povm_cache.update(zip([(i, p) for p in missing], built))
 
     # -- decoding ------------------------------------------------------------------------
@@ -678,9 +654,7 @@ def step_povm(plan: CodePlan, i, decoded_prefix, channel: CqChannel = None) -> P
     if isinstance(i, tuple):
         i = decode_index(i)
     engine = SCDecoder(plan, channel)
-    prefix = tuple(int(getattr(x, "index", x)) for x in decoded_prefix)
-    if len(prefix) != i:
-        raise StructuralError("decoded prefix length must equal the step position")
+    prefix = engine._checked_prefix(i, [getattr(x, "index", x) for x in decoded_prefix])
     if len(engine._cells[i]) == 1:
         dim = engine.channel.k**engine.N
         return Povm([np.eye(dim, dtype=complex)])

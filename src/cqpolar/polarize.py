@@ -244,17 +244,6 @@ def _routed(W):
     return W
 
 
-def scan_conservation_defect(records, base_I: float, n: int) -> float:
-    """|sum_s I(W^s) - 2^n I(W)|; the total information is conserved."""
-    return abs(sum(r.I for r in records) - (1 << n) * base_I)
-
-
-def intermediate_fraction(records, log_q: float, delta: float) -> float:
-    """Fraction of branches with I in (delta, log q - delta)."""
-    inside = [r for r in records if delta < r.I < log_q - delta]
-    return len(inside) / len(records)
-
-
 # -- random polarization process ----------------------------------------------------
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .linalg import PSD_TOL, eigh_psd, entropy_of_probs, factor_fidelity, hermitize
+from .linalg import PSD_TOL, eigh_psd, factor_fidelity
 
 _EPS = np.finfo(float).eps
 
@@ -158,13 +158,6 @@ def batched_mixture_entropies(mats) -> np.ndarray:
         safe = np.where(vals > 0.0, vals, 1.0)
         out.append(-(vals * np.log(safe)).sum(axis=1))
     return np.concatenate(out)
-
-
-def state_entropy(state: PureMixture) -> float:
-    """von Neumann entropy in nats, from the spectrum of the Gram matrix."""
-    v = state.scaled_components()
-    vals = np.clip(np.linalg.eigvalsh(hermitize(v @ v.conj().T)), 0.0, None)
-    return entropy_of_probs(vals)
 
 
 def state_fidelity(a: PureMixture, b: PureMixture) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different data structures and
 code paths from the package (dicts and explicit loops instead of arrays and
-einsum), so agreement is evidence rather than tautology.
+einsum), so agreement is evidence rather than tautology.  The helpers at the
+end are the tests' own conveniences, which the package does not use.
 """
 
 import itertools
@@ -10,12 +11,13 @@ import math
 
 import numpy as np
 
-from cqpolar.channel import CqChannel
+from cqpolar.channel import CqChannel, HybridState, _average_hybrid
 from cqpolar.codes import random_message
 from cqpolar.decoder import SCDecoder, _experiment_report
 from cqpolar.diagonal import _MERGE_DECIMALS
 from cqpolar.errors import StructuralError
 from cqpolar.groups import FiniteAbelianGroup, random_section_map
+from cqpolar.linalg import entropy_of_probs, hermitize
 
 
 def mutual_information_table(table) -> float:
@@ -319,3 +321,34 @@ def subset_information_direct(mac, users) -> float:
             outputs.append(mac.channel.outputs[g.element(res).index])
         values.append(CqChannel(free_group, outputs).holevo_information())
     return float(np.mean(values))
+
+
+# -- test-only helpers ---------------------------------------------------------------
+
+
+def state_entropy(state) -> float:
+    """von Neumann entropy in nats of a mixture, from the spectrum of its Gram matrix."""
+    v = state.scaled_components()
+    vals = np.clip(np.linalg.eigvalsh(hermitize(v @ v.conj().T)), 0.0, None)
+    return entropy_of_probs(vals)
+
+
+def average_output(W) -> HybridState:
+    """The average output (1/q) sum_x W(x) of a hybrid channel."""
+    return _average_hybrid(W.outputs)
+
+
+def scan_conservation_defect(records, base_I: float, n: int) -> float:
+    """|sum_s I(W^s) - 2^n I(W)|; the total information is conserved."""
+    return abs(sum(r.I for r in records) - (1 << n) * base_I)
+
+
+def intermediate_fraction(records, log_q: float, delta: float) -> float:
+    """Fraction of branches with I in (delta, log q - delta)."""
+    inside = [r for r in records if delta < r.I < log_q - delta]
+    return len(inside) / len(records)
+
+
+def codeword_elements(plan, codeword) -> list:
+    """A codeword's element indices as group elements."""
+    return [plan.group.element_by_index(int(i)) for i in codeword]

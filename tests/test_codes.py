@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import pure_overlap_channel, random_mixed_channel
-from oracles import polar_encode_recursive
+from oracles import codeword_elements, polar_encode_recursive
 
 from cqpolar.channel import CqChannel, HybridState, preset_channel
 from cqpolar.codes import (
     CodeParams,
     build_plan,
-    codeword_elements,
     encode,
     lift_message,
     message_from_positions,
@@ -254,11 +253,20 @@ def test_plan_json_roundtrip():
         (lambda p: p["params"].update(mode=5), "plan: params: unknown mode"),
         (lambda p: p["params"].update(n=3), "plan: 2 decisions, but n=3 needs 2**3"),
         (lambda p: p["params"].update(n=10**9), "plan: 2 decisions, but n=1000000000"),
+        (
+            lambda p: p["decisions"][0].update(faced="+"),
+            "plan decision 0: branch - and faced + are not decode position 0's - and -",
+        ),
+        (
+            lambda p: p["decisions"].reverse(),
+            "plan decision 0: branch + and faced + are not decode position 0's - and -",
+        ),
     ],
     ids=[
         "no-section", "int-subgroup", "no-branch", "object-decisions", "params-without-n",
         "int-branch", "bad-branch-label", "string-I", "bool-quot-F", "int-selected",
-        "array-rate", "float-n", "int-mode", "n-too-large", "n-huge",
+        "array-rate", "float-n", "int-mode", "n-too-large", "n-huge", "faced-not-reversed",
+        "decisions-out-of-order",
     ],
 )
 def test_plan_from_json_rejects_malformed_structure(edit, message):

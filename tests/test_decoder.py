@@ -35,7 +35,8 @@ from cqpolar.decoder import (
     error_experiment,
     step_povm,
 )
-from cqpolar.errors import StructuralError
+from cqpolar.config import ResourceCaps
+from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, random_section_map
 from cqpolar.linalg import pgm_effects
 from cqpolar.polarize import synthesize, reverse_label
@@ -431,6 +432,42 @@ def test_sections_of_another_subgroup_are_rejected(W):
             eng.transmit(message, rng, bad)
         with pytest.raises(StructuralError, match="section"):
             eng.decode(dataclasses.replace(received, sections=bad), rng)
+
+
+def _pure_qubit_plan(n, tau):
+    w = preset_channel("pure-states", angles=[0.0, 0.9])
+    return w, build_plan(w, CodeParams(n=n, tau=tau))
+
+
+@pytest.mark.parametrize("bad", [[5], [0.5], [-1]])
+def test_step_povm_refuses_a_prefix_entry_that_is_no_element_index(bad):
+    # 5 is out of range, 0.5 is not an integer and -1 would index from the end
+    w, plan = _pure_qubit_plan(2, 0.5)
+    with pytest.raises(StructuralError, match=r"step 1: decided prefix \(.*\) is not 1 element"):
+        step_povm(plan, 1, bad, w)
+
+
+def test_step_povm_takes_group_elements_and_numpy_integers():
+    w, plan = _pure_qubit_plan(2, 0.5)
+    want = step_povm(plan, 1, [1], w).effects
+    for prefix in ([np.int64(1)], [plan.group.element_by_index(1)]):
+        assert np.array_equal(step_povm(plan, 1, prefix, w).effects, want)
+
+
+@pytest.mark.parametrize("prefix", [(0, 0), (), (2,), (True,)])
+def test_conditional_states_refuse_a_prefix_of_another_length_or_element(prefix):
+    # a prefix of another length used to return the states of another step
+    w, plan = _pure_qubit_plan(2, 0.5)
+    with pytest.raises(StructuralError, match=r"step 1: decided prefix"):
+        SCDecoder(plan, w).conditional_states(1, prefix)
+
+
+def test_a_decoding_capacity_error_names_the_branch_and_its_depth():
+    # only step 7 has two cosets; it faces W^{+++}, whose outputs have 128 branches
+    w, plan = _pure_qubit_plan(3, 0.05)
+    match = r"branch \+\+\+ at depth 3: plus transform: classical branch count 128 exceeds cap 64"
+    with pytest.raises(CapacityError, match=match):
+        error_experiment(w, plan, 20, 0, caps=ResourceCaps(branch_cap=64))
 
 
 def test_quantum_step_queries_reject_a_diagonal_plan():

@@ -16,6 +16,7 @@ from oracles import (
     mutual_information_table,
     residue_add,
     residue_vectors,
+    scan_conservation_defect,
 )
 
 from cqpolar.channel import CqChannel, HybridState, preset_channel
@@ -30,7 +31,6 @@ from cqpolar.polarize import (
     parse_label,
     plus_transform,
     polarization_scan,
-    scan_conservation_defect,
     synthesize,
 )
 

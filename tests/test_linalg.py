@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pure_overlap_channel
+from oracles import state_entropy
 
 from cqpolar import checks
 from cqpolar.channel import CqChannel, HybridState, random_density
@@ -33,7 +34,6 @@ from cqpolar.states import (
     as_mixture,
     mix_states,
     pure_state,
-    state_entropy,
     state_fidelity,
     tensor_states,
     to_dense,

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import pure_overlap_channel, random_mixed_channel, random_pure_channel
-from oracles import classical_fd, classical_minus, classical_plus, mutual_information_table
+from oracles import (
+    classical_fd,
+    classical_minus,
+    classical_plus,
+    intermediate_fraction,
+    mutual_information_table,
+    scan_conservation_defect,
+)
 
 import cqpolar.channel as channel_mod
 from cqpolar.channel import CqChannel, HybridState, preset_channel
@@ -15,7 +22,6 @@ from cqpolar.polarize import (
     branch_order,
     decode_index,
     format_label,
-    intermediate_fraction,
     iter_synthetic_channels,
     label_from_index,
     make_record,
@@ -25,7 +31,6 @@ from cqpolar.polarize import (
     polarization_scan,
     process_sample,
     reverse_label,
-    scan_conservation_defect,
     synthesize,
 )
 from cqpolar.states import to_dense

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed_channel, random_pure_channel
-from oracles import classical_fd
+from oracles import average_output, classical_fd, state_entropy
 
 from cqpolar import states as states_mod
 from cqpolar.channel import CqChannel, HybridState, hybrid_fidelity, preset_channel
@@ -28,7 +28,7 @@ from cqpolar.polarize import (
     polarization_scan,
     synthesize,
 )
-from cqpolar.states import PureMixture, state_entropy, state_fidelity, to_dense
+from cqpolar.states import PureMixture, state_fidelity, to_dense
 
 GROUPS = {"Z4": [4], "Z2xZ2": [2, 2], "Z6": [6]}
 TOL = 1e-12
@@ -149,7 +149,7 @@ def _derived(W):
     """W with channels derived from it by every operation that builds states."""
     out = [W, plus_transform(W), minus_transform(W), W.flatten_dense()]
     out += [W.quotient(H) for H in enumerate_subgroups(W.alphabet)]
-    return out + [CqChannel(W.alphabet, [W.average_output()] * W.q)]
+    return out + [CqChannel(W.alphabet, [average_output(W)] * W.q)]
 
 
 @pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
