@@ -435,7 +435,7 @@ def test_sections_of_another_subgroup_are_rejected(W):
 
 
 def _pure_qubit_plan(n, tau):
-    w = preset_channel("pure-states", angles=[0.0, 0.9])
+    w = _ORACLE_CHANNELS["pure-qubit-0.9"]()
     return w, build_plan(w, CodeParams(n=n, tau=tau))
 
 
@@ -456,7 +456,7 @@ def test_step_povm_takes_group_elements_and_numpy_integers():
 
 @pytest.mark.parametrize("prefix", [(0, 0), (), (2,), (True,)])
 def test_conditional_states_refuse_a_prefix_of_another_length_or_element(prefix):
-    # a prefix of another length used to return the states of another step
+    # a prefix of another length would name the states of another step
     w, plan = _pure_qubit_plan(2, 0.5)
     with pytest.raises(StructuralError, match=r"step 1: decided prefix"):
         SCDecoder(plan, w).conditional_states(1, prefix)
