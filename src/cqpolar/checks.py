@@ -1,12 +1,12 @@
 """Numerical verification suite: one runnable check per proved inequality.
 
 Every check evaluates both sides on a concrete instance and reports the
-slack.  ``margin`` is always oriented so that nonnegative (within EQ_TOL)
-means the statement holds; equality checks report minus the absolute
-deviation.  Conditional statements evaluate their hypotheses explicitly and
-pass vacuously (flagged) when the hypothesis fails, and the fuzz driver
-manufactures instances that do satisfy the hypotheses so vacuous passes
-stay visible rather than silent.
+slack.  ``margin`` is always oriented so that nonnegative (within the
+rounding slack of :func:`_report`) means the statement holds; equality
+checks report minus the absolute deviation.  Conditional statements evaluate
+their hypotheses explicitly and pass vacuously (flagged) when the hypothesis
+fails, and the fuzz driver manufactures instances that do satisfy the
+hypotheses so vacuous passes stay visible rather than silent.
 
 A check is a function of one :class:`Instance` that returns its reports.
 It is registered where it is defined, by ``@check(check_id, family)``, and
@@ -45,9 +45,7 @@ from .groups import (
     quotient_cosets,
 )
 from .linalg import (
-    EQ_TOL,
-    EQ_TOL_STRICT,
-    TRANSFORM_TOL,
+    CHECK_ULPS,
     angle,
     fidelity,
     helstrom_error,
@@ -65,8 +63,9 @@ from .states import pure_state, to_dense
 class CheckReport:
     """Outcome of one check instance.
 
-    margin >= -tol means the inequality (or equality, via -|deviation|)
-    holds; hypothesis_satisfied=False marks a vacuous pass.
+    passed means margin >= -CHECK_ULPS * eps * max(1, |lhs|, |rhs|): the
+    inequality (or equality, via margin = -|deviation|) holds to rounding.
+    hypothesis_satisfied=False marks a vacuous pass.
     """
 
     check_id: str
@@ -82,18 +81,18 @@ class CheckReport:
         return dict(vars(self))
 
 
-def _report(instance, lhs, rhs, eq=False, tol=None, hypothesis=True):
+def _report(instance, lhs, rhs, eq=False, hypothesis=True):
     """lhs <= rhs, or lhs == rhs when ``eq``, with slack-margin reporting.
 
-    The check id is left blank; the driver stamps it.
+    Every check's slack is CHECK_ULPS ulps of max(1, |lhs|, |rhs|), the
+    rounding of the sums on its sides.  The check id is left blank; the
+    driver stamps it.
     """
-    if eq:
-        margin, tol = -abs(lhs - rhs), EQ_TOL_STRICT if tol is None else tol
-    else:
-        margin, tol = rhs - lhs, EQ_TOL if tol is None else tol
+    margin = -abs(lhs - rhs) if eq else rhs - lhs
+    slack = CHECK_ULPS * np.finfo(float).eps * max(1.0, abs(lhs), abs(rhs))
     return CheckReport(
         "", instance, float(lhs), float(rhs), float(margin), bool(hypothesis),
-        bool(not hypothesis or margin >= -tol),
+        bool(not hypothesis or margin >= -slack),
     )
 
 
@@ -309,7 +308,7 @@ def check_info_conservation(inst: Instance):
     W = inst.W
     minus, plus = _direct(minus_transform(W)), _direct(plus_transform(W))
     lhs = minus.holevo_information() + plus.holevo_information()
-    return [_report(inst.tag, lhs, 2 * W.holevo_information(), eq=True, tol=TRANSFORM_TOL)]
+    return [_report(inst.tag, lhs, 2 * W.holevo_information(), eq=True)]
 
 
 @check("info-ordering", "channel")
@@ -318,8 +317,8 @@ def check_info_ordering(inst: Instance):
     minus, plus = _direct(minus_transform(W)), _direct(plus_transform(W))
     I = W.holevo_information()
     return [
-        _report(f"{inst.tag},minus", minus.holevo_information(), I, tol=TRANSFORM_TOL),
-        _report(f"{inst.tag},plus", I, plus.holevo_information(), tol=TRANSFORM_TOL),
+        _report(f"{inst.tag},minus", minus.holevo_information(), I),
+        _report(f"{inst.tag},plus", I, plus.holevo_information()),
     ]
 
 
@@ -331,7 +330,7 @@ def check_quotient_info_two_branch(inst: Instance):
     for H in enumerate_subgroups(W.alphabet):
         lhs = 2 * W.quotient(H).holevo_information()
         rhs = minus.quotient(H).holevo_information() + plus.quotient(H).holevo_information()
-        out.append(_report(f"{inst.tag},H={H!r}", lhs, rhs, tol=TRANSFORM_TOL))
+        out.append(_report(f"{inst.tag},H={H!r}", lhs, rhs))
     return out
 
 

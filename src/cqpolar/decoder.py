@@ -56,7 +56,7 @@ from .codes import (
     polar_encode_indices,
     section_values,
 )
-from .polarize import _child, decode_index, format_label
+from .polarize import MINUS, PLUS, _child, decode_index, format_label
 from .states import mix_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
@@ -506,8 +506,9 @@ class SCDecoder:
                 "a diagonal plan has no quantum step states: its decoder steps are "
                 "classical likelihoods of sampled outputs"
             )
+        prefix = self._checked_prefix(i, prefix)
         d = self.plan.decisions[i]
-        key = _label_key(self._label(d.faced, self._checked_prefix(i, prefix)))
+        key = _label_key(self._label(d.faced, prefix))
         outputs, weight = self._faced(d.faced).outputs, 1.0 / d.subgroup.order
         return [
             mix_states([(weight, outputs[v].as_dict()[key][1]) for v in members])
@@ -515,7 +516,10 @@ class SCDecoder:
         ]
 
     def _checked_prefix(self, i: int, prefix) -> tuple:
-        """``prefix`` as element indices; refused unless it is i integers in [0, q)."""
+        """``prefix`` as element indices; refused unless step i is in [0, N) and
+        the prefix is i integers in [0, q)."""
+        if not 0 <= i < self.N:
+            raise StructuralError(f"step {i} is outside [0, {self.N}), the block's decode steps")
         q = self.group.order
         ints = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in prefix)
         if len(prefix) != i or not (ints and all(0 <= x < q for x in prefix)):
@@ -648,10 +652,13 @@ class SCDecoder:
 def step_povm(plan: CodePlan, i, decoded_prefix, channel: CqChannel = None) -> Povm:
     """The step-i POVM over G/H_s given a decoded prefix of lifted symbols.
 
-    ``i`` may be a decode position or a branch label; the returned dense POVM
-    is block-complete (effects sum to the identity).
+    ``i`` may be a decode position or a branch label of n signs; the returned
+    dense POVM is block-complete (effects sum to the identity).
     """
     if isinstance(i, tuple):
+        n = plan.params.n
+        if len(i) != n or any(s not in (MINUS, PLUS) for s in i):
+            raise StructuralError(f"branch label {i!r} is not {n} signs from {{-, +}}")
         i = decode_index(i)
     engine = SCDecoder(plan, channel)
     prefix = engine._checked_prefix(i, [getattr(x, "index", x) for x in decoded_prefix])

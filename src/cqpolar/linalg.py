@@ -9,22 +9,22 @@ decoder, plans, the checks and rate regions, are the module constants below.
 HERM_TOL, PSD_TOL and TRACE_TOL (1e-9) bound the accepted Hermiticity
 defect, eigenvalue negativity (relative to max(1, top eigenvalue); for a
 POVM effect, also the excess over 1) and trace defect.  EQ_TOL (1e-7) is the
-slack of statements that rounding can break by a few ulps: inequality
-checks, weights summing to 1, effects summing to I, rate bounds, a plan's
-stored rate and bound.  RCOND (1e-12) is the share of the top eigenvalue
-below which an eigenvalue counts as kernel.
+slack of statements that rounding can break by a few ulps: weights summing
+to 1, effects summing to I, rate bounds, a plan's stored rate and bound.
+RCOND (1e-12) is the share of the top eigenvalue below which an eigenvalue
+counts as kernel.
 
-The checks' equalities are identities whose sides are sums that agree to
-rounding (within 2e-15 over verify seeds 0-3); EQ_TOL_STRICT (1e-9), their
-slack, still fails a broken identity that EQ_TOL would forgive.  Checks
-across one +/- transform (conservation, ordering, two-branch quotient sums)
-read re-factored mixtures, each dropping eigenvalues below dim * eps of its
-top one, so TRANSFORM_TOL (1e-8) leaves them more room.  The table engine
-builds its likelihoods from sums and products of nonnegative numbers:
-entries down to -LIKELIHOOD_NEG_TOL (1e-12, no decomposition involved) are
-rounding and clipped to 0, and LIKELIHOOD_SUM_TOL (1e-8) bounds the defect
-of each row sum, or of a shifted table's total mass q relative to q, as its
-merges sum up to millions of entries.
+Every check of the verify suite, equality or inequality, passes within
+CHECK_ULPS (1024) ulps of max(1, |lhs|, |rhs|): its sides are sums, and the
+forward error of a floating-point sum scales as eps times the size of what
+it sums (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+4.2).  Over verify seeds 0-59 at 20 trials the worst deviation is 14 such
+ulps.  The table engine builds its likelihoods from sums and products of
+nonnegative numbers: entries down to -LIKELIHOOD_NEG_TOL (1e-12, no
+decomposition involved) are rounding and clipped to 0, and
+LIKELIHOOD_SUM_TOL (1e-8) bounds the defect of each row sum, or of a shifted
+table's total mass q relative to q, as its merges sum up to millions of
+entries.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EQ_TOL = 1e-7
 RCOND = 1e-12
-EQ_TOL_STRICT = 1e-9
-TRANSFORM_TOL = 1e-8
+CHECK_ULPS = 1024
 LIKELIHOOD_NEG_TOL = 1e-12
 LIKELIHOOD_SUM_TOL = 1e-8
 

@@ -462,6 +462,32 @@ def test_conditional_states_refuse_a_prefix_of_another_length_or_element(prefix)
         SCDecoder(plan, w).conditional_states(1, prefix)
 
 
+@pytest.mark.parametrize("step", [8, -1])
+def test_step_queries_refuse_a_step_outside_the_block(step):
+    # 8 is one past the last step of N=8, and -1 would index the last step
+    w, plan, _, _ = _noisy_plan("pure-0.6-n3")
+    prefix = (0,) * max(step, 0)
+    match = rf"step {step} is outside \[0, 8\)"
+    with pytest.raises(StructuralError, match=match):
+        SCDecoder(plan, w).conditional_states(step, prefix)
+    with pytest.raises(StructuralError, match=match):
+        step_povm(plan, step, list(prefix), w)
+
+
+def test_step_povm_refuses_a_label_with_another_sign():
+    # decode_index reads every entry other than "+" as "-": this would name step 0
+    w, plan, _, _ = _noisy_plan("pure-0.6-n3")
+    with pytest.raises(StructuralError, match=r"branch label \('x', 'y', 'z'\) is not 3 signs"):
+        step_povm(plan, ("x", "y", "z"), [], w)
+
+
+def test_step_povm_refuses_a_label_of_another_length():
+    # ("+",) would name step 1 of the n=3 block
+    w, plan, _, _ = _noisy_plan("pure-0.6-n3")
+    with pytest.raises(StructuralError, match=r"branch label \('\+',\) is not 3 signs"):
+        step_povm(plan, ("+",), [], w)
+
+
 def test_a_decoding_capacity_error_names_the_branch_and_its_depth():
     # only step 7 has two cosets; it faces W^{+++}, whose outputs have 128 branches
     w, plan = _pure_qubit_plan(3, 0.05)

@@ -12,6 +12,7 @@ from cqpolar.checks import Instance, check_fmax_plus_squares, check_info_conserv
 from cqpolar.diagonal import DiagonalChannel
 from cqpolar.errors import StructuralError
 from cqpolar.linalg import (
+    CHECK_ULPS,
     Povm,
     angle,
     eigh_psd,
@@ -319,13 +320,15 @@ def _erasure(info):
     return CqChannel(FiniteAbelianGroup([2]), outputs)
 
 
-# Each check slack of the tolerance table, as (limit, check, the stand-in
-# channel its transforms return at a defect d from the identity, W's
-# functionals reading 0.5).  The checks evaluate the stand-ins directly.
+# The checks' slack at scale 1, CHECK_ULPS ulps, at two checks, as (limit,
+# check, the stand-in channel its transforms return at a defect d from the
+# identity, W's functionals reading 0.5).  The checks evaluate the stand-ins
+# directly.
+CHECK_SLACK = CHECK_ULPS * np.finfo(float).eps
 CHECK_SLACKS = [
-    pytest.param(1e-9, check_fmax_plus_squares, lambda d: pure_overlap_channel(0.25 + d),
+    pytest.param(CHECK_SLACK, check_fmax_plus_squares, lambda d: pure_overlap_channel(0.25 + d),
                  id="strict-equality"),
-    pytest.param(1e-8, check_info_conservation, lambda d: _erasure(0.5 + d / 2),
+    pytest.param(CHECK_SLACK, check_info_conservation, lambda d: _erasure(0.5 + d / 2),
                  id="transform-information"),
 ]
 
