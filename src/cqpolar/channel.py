@@ -41,7 +41,13 @@ from .groups import (
     Subgroup,
     refine,
 )
-from .linalg import EQ_TOL, entropy_of_probs, factor_fidelity, validate_density_matrix
+from .linalg import (
+    EQ_TOL,
+    LIKELIHOOD_SUM_TOL,
+    entropy_of_probs,
+    factor_fidelity,
+    validate_density_matrix,
+)
 from .states import (
     PureMixture,
     as_mixture,
@@ -502,6 +508,9 @@ def preset_channel(name: str, seed=None, **params) -> CqChannel:
         q, p = param("q", int), param("p", float)
         if not 0.0 <= p <= 1.0:
             raise LoadError("flip probability must be in [0, 1]")
+        if q == 1 and p > 0.0:
+            raise LoadError(f"preset {name!r}: q = 1 leaves no symbol to flip to, so p = {p} "
+                            "must be 0")
         g = FiniteAbelianGroup([q])
         outputs = []
         for x in range(q):
@@ -604,10 +613,13 @@ def _real_matrix(value, k: int, what: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _state_from_json(spec, k: int) -> HybridState:
-    """A state entry: weighted, labelled ``branches``, or one bare matrix.
+def _state_from_json(spec, k: int, name) -> HybridState:
+    """Input ``name``'s state entry: weighted, labelled ``branches``, or one bare matrix.
 
-    A bare matrix reads as one branch of weight 1 labelled ().
+    A bare matrix reads as one branch of weight 1 labelled ().  The weights
+    must sum to 1 within LIKELIHOOD_SUM_TOL, as a diagonal channel's likelihood
+    rows must: each transform multiplies the sums, and the dimension cap stops
+    hybrid scans with k >= 2 at n = 3, where (1 + 1e-8)^8 - 1 is below EQ_TOL.
     """
     bare = "branches" not in _expect(spec, dict, "the state")
     raw = [dict(spec, w=1.0)] if bare else _expect(spec["branches"], list, "branches")
@@ -625,6 +637,9 @@ def _state_from_json(spec, k: int) -> HybridState:
         except StructuralError as exc:
             raise StructuralError(f"{at}{exc}") from exc
         branches.append((float(w), () if bare else str(br.get("label", j)), mat))
+    total = sum(w for w, _, _ in branches)
+    if abs(total - 1.0) > LIKELIHOOD_SUM_TOL:
+        raise LoadError(f"branch weights must sum to 1: input {name} sums to {total!r}")
     return HybridState(branches)
 
 
@@ -655,7 +670,9 @@ def load_channel(source) -> CqChannel:
         if outputs[idx] is not None:
             raise LoadError(f"input {key}: another key already names this input")
         try:
-            outputs[idx] = _state_from_json(spec, k)
+            outputs[idx] = _state_from_json(spec, k, g.label_of(idx))
+        except LoadError:
+            raise  # it names the input already
         except StructuralError as exc:
             raise LoadError(f"input {key}: {exc}") from exc
     missing = [i for i, h in enumerate(outputs) if h is None]

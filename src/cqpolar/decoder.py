@@ -11,12 +11,19 @@ drawn in advance, one per multi-coset step, as ``Generator.choice`` would.
 - pure: every output is a pure state; a trial is a state vector and a step a
   ``_SubspacePovm`` in the small span of the component vectors (this is what
   makes N = 8 with 2000 trials cheap),
-- dense: mixed outputs, for small N; a trial is a density matrix and a step a
-  ``_DensePovm`` built from the densified conditional states,
+- mixed: some output is mixed; each use sends one of its output's components,
+  drawn with the output's weights, so a trial is again a state vector, and a
+  step a ``_SubspacePovm`` on the whole space, built from the densified
+  conditional states,
 - diagonal: classical channels; outputs are sampled, and the step object
   ``_Likelihoods`` runs Arikan's O(N log N) likelihood butterfly in the group
   form over the whole batch: SC with posterior sampling is the pretty-good
   measurement restricted to commuting states.
+
+Drawing the components is exact: an SC outcome sequence has probability
+Tr(K rho K†), K its Kraus product, linear in the received state rho, so the
+decoded messages keep the distribution that decoding rho gives (cf. the cq
+SC decoder of Wilde-Guha, arXiv:1109.2591).
 
 The quantum step object, ``_QuantumTrials``, measures each trial with the PGM
 of the conditional states and applies the sqrt(E) . sqrt(E) update to the
@@ -47,7 +54,7 @@ from .channel import CqChannel, _label_key
 from .config import ResourceCaps, default_caps
 from .diagonal import from_cq_channel
 from .errors import StructuralError
-from .linalg import RCOND, Povm, hermitize, pgm_effects, psd_sqrt
+from .linalg import RCOND, Povm, hermitize, pgm_effects
 from .codes import (
     CodePlan,
     MessageVector,
@@ -60,7 +67,8 @@ from .polarize import MINUS, PLUS, _child, decode_index, format_label
 from .states import mix_states, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
-#: Received data of the trials decoded together, in bytes; bounds memory, not results.
+#: Received data of the trials decoded together, and what one POVM builder call
+#: stacks, in bytes; bounds memory, not results.
 _BATCH_BYTES = 1 << 25
 
 
@@ -68,8 +76,8 @@ _BATCH_BYTES = 1 << 25
 class JointOutputState:
     """The receiver's system for one transmission, plus provenance."""
 
-    kind: str  # "pure" | "diagonal" | "dense"
-    data: object  # state vector | sampled output columns (int array) | density matrix
+    kind: str  # "pure" | "diagonal" | "mixed"
+    data: object  # state vector (of the components sent) | sampled output columns (int array)
     codeword: np.ndarray
     message: MessageVector = None
     sections: list = None  # the encoder's section maps; None for the plan's own
@@ -183,9 +191,10 @@ class _SubspacePovm:
     E_u = Q M_u Q† + kernel_share (I - Q Q†), with Q an orthonormal basis of
     the joint support and M_u = U_u diag(vals_u) U_u†.  Initial states always
     lie in the support, so the kernel part never fires during decoding; it
-    exists so densified effects sum to the identity exactly.  It measures a
-    stack of state vectors at once, the trials of one prefix group, with one
-    product per trial, so that a trial's numbers do not depend on its group.
+    exists so densified effects sum to the identity exactly.  (``_dense_pgm``
+    stores mixed candidates' PGMs with Q = I.)  It measures a stack of state
+    vectors at once, the trials of one prefix group, with one product per
+    trial, so that a trial's numbers do not depend on its group.
     """
 
     def __init__(self, basis, vecs, vals, kernel_share):
@@ -252,44 +261,20 @@ def _subspace_pgm(sigma_lists) -> list:
     return out
 
 
-class _DensePovm:
-    """A dense POVM with the square roots of its effects.
-
-    It measures a stack of density matrices at once, the trials of one prefix
-    group, with one product per trial, as ``_SubspacePovm`` does.
-    """
-
-    def __init__(self, effects, sqrts):
-        self.effects = effects  # (outcomes, d, d)
-        self.sqrts = sqrts  # (outcomes, d, d)
-        # Tr(E rho) = sum_ij E_ij rho_ji: rho's entries against E's transposed
-        self._traces = effects.swapaxes(-1, -2).reshape(len(effects), -1).T
-
-    def probabilities(self, rhos) -> np.ndarray:
-        """Outcome probabilities of (t, d, d) density matrices, (t, outcomes)."""
-        out = (rhos.reshape(len(rhos), 1, -1) @ self._traces)[:, 0].real
-        return np.clip(out, 0.0, None)
-
-    def post_measurement(self, rhos, picks):
-        """The normalised states after outcomes ``picks`` (t,), and which survived."""
-        roots = self.sqrts[picks]
-        out = roots @ rhos @ roots
-        tr = np.trace(out, axis1=1, axis2=2).real
-        kept = tr > _SURVIVAL_FLOOR
-        return out / np.where(kept, tr, 1.0)[:, None, None], kept
-
-    def to_povm(self) -> Povm:
-        return Povm(list(self.effects))
-
-
 def _dense_pgm(sigma_lists) -> list:
-    """PGMs of the densified candidate states, one per list; lists of one shape in one stack."""
+    """PGMs of the densified candidate states, one per list, on the whole space.
+
+    Lists of one shape are built in one stack; each effect's eigh gives the
+    ``_SubspacePovm`` its eigenbasis, and all of them share one identity basis.
+    """
     dense = [np.array([to_dense(s) for s in sigmas]) for sigmas in sigma_lists]
     out = [None] * len(dense)
     for same in _groups([d.shape for d in dense]):
-        effects = pgm_effects(np.array([dense[j] for j in same]))
-        for j, e, root in zip(same, effects, psd_sqrt(effects)):
-            out[j] = _DensePovm(e, root)
+        m, d = dense[same[0]].shape[:2]
+        vals, vecs = np.linalg.eigh(pgm_effects(np.array([dense[j] for j in same])))
+        identity = np.eye(d, dtype=complex)
+        for j, v, u in zip(same, np.clip(vals, 0.0, None), vecs):
+            out[j] = _SubspacePovm(identity, u, v, kernel_share=1.0 / m)
     return out
 
 
@@ -393,26 +378,27 @@ class SCDecoder:
             self.caps.check_dim(len(labels) * ch.k, "hybrid flatten")
             self.channel = ch.flatten_dense()
         pure = all(h.branches[0][2].rank_bound == 1 for h in self.channel.outputs)
-        return "pure" if pure else "dense"
+        return "pure" if pure else "mixed"
 
     def _prepare_states(self):
         if self.kind == "diagonal":
-            diag = from_cq_channel(self.channel)
-            self.table = diag.table
-            # Generator.choice(p=p) checks p once per call and draws one double u,
-            # picking searchsorted(cdf, u, "right"); its cdf is kept per input row
-            p = np.stack([row / row.sum() for row in self.table])
-            self._cdf = np.cumsum(p, axis=1)
-            self._cdf /= self._cdf[:, -1:]
-            return
-        self.caps.check_dim(self.channel.k**self.N, "joint output state")
-        self.leaf = [h.branches[0][2] for h in self.channel.outputs]
-        # what each input sends: a state vector (pure) or a density matrix (dense)
-        self._leaves = np.array(
-            [s.vecs[0] if self.kind == "pure" else to_dense(s) for s in self.leaf], dtype=complex
-        )
-        self._synthetic = {(): self.channel}  # sign prefix -> W^signs
-        self._labels = {((), ()): self.channel.label_union()[0]}  # (signs, decided) -> label
+            self.table = rows = from_cq_channel(self.channel).table
+        else:
+            self.caps.check_dim(self.channel.k**self.N, "joint output state")
+            self.leaf = [h.branches[0][2] for h in self.channel.outputs]
+            # each input's components and their weights, zero-padded to (q, r, k) and (q, r)
+            r = max(s.rank_bound for s in self.leaf)
+            rows = np.zeros((len(self.leaf), r))
+            self._leaves = np.zeros((len(self.leaf), r, self.channel.k), dtype=complex)
+            for x, s in enumerate(self.leaf):
+                rows[x, : s.rank_bound], self._leaves[x, : s.rank_bound] = s.weights, s.vecs
+            self._synthetic = {(): self.channel}  # sign prefix -> W^signs
+            self._labels = {((), ()): self.channel.label_union()[0]}  # (signs, decided) -> label
+        # Generator.choice(p=p) checks p once per call and draws one double u,
+        # picking searchsorted(cdf, u, "right"); its cdf is kept per input row
+        p = np.stack([row / row.sum() for row in rows])
+        self._cdf = np.cumsum(p, axis=1)
+        self._cdf /= self._cdf[:, -1:]
 
     def _lifts(self, sections) -> np.ndarray:
         """Section values by step and coset position, (N, q); None means the plan's."""
@@ -424,39 +410,37 @@ class SCDecoder:
     def transmit(self, message: MessageVector, rng, sections=None) -> JointOutputState:
         """Encode a message and send it: a batch of one through ``_received``.
 
-        Only the diagonal kind draws from ``rng``: one double per channel use.
+        Classical and mixed channels draw one double per use from ``rng``, pure ones none.
         """
         codeword = encode(self.plan, message, sections)
-        noise = rng.random(codeword.size)[None] if self.kind == "diagonal" else None
+        noise = rng.random(codeword.size)[None] if self.kind != "pure" else None
         data = self._received(codeword[None], noise)[0]
         return JointOutputState(self.kind, data, codeword, message, sections)
 
     def _received(self, codewords: np.ndarray, noise) -> np.ndarray:
         """The received data of a batch of codewords (trials, N), one row per trial.
 
-        diagonal: at each use, the first output whose cdf reaches that use's
-        double in ``noise`` (trials, N), as ``Generator.choice`` samples; pure
-        and dense: the product state, built one use at a time from the outer
+        At each use, a classical or mixed channel samples the first output
+        (diagonal) or output component (mixed) whose cdf reaches that use's
+        double in ``noise`` (trials, N), as ``Generator.choice`` samples; a
+        pure channel sends its one component.  A quantum trial is the product
+        of the components sent, built one use at a time from the outer
         products that ``np.kron`` takes, so the values are those of a kron chain.
         """
+        picked = 0 if noise is None else np.sum(self._cdf[codewords] <= noise[:, :, None], axis=2)
         if self.kind == "diagonal":
-            return np.sum(self._cdf[codewords] <= noise[:, :, None], axis=2)
+            return picked
         trials = len(codewords)
-        out = np.ones((trials,) + (1,) * (self._leaves.ndim - 1), dtype=complex)
-        for x in codewords.T:
-            leaf = self._leaves[x]
-            if self.kind == "pure":
-                out = (out[:, :, None] * leaf[:, None, :]).reshape(trials, -1)
-            else:
-                d = out.shape[1] * leaf.shape[1]
-                out = (out[:, :, None, :, None] * leaf[:, None, :, None, :]).reshape(trials, d, d)
+        out = np.ones((trials, 1), dtype=complex)
+        for leaf in self._leaves[codewords, picked].swapaxes(0, 1):
+            out = (out[:, :, None] * leaf[:, None, :]).reshape(trials, -1)
         return out
 
     def _trial_bytes(self) -> int:
         """The size of one trial's received data."""
         if self.kind == "diagonal":
             return 8 * self.N  # int64 outputs
-        return self._leaves.itemsize * self._leaves[0].size**self.N
+        return self._leaves.itemsize * self.channel.k**self.N
 
     def _trial_batch(self, seed, trials: range, randomize: bool) -> tuple:
         """Draw, lift, encode and transmit a batch of experiment trials, as arrays.
@@ -469,7 +453,7 @@ class SCDecoder:
         highs = self._coset_counts
         if randomize:
             highs = np.concatenate([highs, self._section_highs])
-        uses = self.N if self.kind == "diagonal" else 0  # the noise doubles
+        uses = self.N if self.kind != "pure" else 0  # the noise doubles
         ints = np.empty((count, highs.size), dtype=np.int64)
         doubles = np.empty((count, uses + self._draws))
         for row, t in enumerate(trials):
@@ -552,13 +536,24 @@ class SCDecoder:
         return self._povm_cache[(i, prefix)]
 
     def _build_povms(self, i: int, prefixes) -> None:
-        """Cache the step-i POVMs of the prefixes not cached yet, built in one builder call."""
+        """Cache the step-i POVMs of the prefixes not cached yet, in builder calls
+        that each stack at most _BATCH_BYTES (at least one prefix): stacked
+        components (pure) or densified candidates (mixed)."""
         missing = [p for p in prefixes if (i, p) not in self._povm_cache]
-        if missing:
-            build = _subspace_pgm if self.kind == "pure" else _dense_pgm
-            built = build([self.conditional_states(i, p) for p in missing])
-            self._synthetic.pop(self.plan.decisions[i].faced)
-            self._povm_cache.update(zip([(i, p) for p in missing], built))
+        if not missing:
+            return
+        pure = self.kind == "pure"
+        build = _subspace_pgm if pure else _dense_pgm
+        run, stacked = {}, 0  # (i, prefix) -> candidate states, and their stacked bytes
+        for p in missing:
+            sigmas = self.conditional_states(i, p)
+            size = 16 * sigmas[0].dim * sum(s.rank_bound if pure else s.dim for s in sigmas)
+            if run and stacked + size > _BATCH_BYTES:
+                self._povm_cache.update(zip(run, build(list(run.values()))))
+                run, stacked = {}, 0
+            run[(i, p)], stacked = sigmas, stacked + size
+        self._povm_cache.update(zip(run, build(list(run.values()))))
+        self._synthetic.pop(self.plan.decisions[i].faced)
 
     # -- decoding ------------------------------------------------------------------------
     def decode(self, received: JointOutputState, seed) -> tuple:
@@ -590,11 +585,11 @@ class SCDecoder:
     def _decode_batch(self, data, lifts, uniforms):
         """Successive cancellation over a batch of trials, for every kind.
 
-        ``data`` holds each trial's received data (sampled outputs, a state
-        vector or a density matrix), ``lifts`` (trials, N, q) each trial's
-        section values (see ``_lifts``) and ``uniforms`` (trials, draws) the
-        doubles its picks consume, one per step with more than one coset: the
-        pick is searchsorted(cdf, u, "right"), as in ``Generator.choice``.
+        ``data`` holds each trial's received data (sampled outputs or a state
+        vector), ``lifts`` (trials, N, q) each trial's section values (see
+        ``_lifts``) and ``uniforms`` (trials, draws) the doubles its picks
+        consume, one per step with more than one coset: the pick is
+        searchsorted(cdf, u, "right"), as in ``Generator.choice``.
         Returns the picked coset positions and their probabilities, both
         (trials, N), per trial the step at which its evidence vanished or its
         state collapsed (N when neither happened), and the doubles it used
@@ -693,7 +688,7 @@ def error_experiment(
       one bound per coset of every step, its subgroup's order, for the member
       each coset's section picks;
     - ``random(uses + draws)``: first the channel noise, one double per use
-      (classical channels only); then the doubles its decoding may use, one
+      (classical and mixed channels); then the doubles its decoding may use, one
       per step with more than one coset.
 
     A generator keeps its leftover 32 random bits in its bit generator, so a

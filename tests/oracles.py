@@ -267,6 +267,33 @@ def conditional_states_bruteforce(leaves, add_table, n, prefix, members_per_cell
     return out
 
 
+def sc_pick_distribution(rho, step_effects, lifts) -> dict:
+    """The exact probability of every pick sequence of SC decoding a density matrix.
+
+    ``step_effects(i, prefix)`` gives step i's POVM effects as dense matrices,
+    given the decided prefix (a single-coset step has the identity alone), and
+    ``lifts[i][c]`` is the value step i decides when it picks outcome c.  Each
+    branch of the enumeration applies sqrt(E) . sqrt(E) of its outcome to the
+    unnormalised state, so a sequence's probability is its final trace.
+    Returns {picks: probability}, with every sequence of nonzero probability.
+    """
+    out = {}
+
+    def walk(i, sigma, prefix, picks):
+        if i == len(lifts):
+            out[picks] = float(np.trace(sigma).real)
+            return
+        for c, effect in enumerate(step_effects(i, prefix)):
+            vals, vecs = np.linalg.eigh(hermitize(effect))
+            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+            post = root @ sigma @ root
+            if np.trace(post).real > 0.0:
+                walk(i + 1, post, prefix + (int(lifts[i][c]),), picks + (c,))
+
+    walk(0, np.asarray(rho, dtype=complex), (), ())
+    return out
+
+
 def experiment_one_trial_at_a_time(W, plan, trials, seed, randomize_sections=True) -> dict:
     """decoder.error_experiment as a loop of single trials through the public calls.
 

@@ -391,7 +391,7 @@ _PRESETS = [
     ("pure-qubit", preset_channel("pure-states", angles=[0.0, 0.9]), 3, "pure"),
     ("random-z4", preset_channel("random", q=4, k=2, seed=3), 2, "pure"),
     ("random-z2xz2", preset_channel("random", q=4, k=2, seed=5, group=[2, 2]), 2, "pure"),
-    ("random-mixed-z2", preset_channel("random", q=2, k=2, seed=4, mixed=True), 2, "dense"),
+    ("random-mixed-z2", preset_channel("random", q=2, k=2, seed=4, mixed=True), 2, "mixed"),
     ("classical-q3", preset_channel("classical-symmetric", q=3, p=0.1), 3, "diagonal"),
     ("depolarized-q4", preset_channel("depolarized-orthogonal", q=4, lam=0.2), 2, "diagonal"),
 ]

@@ -92,6 +92,35 @@ def test_channel_validate_refuses_what_the_table_engine_refuses(tmp_path):
         assert re.search(r"input \(0,\) sums to 1\.00000005", res.stderr), res.stderr
 
 
+def test_channel_validate_refuses_a_hybrid_file_whose_weights_miss_one(tmp_path):
+    # two labels per input, weights 0.5 + 5e-8 and 0.5: a HybridState allows the
+    # sum, but its transforms compound the defect, so the file is refused at
+    # load, naming the input, before any scan
+    ket = {"0": [[1, 0], [0, 0]], "1": [[0, 0], [0, 1]],
+           "+": [[0.5, 0.5], [0.5, 0.5]], "-": [[0.5, -0.5], [-0.5, 0.5]]}
+    states = {f"({x})": {"branches": [{"w": 0.5 + 5e-8, "label": "z", "re": ket[z]},
+                                      {"w": 0.5, "label": "x", "re": ket[p]}]}
+              for x, z, p in [(0, "0", "+"), (1, "1", "-")]}
+    path = tmp_path / "hybrid.json"
+    path.write_text(json.dumps({"group": [2], "k": 2, "states": states}))
+    scan = ("polarize", "--channel", str(path), "--n", "1", "--out", str(tmp_path / "s.csv"))
+    for args in (("channel", "validate", str(path)), scan):
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert re.search(r"input \(0,\) sums to 1\.0000000500", res.stderr), res.stderr
+
+
+def test_classical_preset_refuses_a_flip_with_no_symbol_to_flip_to(tmp_path):
+    # q = 1 has no second symbol, so p > 0 left a likelihood row summing to 1 - p
+    out = tmp_path / "ch.json"
+    base = ("channel", "preset", "--preset", "classical-symmetric", "--q", "1")
+    res = run_cli(*base, "--p", "0.1", "--out", str(out))
+    assert res.returncode == 1 and not out.exists()
+    assert "q = 1" in res.stderr and "p = 0.1" in res.stderr, res.stderr
+    assert run_cli(*base, "--p", "0", "--out", str(out)).returncode == 0
+    assert run_cli("channel", "validate", str(out)).returncode == 0
+
+
 def test_channel_preset_and_validate(tmp_path):
     out = tmp_path / "ch.json"
     res = run_cli(

@@ -11,6 +11,7 @@ from conftest import pure_overlap_channel, random_mixed_channel
 from oracles import (
     conditional_states_bruteforce,
     experiment_one_trial_at_a_time,
+    sc_pick_distribution,
     sc_posteriors_bruteforce,
 )
 
@@ -216,21 +217,19 @@ def test_diagonal_path_matches_dense_quantum_path():
         w.alphabet,
         [HybridState([(1.0, (), np.diag(row.astype(complex)))]) for row in diag.table],
     )
-    dense_channel._diag_flag = False  # force the dense path
+    dense_channel._diag_flag = False  # force the quantum path
     dense = SCDecoder(plan, dense_channel)
-    assert dense.kind == "dense"
+    assert dense.kind == "mixed"
     k = int(diag.table.shape[1])
     for seed in range(10):
         rng = np.random.default_rng([1, seed])
         msg = random_message(plan, rng)
         rcv = diag.transmit(msg, rng)
-        # feed the dense decoder the post-measurement basis state
-        rho = np.array([[1.0 + 0j]])
+        # feed the quantum decoder the post-measurement basis state |y>
+        ket = np.array([1.0 + 0j])
         for col in rcv.data:
-            e = np.zeros((k, k), dtype=complex)
-            e[col, col] = 1.0
-            rho = np.kron(rho, e)
-        dense_rcv = JointOutputState("dense", rho, rcv.codeword, msg)
+            ket = np.kron(ket, np.eye(k, dtype=complex)[col])
+        dense_rcv = JointOutputState("mixed", ket, rcv.codeword, msg)
         est1, tr1 = diag.decode(rcv, np.random.default_rng([2, seed]))
         est2, tr2 = dense.decode(dense_rcv, np.random.default_rng([2, seed]))
         assert [c.rep_index for c in est1.cosets] == [c.rep_index for c in est2.cosets]
@@ -346,7 +345,7 @@ def test_mixed_state_channel_roundtrip_small():
     w = random_mixed_channel(rng, 2, 2)
     plan = build_plan(w, CodeParams(n=1, seed=1, tau=1.0))
     eng = SCDecoder(plan, w)
-    assert eng.kind == "dense"
+    assert eng.kind == "mixed"
     rep = error_experiment(w, plan, trials=30, seed=2)
     assert 0.0 <= rep["block_error"] <= 1.0
     assert rep["bound_holds_within_3sigma"]
@@ -569,26 +568,32 @@ _QUANTUM_NOISY = {
 }
 
 # as _NOISY_PINNED, reported by the per-trial quantum loop that drew its picks
-# with Generator.choice
+# with Generator.choice; the dense entries, whose outputs are mixed, as reported
+# once each use sent a drawn output component
 _QUANTUM_PINNED = {
     "pure-0.6-n3": [(12, "533d18c6c34a"), (14, "331221ff6bb8"), (12, "02af598861fd"),
                     (13, "15810be6982d"), (12, "b848dba65884"), (12, "66f61f689af6")],
     "pure-0.6-n3-file": [(12, "5032343d70a9"), (14, "35392a172671"), (12, "6f34f883b20f"),
                          (13, "90e0119f7bdc"), (12, "f45251a34aa4"), (12, "36d14890a6b0")],
-    "dense-q2-n2": [(4, "585a22995a92"), (3, "31bc75dcb988"), (1, "1217bf53cc9c"),
-                    (3, "31bc75dcb988"), (0, "7a9cef657ab3"), (6, "a6f93845c7f7")],
-    "dense-q3-n2": [(10, "3aeb1bb1ac44"), (7, "f83779904fcf"), (3, "731639c94bea"),
-                    (5, "b29ba05b639d"), (0, "d30493696bc0"), (7, "f83779904fcf")],
+    "dense-q2-n2": [(2, "46f035c544c9"), (5, "f2edfe5d8894"), (2, "46f035c544c9"),
+                    (2, "46f035c544c9"), (1, "1217bf53cc9c"), (3, "31bc75dcb988")],
+    "dense-q3-n2": [(11, "fa369658c403"), (4, "d2665f280da1"), (5, "b29ba05b639d"),
+                    (6, "feeef21e537a"), (7, "f83779904fcf"), (5, "b29ba05b639d")],
 }
+
+
+def _quantum_kind(key):
+    """The decoder kind of a _QUANTUM_NOISY plan: the dense channels' outputs are mixed."""
+    return "pure" if key.startswith("pure") else "mixed"
 
 
 @pytest.mark.parametrize("key", list(_QUANTUM_NOISY))
 def test_noisy_quantum_experiments_are_pinned(key):
-    # whole reports of noisy pure and dense plans, so any change to the
+    # whole reports of noisy pure and mixed plans, so any change to the
     # quantum SC path's picks shows
     w, n, tau, trials = _QUANTUM_NOISY[key]
     plan = build_plan(w, CodeParams(n=n, tau=tau))
-    assert SCDecoder(plan, w).kind == key.split("-")[0]
+    assert SCDecoder(plan, w).kind == _quantum_kind(key)
     assert _pinned_reports(w, plan, trials) == _QUANTUM_PINNED[key]
 
 
@@ -642,7 +647,7 @@ def test_results_do_not_depend_on_the_batch_bound(key, monkeypatch):
 @pytest.mark.parametrize("key", ["symmetric-q4-0.25-n3", "pure-0.6-n3", "dense-q2-n2"])
 def test_experiment_matches_the_one_trial_at_a_time_oracle(key):
     w, plan, trials, _ = _noisy_plan(key)
-    assert SCDecoder(plan, w).kind == ("diagonal" if key in _NOISY else key.split("-")[0])
+    assert SCDecoder(plan, w).kind == ("diagonal" if key in _NOISY else _quantum_kind(key))
     for seed in range(3):
         for randomize in (True, False):
             assert error_experiment(w, plan, trials, seed, randomize_sections=randomize) == (
@@ -689,13 +694,15 @@ def test_concatenated_draws_are_the_separate_draws():
         assert joint.bit_generator.state == apart.bit_generator.state
 
 
-@pytest.mark.parametrize("key", ["bsc-0.2-n6", "symmetric-q4-0.25-n3", "pure-0.6-n3"])
+@pytest.mark.parametrize(
+    "key", ["bsc-0.2-n6", "symmetric-q4-0.25-n3", "pure-0.6-n3", "dense-q2-n2"]
+)
 def test_trial_batch_draws_what_the_separate_calls_draw(key):
     w, plan, _, _ = _noisy_plan(key)
     eng = SCDecoder(plan, w)
     steps = np.arange(eng.N)
     for randomize in (True, False):
-        truth, lifts, _, uniforms = eng._trial_batch(5, range(4), randomize)
+        truth, lifts, data, uniforms = eng._trial_batch(5, range(4), randomize)
         for t in range(4):
             rng = np.random.default_rng([5, t])
             positions = rng.integers(eng._coset_counts)
@@ -703,8 +710,9 @@ def test_trial_batch_draws_what_the_separate_calls_draw(key):
                 members = rng.integers(eng._section_highs)
                 want = eng._lookup[steps[:, None], np.arange(w.q), members[eng._section_at]]
                 assert np.array_equal(lifts[t], want)
-            if eng.kind == "diagonal":
-                rng.random(eng.N)
+            noise = rng.random(eng.N)[None] if eng.kind != "pure" else None
+            codeword, _ = polar_encode_indices(plan.group, lifts[t, steps, positions][None])
+            assert np.array_equal(data[t], eng._received(codeword, noise)[0])
             assert np.array_equal(truth[t], eng._lookup[steps, positions, 0])
             assert np.array_equal(uniforms[t], rng.random(eng._draws))
 
@@ -720,7 +728,7 @@ def test_a_prefix_group_with_mixed_fates_decodes_as_its_rows_alone(key):
     rng = np.random.default_rng(2)
     data = np.array([eng.transmit(random_message(plan, rng), rng).data for _ in range(6)])
     data[0] = 0.0
-    data[1] *= 1.004e-150 if eng.kind == "pure" else 1.008e-300
+    data[1] *= 1.002e-150
     lifts = np.broadcast_to(eng._lifts(None), (6, eng.N, plan.group.order))
     uniforms = rng.random((6, eng._draws))
     batch = eng._decode_batch(data, lifts, uniforms)
@@ -776,14 +784,23 @@ def test_step_povms_are_the_pgm_of_the_densified_candidates(key):
 @pytest.mark.parametrize("key", ["pure-0.6-n3", "dense-q2-n2"])
 def test_transmitted_states_are_the_kron_chain(key):
     w, plan, _, _ = _noisy_plan(key)
+    # a mixed channel sends, per use, the component whose cdf cell holds that
+    # use's double, as Generator.choice(p=weights) picks
     eng = SCDecoder(plan, w)
-    codewords = np.random.default_rng(1).integers(plan.group.order, size=(5, eng.N))
-    for x, got in zip(codewords, eng._received(codewords, None)):
-        want = np.array([1.0 + 0j]) if eng.kind == "pure" else np.array([[1.0 + 0j]])
-        for v in x:
+    rng = np.random.default_rng(1)
+    codewords = rng.integers(plan.group.order, size=(5, eng.N))
+    noise = rng.random(codewords.shape) if eng.kind == "mixed" else None
+    received = eng._received(codewords, noise)
+    for t, (x, got) in enumerate(zip(codewords, received)):
+        want = np.array([1.0 + 0j])
+        for j, v in enumerate(x):
             leaf = eng.leaf[int(v)]
-            want = np.kron(want, leaf.vecs[0] if eng.kind == "pure" else to_dense(leaf))
+            cdf = np.cumsum(leaf.weights / leaf.weights.sum())
+            c = 0 if noise is None else int(np.searchsorted(cdf / cdf[-1], noise[t, j], "right"))
+            want = np.kron(want, leaf.vecs[c])
         assert np.array_equal(got, want)
+    if eng.kind == "mixed":
+        assert len({tuple(np.round(r, 12)) for r in received}) > 1
 
 
 def test_a_diagonal_channel_whose_row_misses_one_is_refused():
@@ -798,3 +815,68 @@ def test_a_diagonal_channel_whose_row_misses_one_is_refused():
     ])
     with pytest.raises(StructuralError, match=r"input \(0,\) sums to 1\.00000005"):
         SCDecoder(plan, off)
+
+
+def _unravelled_pick_distribution(eng, codeword):
+    """Pick-sequence probabilities of decoding the drawn component vectors.
+
+    Sums, over every tuple of output components, the tuple's weight times the
+    exact pick distribution of the vector that ``_received`` builds from
+    doubles inside the tuple's cdf cells, measured with the decoder's own
+    step POVMs and state updates.
+    """
+    lifts, out = eng._lifts(None), {}
+
+    def walk(i, psi, prefix, picks, prob):
+        if i == eng.N:
+            out[picks] = out.get(picks, 0.0) + prob
+            return
+        if len(eng._cells[i]) == 1:
+            walk(i + 1, psi, prefix + (int(lifts[i][0]),), picks + (0,), prob)
+            return
+        povm = eng.step_povm_rep(i, prefix)
+        p = povm.probabilities(psi[None])[0]
+        for c in range(len(p)):
+            post, kept = povm.post_measurement(psi[None], np.array([c]))
+            if kept[0]:
+                walk(i + 1, post[0], prefix + (int(lifts[i][c]),), picks + (c,),
+                     prob * p[c] / p.sum())
+
+    leaves = [eng.leaf[int(x)] for x in codeword]
+    for comps in itertools.product(*(range(s.rank_bound) for s in leaves)):
+        cells = [eng._cdf[int(x), c - 1 : c + 1] if c else [0.0, eng._cdf[int(x), 0]]
+                 for x, c in zip(codeword, comps)]
+        noise = np.array([[(lo + hi) / 2.0 for lo, hi in cells]])
+        weight = np.prod([hi - lo for lo, hi in cells])
+        walk(0, eng._received(codeword[None], noise)[0], (), (), weight)
+    return out
+
+
+@pytest.mark.parametrize("key", ["dense-q2-n2", "dense-q3-n2"])
+def test_drawn_components_decode_as_the_density_matrix_does(key):
+    # for every message, sent under the plan's sections: averaging the
+    # component vectors' decodes gives the exact SC pick distribution of the
+    # kron-chain density matrix, measured with the densified step POVMs
+    w, plan, _, _ = _noisy_plan(key)
+    eng = SCDecoder(plan, w)
+    assert eng.kind == "mixed" and max(s.rank_bound for s in eng.leaf) > 1
+    lifts, dim = eng._lifts(None), w.k**eng.N
+
+    def step_effects(i, prefix):
+        if len(eng._cells[i]) == 1:
+            return [np.eye(dim, dtype=complex)]
+        return eng.step_povm_rep(i, prefix).to_povm().effects
+
+    steps = np.arange(eng.N)
+    messages = list(itertools.product(*(range(len(cells)) for cells in eng._cells)))
+    assert len(messages) > 1
+    for positions in messages:
+        codeword, _ = polar_encode_indices(plan.group, lifts[steps, positions][None])
+        rho = np.ones((1, 1), dtype=complex)
+        for x in codeword[0]:
+            rho = np.kron(rho, to_dense(eng.leaf[int(x)]))
+        exact = sc_pick_distribution(rho, step_effects, lifts)
+        got = _unravelled_pick_distribution(eng, codeword[0])
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        for picks in set(exact) | set(got):
+            assert abs(exact.get(picks, 0.0) - got.get(picks, 0.0)) <= 1e-12
