@@ -44,6 +44,7 @@ from .groups import (
 from .linalg import (
     EQ_TOL,
     LIKELIHOOD_SUM_TOL,
+    STACK_ENTRIES,
     entropy_of_probs,
     factor_fidelity,
     validate_density_matrix,
@@ -72,21 +73,19 @@ class HybridState:
 
     __slots__ = ("branches", "_dict")
 
-    def __init__(self, branches, validate: bool = True):
+    def __init__(self, branches):
         cleaned = [(float(w), lab, as_mixture(st)) for w, lab, st in branches if w > 0.0]
         cleaned.sort(key=lambda b: _label_key(b[1]))
         self.branches = cleaned
         self._dict = None
-        if validate:
-            labels = [lab for _, lab, _ in cleaned]
-            if len(set(map(_label_key, labels))) != len(labels):
-                raise StructuralError("duplicate branch labels")
-            total = sum(w for w, _, _ in cleaned)
-            if abs(total - 1.0) > EQ_TOL:
-                raise StructuralError(f"branch weights sum to {total!r}, not 1")
-            dims = {st.dim for _, _, st in cleaned}
-            if len(dims) > 1:
-                raise StructuralError("branch states have inconsistent dimensions")
+        labels = [lab for _, lab, _ in cleaned]
+        if len(set(map(_label_key, labels))) != len(labels):
+            raise StructuralError("duplicate branch labels")
+        total = sum(w for w, _, _ in cleaned)
+        if abs(total - 1.0) > EQ_TOL:
+            raise StructuralError(f"branch weights sum to {total!r}, not 1")
+        if len({st.dim for _, _, st in cleaned}) > 1:
+            raise StructuralError("branch states have inconsistent dimensions")
 
     @property
     def dim(self) -> int:
@@ -155,18 +154,13 @@ def _mixed_hybrid(groups) -> HybridState:
     )
 
 
-#: Entries of the factor copies one stacked SVD may take (4 MiB of complex):
-#: small factors, whose cost is per-call overhead, share a call, while large
-#: ones, which gain nothing from stacking, are not all copied at once.
-_STACK_ENTRIES = 1 << 18
-
-
 def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
     """Fidelity of two block-diagonal states: sum over shared labels of
     sqrt(w w') F(rho, rho').  Pairs of pure branches are batched into one
     vectorized overlap computation; the other pairs go through
     :func:`~.linalg.factor_fidelity`, pairs of one shape in stacked SVDs of
-    at most ``_STACK_ENTRIES`` factor entries, and are summed in label order."""
+    at most ``STACK_ENTRIES`` factor entries (see :mod:`.linalg`), and are
+    summed in label order."""
     db = b.as_dict()
     left, right, scales = [], [], []
     shapes: dict = {}  # (ra, rb) -> [(term position, sa, sb)]
@@ -184,7 +178,7 @@ def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
     fids = np.empty(len(scales))
     for items in shapes.values():
         _, first_a, first_b = items[0]
-        chunk = max(1, _STACK_ENTRIES // (first_a.vecs.size + first_b.vecs.size))
+        chunk = max(1, STACK_ENTRIES // (first_a.vecs.size + first_b.vecs.size))
         for lo in range(0, len(items), chunk):
             part = items[lo : lo + chunk]
             fids[[i for i, _, _ in part]] = factor_fidelity(
@@ -201,9 +195,9 @@ def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
 
 
 # -- the shared profile -------------------------------------------------------------
-# CqChannel and DiagonalChannel each supply ``pairwise_fidelity_matrix``,
-# ``_index`` and ``_average_cells`` and assign these functionals and quotients
-# in their own class bodies.
+# CqChannel and DiagonalChannel each supply ``pairwise_fidelity_matrix`` and
+# ``_average_cells`` and assign the input index, these functionals and the
+# quotients in their own class bodies.
 
 
 def _frozen(mat: np.ndarray) -> np.ndarray:
@@ -211,6 +205,11 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     np.fill_diagonal(mat, 1.0)
     mat.flags.writeable = False
     return mat
+
+
+def _profile_index(W, x) -> int:
+    """The input index of ``x``: an element index, or a group element's index."""
+    return x.index if isinstance(x, GroupElement) else int(x)
 
 
 def _profile_fd(W, d) -> float:
@@ -295,15 +294,7 @@ class CqChannel:
     def output_of(self, x) -> HybridState:
         return self.outputs[self._index(x)]
 
-    def _index(self, x) -> int:
-        if isinstance(x, GroupElement):
-            return x.index
-        if isinstance(x, Coset):
-            for i in range(self.alphabet.order):
-                if self.alphabet.label_of(i) == x:
-                    return i
-            raise StructuralError("coset is not an input of this channel")
-        return int(x)
+    _index = _profile_index
 
     def label_union(self) -> list:
         """Every output's labels, each once, in key order; cached."""
@@ -448,7 +439,7 @@ class CqChannel:
                 weights.append(w * st.weights)
                 rows.append(block)
             flat = PureMixture(np.concatenate(weights), np.vstack(rows))
-            outputs.append(HybridState([(1.0, (), flat)], validate=False))
+            outputs.append(HybridState([(1.0, (), flat)]))
         return CqChannel(self.alphabet, outputs)
 
 

@@ -3,7 +3,9 @@
 Every JSON report embeds a run manifest (subcommand, parameters, seed, tool
 version, input hashes, wall clock) sufficient to reproduce the output;
 reports are written atomically.  Exit codes: 0 success, 1 validation
-failure, 2 capacity exceeded, 3 check failure.
+failure (a usage error too: a missing or malformed option, an unknown
+subcommand, a negative seed, a path that cannot be read or written), 2
+capacity exceeded, 3 check failure.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ def _manifest(args, started: float, inputs=()) -> dict:
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cqpolar-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cqpolar-")
+    except OSError as exc:
+        raise LoadError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -71,6 +76,14 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_json(path: str, obj) -> None:
     _write_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
 
 
 def _channel_from_args(args) -> CqChannel:
@@ -121,6 +134,9 @@ def _user_orders(text: str) -> list:
 
 def cmd_channel(args) -> int:
     started = time.time()
+    needs, flag = ("file", "FILE") if args.action == "validate" else ("out", "--out")
+    if not getattr(args, needs):
+        raise LoadError(f"channel {args.action} needs {flag}")
     if args.action == "validate":
         ch = load_channel(args.file)
         _routed(ch)  # a diagonal channel must also pass the table engine's checks
@@ -157,11 +173,7 @@ def cmd_polarize(args) -> int:
                 "F_quot": r.quot_F[best],
             }
         )
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_atomic(args.out, buf.getvalue())
+    _write_csv(args.out, list(rows[0]), [list(row.values()) for row in rows])
     payload = {
         "records": [
             {
@@ -202,13 +214,10 @@ def cmd_construct(args) -> int:
     )
     plan = build_plan(ch, params)
     payload = plan_to_json(plan)
-    payload["rate_gap"] = rate_gap(plan)
+    payload["rate_gap"] = gap = rate_gap(plan)
     payload["manifest"] = _manifest(args, started, [args.channel] if args.channel else [])
     _write_json(args.out, payload)
-    print(
-        f"wrote {args.out}: rate={plan.rate:.6f} nats, gap={rate_gap(plan):.6f}, "
-        f"bound={plan.bound:.3e}"
-    )
+    print(f"wrote {args.out}: rate={plan.rate:.6f} nats, gap={gap:.6f}, bound={plan.bound:.3e}")
     return EXIT_OK
 
 
@@ -221,16 +230,12 @@ def cmd_decode_sim(args) -> int:
     report["manifest"] = _manifest(args, started, [args.plan])
     _write_json(args.out, report)
     if args.profile_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["branch", "first_error_rate", "mismatch_rate"])
-        for b, fe, mm in zip(
+        profile = zip(
             report["step_branches"],
             report["first_error_profile"],
             report["step_mismatch_profile"],
-        ):
-            writer.writerow([b, fe, mm])
-        _write_atomic(args.profile_csv, buf.getvalue())
+        )
+        _write_csv(args.profile_csv, ["branch", "first_error_rate", "mismatch_rate"], profile)
     print(
         f"block error {report['block_error']:.4f} over {args.trials} trials; "
         f"bound {report['bound']:.3e}"
@@ -283,15 +288,11 @@ def cmd_mac_region(args) -> int:
     }
     _write_json(args.out, payload)
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["subset", "n", "bound_nats"])
-        for s, v in sorted(reg.as_json()["constraints"].items()):
-            writer.writerow([s, 0, v])
-        for n, est in estimates.items():
-            for s, v in sorted(est.as_json()["constraints"].items()):
-                writer.writerow([s, n, v])
-        _write_atomic(args.csv, buf.getvalue())
+        bounds = [(0, reg), *estimates.items()]
+        rows = [
+            [s, n, v] for n, r in bounds for s, v in sorted(r.as_json()["constraints"].items())
+        ]
+        _write_csv(args.csv, ["subset", "n", "bound_nats"], rows)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -299,8 +300,16 @@ def cmd_mac_region(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are validation errors, not exits."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise StructuralError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqpolar",
         description="Polar-coding laboratory for classical-quantum channels "
         "over finite Abelian groups.",
@@ -371,8 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.seed < 0:
+            raise StructuralError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ error bound, conservation) are unaffected by the reversal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class CodeParams:
             raise StructuralError("n must be >= 1")
         if not self.delta > 0:
             raise StructuralError("delta must be positive")
+        if not 0 <= self.tau < np.inf:
+            raise StructuralError(f"tau must be finite and >= 0, got {self.tau!r}")
         if not 0 < self.beta < self.beta_prime < 0.5:
             raise StructuralError("need 0 < beta < beta' < 1/2")
         if self.mode not in ("best-effort", "paper-strict"):
@@ -93,10 +95,6 @@ class BranchDecision:
     fmax: float
     quot_I: float  # I(W^faced[H_s])
     quot_F: float  # F(W^faced[H_s])
-
-    @property
-    def frozen(self) -> bool:
-        return self.info_nats == 0.0
 
 
 @dataclass
@@ -204,10 +202,9 @@ def _require_close(what: str, stored: float, derived: float, formula: str) -> No
         raise LoadError(f"{what} {stored!r} is not {formula} = {derived!r}")
 
 
-def rate_gap(plan: CodePlan, W=None) -> float:
+def rate_gap(plan: CodePlan) -> float:
     """I(W) - R; the construction guarantees < delta only asymptotically."""
-    base = plan.base_I if W is None else W.holevo_information()
-    return float(base - plan.rate)
+    return float(plan.base_I - plan.rate)
 
 
 # -- messages -------------------------------------------------------------------
@@ -325,16 +322,7 @@ def plan_to_json(plan: CodePlan) -> dict:
             }
         )
     return {
-        "params": {
-            "n": plan.params.n,
-            "delta": plan.params.delta,
-            "beta": plan.params.beta,
-            "beta_prime": plan.params.beta_prime,
-            "seed": plan.params.seed,
-            "mode": plan.params.mode,
-            "tau": plan.params.tau,
-            "sections": plan.params.sections,
-        },
+        "params": asdict(plan.params),
         "group": list(g.cyclic_orders),
         "rate": plan.rate,
         "bound": plan.bound,
@@ -345,10 +333,7 @@ def plan_to_json(plan: CodePlan) -> dict:
 
 
 _PLAN_KEYS = ("params", "group", "decisions", "rate", "bound", "base_I")
-_DECISION_KEYS = (
-    "branch", "faced", "subgroup", "section", "in_selected_set",
-    "info_nats", "I", "fmax", "quot_I", "quot_F",
-)
+_DECISION_KEYS = tuple(f.name for f in fields(BranchDecision))
 
 
 def _require_keys(obj, keys: tuple, what: str) -> None:
@@ -362,9 +347,14 @@ def _number(obj: dict, key: str) -> float:
 
 
 def plan_from_json(obj) -> CodePlan:
+    """Load and validate a plan from a JSON file path or dict."""
     if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+        try:
+            with open(obj) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise LoadError(f"cannot read plan JSON {obj}: {reason}") from exc
     try:
         _require_keys(obj, _PLAN_KEYS, "top level")
         g = FiniteAbelianGroup(_integers(obj["group"], "group"))

@@ -230,6 +230,17 @@ class _SubspacePovm:
         return Povm(list(hermitize(self.basis @ core @ self.basis.conj().T + kern)))
 
 
+def _pgm_povms(ensembles, bases) -> list:
+    """One ``_SubspacePovm`` per ensemble of a (b, m, r, r) stack, in its basis (d, r):
+    the eigenbases of its PGM effects, from one stacked eigh."""
+    vals, vecs = np.linalg.eigh(pgm_effects(ensembles))
+    share = 1.0 / ensembles.shape[1]
+    return [
+        _SubspacePovm(basis, u, v, share)
+        for basis, u, v in zip(bases, vecs, np.clip(vals, 0.0, None))
+    ]
+
+
 def _subspace_pgm(sigma_lists) -> list:
     """PGMs of equal-prior pure mixtures, one per list of candidate states, each in its span.
 
@@ -253,11 +264,8 @@ def _subspace_pgm(sigma_lists) -> list:
                 b = np.array([comps[shaped[k]][c] for k in ranked]) @ basis.conj()
                 projected.append(b.swapaxes(-1, -2) @ b.conj())
             # pgm_effects shares out the kernel of S inside the span; kernel_share the rest
-            effects = pgm_effects(np.stack(projected, axis=1))
-            vals, vecs = np.linalg.eigh(effects)
-            vals = np.clip(vals, 0.0, None)
-            for j, k in enumerate(ranked):
-                out[shaped[k]] = _SubspacePovm(basis[j], vecs[j], vals[j], kernel_share=1.0 / m)
+            for k, povm in zip(ranked, _pgm_povms(np.stack(projected, axis=1), basis)):
+                out[shaped[k]] = povm
     return out
 
 
@@ -270,11 +278,10 @@ def _dense_pgm(sigma_lists) -> list:
     dense = [np.array([to_dense(s) for s in sigmas]) for sigmas in sigma_lists]
     out = [None] * len(dense)
     for same in _groups([d.shape for d in dense]):
-        m, d = dense[same[0]].shape[:2]
-        vals, vecs = np.linalg.eigh(pgm_effects(np.array([dense[j] for j in same])))
-        identity = np.eye(d, dtype=complex)
-        for j, v, u in zip(same, np.clip(vals, 0.0, None), vecs):
-            out[j] = _SubspacePovm(identity, u, v, kernel_share=1.0 / m)
+        identity = np.eye(dense[same[0]].shape[-1], dtype=complex)
+        povms = _pgm_povms(np.array([dense[j] for j in same]), [identity] * len(same))
+        for j, povm in zip(same, povms):
+            out[j] = povm
     return out
 
 

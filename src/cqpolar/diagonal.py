@@ -51,6 +51,7 @@ from .channel import (
     _profile_f_max,
     _profile_fd,
     _profile_fd_table,
+    _profile_index,
     _profile_nested_fmax,
     _profile_quotient,
 )
@@ -101,9 +102,7 @@ class DiagonalChannel:
     def alphabet_size(self) -> int:
         return self.table.shape[1]
 
-    def _index(self, x) -> int:
-        idx = getattr(x, "index", None)
-        return int(idx if idx is not None else x)
+    _index = _profile_index
 
     # -- functionals -----------------------------------------------------------
     def holevo_information(self) -> float:

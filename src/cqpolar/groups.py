@@ -175,9 +175,6 @@ class FiniteAbelianGroup(GroupOps):
     def zero(self) -> GroupElement:
         return GroupElement(self, (0,) * len(self.cyclic_orders))
 
-    def elements(self) -> list[GroupElement]:
-        return [GroupElement(self, r) for r in self._residues]
-
     def element_by_index(self, i: int) -> GroupElement:
         return GroupElement(self, self._residues[i])
 
@@ -230,9 +227,6 @@ class Subgroup:
     def cosets(self) -> tuple:
         """The cosets of this subgroup in its parent, in ``partition`` order; cached."""
         return tuple(Coset(self, row[0]) for row in self.partition[0])
-
-    def elements(self) -> list[GroupElement]:
-        return [self.parent.element_by_index(i) for i in self.indices]
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         return self._index_set <= other._index_set
@@ -347,9 +341,6 @@ class Coset:
 
     def member_indices(self) -> list[int]:
         return list(self.subgroup.partition[0][self.position])
-
-    def members(self) -> list[GroupElement]:
-        return [self.subgroup.parent.element_by_index(i) for i in self.member_indices()]
 
     def contains_index(self, i: int) -> bool:
         return self.subgroup.partition[1][i] == self.position

@@ -25,6 +25,11 @@ decomposition involved) are rounding and clipped to 0, and
 LIKELIHOOD_SUM_TOL (1e-8) bounds the defect of each row sum, or of a shifted
 table's total mass q relative to q, as its merges sum up to millions of
 entries.
+
+STACK_ENTRIES (2^18) bounds the entries one stacked LAPACK call of the hybrid
+engine takes (a fidelity SVD's factors, an entropy eigvalsh's matrices): small
+matrices share a call, large ones are not all copied at once.  It bounds
+memory, not results: a stacked call decomposes each matrix as a lone call would.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ RCOND = 1e-12
 CHECK_ULPS = 1024
 LIKELIHOOD_NEG_TOL = 1e-12
 LIKELIHOOD_SUM_TOL = 1e-8
+STACK_ENTRIES = 1 << 18
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -162,9 +168,9 @@ def angle(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.arccos(np.clip(fidelity(rho, sigma), 0.0, 1.0)))
 
 
-def helstrom_error(rho0: np.ndarray, rho1: np.ndarray, p0: float = 0.5) -> float:
-    """Optimal two-state discrimination error, (1 - ||p0 rho0 - p1 rho1||_1) / 2."""
-    return 0.5 - trace_distance(p0 * rho0, (1.0 - p0) * rho1)
+def helstrom_error(rho0: np.ndarray, rho1: np.ndarray) -> float:
+    """Optimal error between two equally likely states, (1 - ||rho0 - rho1||_1 / 2) / 2."""
+    return 0.5 - trace_distance(0.5 * rho0, 0.5 * rho1)
 
 
 @dataclass
@@ -191,44 +197,36 @@ class Povm:
             raise StructuralError(f"effects do not sum to the identity: defect {defect:.3e}")
 
 
-def pretty_good_measurement(states: list, priors=None) -> Povm:
-    """The square-root measurement for an ensemble of density matrices (see ``pgm_effects``)."""
-    return Povm(list(pgm_effects(states, priors)))
+def pretty_good_measurement(states: list) -> Povm:
+    """The square-root measurement for equally likely density matrices (see ``pgm_effects``)."""
+    return Povm(list(pgm_effects(states)))
 
 
-def pgm_effects(states, priors=None) -> np.ndarray:
+def pgm_effects(states) -> np.ndarray:
     """The square-root measurement's effects, for one ensemble or a stack of them.
 
-    ``states`` is (..., n, d, d): n density matrices per ensemble, all with the
-    same priors.  Effects are S^{-1/2} p_x rho_x S^{-1/2} with S the ensemble
+    ``states`` is (..., n, d, d): n equally likely density matrices per
+    ensemble.  Effects are S^{-1/2} rho_x S^{-1/2} / n with S the ensemble
     average; the inverse square root is taken on the support of S and the
     kernel remainder is distributed uniformly over the effects so they sum to
     the identity.  Returns the (..., n, d, d) effects.
     """
     states = np.asarray(states)
     n, dim = states.shape[-3], states.shape[-1]
-    if priors is None:
-        priors = np.full(n, 1.0 / n)
-    priors = np.asarray(priors, dtype=float)
-    if abs(priors.sum() - 1.0) > TRACE_TOL or np.any(priors < 0):
-        raise StructuralError("priors must be a probability vector")
-    avg = sum(p * states[..., x, :, :] for x, p in enumerate(priors))
+    p = 1.0 / n
+    avg = sum(p * states[..., x, :, :] for x in range(n))
     if np.any(np.real(np.trace(avg, axis1=-2, axis2=-1)) <= 0.0):
         raise StructuralError("ensemble average state is zero")
     inv_sqrt, proj = psd_inv_sqrt_support(avg)
     inv_sqrt = inv_sqrt[..., None, :, :]
     remainder = ((np.eye(dim) - proj) / n)[..., None, :, :]
-    return hermitize(inv_sqrt @ (priors[:, None, None] * states) @ inv_sqrt) + remainder
+    return hermitize(inv_sqrt @ (p * states) @ inv_sqrt) + remainder
 
 
-def povm_error_probability(povm: Povm, states: list, priors=None) -> float:
-    """Average misidentification probability when effect i is the guess for state i."""
-    n = len(states)
-    if priors is None:
-        priors = np.full(n, 1.0 / n)
-    success = sum(
-        float(p * np.real(np.trace(e @ s))) for p, e, s in zip(priors, povm.effects, states)
-    )
+def povm_error_probability(povm: Povm, states: list) -> float:
+    """Misidentification probability of equally likely states, effect i guessing state i."""
+    p = 1.0 / len(states)
+    success = sum(float(p * np.real(np.trace(e @ s))) for e, s in zip(povm.effects, states))
     return float(1.0 - min(1.0, success))
 
 

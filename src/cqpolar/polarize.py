@@ -226,10 +226,9 @@ def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None):
     return rec(_routed(W), ())
 
 
-def polarization_scan(W, n: int, caps: ResourceCaps = None, subgroups=None):
+def polarization_scan(W, n: int, caps: ResourceCaps = None):
     """Records for all 2^n synthetic channels, in decode order."""
-    if subgroups is None:
-        subgroups = enumerate_subgroups(_require_product_group(W))
+    subgroups = enumerate_subgroups(_require_product_group(W))
     records = {
         signs: make_record(channel, signs, subgroups)
         for signs, channel in iter_synthetic_channels(W, n, caps)

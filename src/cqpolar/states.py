@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .linalg import PSD_TOL, eigh_psd, factor_fidelity
+from .linalg import PSD_TOL, STACK_ENTRIES, eigh_psd, factor_fidelity
 
 _EPS = np.finfo(float).eps
 
@@ -139,14 +139,13 @@ def mix_states(weighted) -> PureMixture:
 
 
 def batched_mixture_entropies(mats) -> np.ndarray:
-    """Entropies of mixtures given as equal-shape scaled component arrays.
+    """Entropies of mixtures given as equal-shape (r, d) scaled component arrays.
 
-    Uses whichever of the Gram (r x r) or dense (d x d) forms is smaller and
-    chunks the batch to bound peak memory.
+    Uses whichever of the Gram (r x r) or dense (d x d) forms is smaller, in
+    stacked eigvalsh calls of at most ``STACK_ENTRIES`` component entries.
     """
     r, d = mats[0].shape
-    per = max(r, d)
-    chunk = max(1, (1 << 22) // (per * min(r, d) + 1))
+    chunk = max(1, STACK_ENTRIES // (r * d))
     out = []
     for i in range(0, len(mats), chunk):
         stacked = np.stack(mats[i : i + chunk])

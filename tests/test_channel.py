@@ -507,7 +507,7 @@ def test_product_rules_match_a_direct_evaluation(name):
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_stacked_branch_fidelities_are_the_per_pair_sum(kind, stack_entries, monkeypatch):
     if stack_entries is not None:
-        monkeypatch.setattr(channel_module, "_STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(channel_module, "STACK_ENTRIES", stack_entries)
     make = random_mixed_channel if kind == "mixed" else random_pure_channel
     W = make(np.random.default_rng(32), 3, 2)
     for channel in (minus_transform(plus_transform(W)), plus_transform(minus_transform(W))):

@@ -554,3 +554,130 @@ def test_verify_all_checks(tmp_path):
         validate_schema(line, "verify_line.schema.json")
         assert type(line["hypothesis_satisfied"]) is bool
         assert type(line["passed"]) is bool
+
+
+def _main(capsys, *argv):
+    """Run the CLI in-process: (exit code, stderr)."""
+    from cqpolar.cli import main
+
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["polarize", "--preset", "pure-states", "--angles", "0,0.9", "--n", "1"],
+         "the following arguments are required: --out"),
+        (["polarize", "--preset", "pure-states", "--angles", "0,0.9", "--n", "x", "--out", "s"],
+         "argument --n: invalid int value: 'x'"),
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+    ],
+    ids=["missing-out", "non-integer-n", "unknown-subcommand"],
+)
+def test_usage_errors_exit_with_the_validation_code(capsys, argv, named):
+    # argparse exits 2, the code reserved for capacity errors
+    code, err = _main(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage: cqpolar"), err
+    assert "validation error: cqpolar" in err and named in err, err
+
+
+def test_help_still_exits_zero(capsys):
+    from cqpolar.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: cqpolar" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["channel", "preset", "--preset", "random", "--q", "2", "--k", "2"],
+        ["polarize", "--preset", "random", "--q", "2", "--k", "2", "--n", "1"],
+        ["construct", "--preset", "random", "--q", "2", "--k", "2", "--n", "1"],
+        ["decode-sim", "--plan", "plan.json"],
+        ["verify", "--trials", "1"],
+        ["mac-region", "--users", "2;2"],
+    ],
+    ids=["channel-preset", "polarize", "construct", "decode-sim", "verify", "mac-region"],
+)
+def test_a_negative_seed_is_refused_before_dispatch(tmp_path, capsys, argv):
+    # numpy's default_rng once raised an uncaught ValueError
+    out = tmp_path / "out"
+    code, err = _main(capsys, *argv, "--seed", "-3", "--out", str(out))
+    assert code == 1
+    assert err == "validation error: --seed must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("plan", ["missing.json", "not-json.json"])
+def test_decode_sim_names_an_unreadable_plan(tmp_path, capsys, plan):
+    (tmp_path / "not-json.json").write_text("{not json")
+    path = tmp_path / plan
+    code, err = _main(capsys, "decode-sim", "--plan", str(path), "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert err.startswith(f"validation error: cannot read plan JSON {path}: "), err
+
+
+@pytest.mark.parametrize("option", ["--out", "--json"])
+def test_polarize_names_an_output_in_a_missing_directory(tmp_path, capsys, option):
+    paths = {"--out": tmp_path / "s.csv", "--json": tmp_path / "s.json"}
+    paths[option] = bad = tmp_path / "missing" / "file"
+    outputs = [str(x) for pair in paths.items() for x in pair]
+    code, err = _main(capsys, "polarize", "--preset", "pure-states", "--angles", "0,0.9",
+                      "--n", "1", *outputs)
+    assert code == 1
+    assert err.startswith(f"validation error: cannot write {bad}: "), err
+
+
+def test_decode_sim_names_a_profile_csv_in_a_missing_directory(tmp_path, capsys, z4_plan):
+    plan, bad = tmp_path / "plan.json", tmp_path / "missing" / "p.csv"
+    plan.write_text(json.dumps(z4_plan))
+    code, err = _main(capsys, "decode-sim", "--plan", str(plan), "--trials", "3",
+                      "--out", str(tmp_path / "r.json"), "--profile-csv", str(bad))
+    assert code == 1
+    assert err.startswith(f"validation error: cannot write {bad}: "), err
+
+
+def test_mac_region_names_a_csv_in_a_missing_directory(tmp_path, capsys):
+    bad = tmp_path / "missing" / "m.csv"
+    code, err = _main(capsys, "mac-region", "--users", "2;2", "--n", "1",
+                      "--out", str(tmp_path / "m.json"), "--csv", str(bad))
+    assert code == 1
+    assert err.startswith(f"validation error: cannot write {bad}: "), err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [(["channel", "validate"], "channel validate needs FILE"),
+     (["channel", "preset", "--preset", "pure-states", "--angles", "0,1"],
+      "channel preset needs --out")],
+    ids=["validate-without-file", "preset-without-out"],
+)
+def test_channel_names_its_missing_argument(capsys, argv, named):
+    # both once raised TypeError
+    code, err = _main(capsys, *argv)
+    assert code == 1
+    assert err == f"validation error: {named}\n"
+
+
+@pytest.mark.parametrize("tau", ["-1", "nan", "inf"])
+def test_construct_refuses_a_negative_or_non_finite_tau(tmp_path, capsys, tau):
+    # it once froze every slot and exited 0
+    out = tmp_path / "plan.json"
+    code, err = _main(capsys, "construct", "--preset", "pure-states", "--angles", "0,0.9",
+                      "--n", "1", "--tau", tau, "--out", str(out))
+    assert code == 1
+    assert err.startswith("validation error: tau must be finite and >= 0"), err
+    assert not out.exists()
+
+
+def test_decode_sim_refuses_a_plan_with_a_negative_tau(tmp_path, capsys, z4_plan):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**z4_plan, "params": {**z4_plan["params"], "tau": -0.5}}))
+    code, err = _main(capsys, "decode-sim", "--plan", str(plan), "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert err.startswith("validation error: plan: params: tau must be finite and >= 0"), err

@@ -297,3 +297,21 @@ def test_codeword_elements_helper():
     msg = message_from_positions(plan, [1, 1])
     els = codeword_elements(plan, encode(plan, msg))
     assert [e.residues for e in els] == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("tau", [-1e-3, float("nan"), float("inf")])
+def test_code_params_refuse_a_negative_or_non_finite_tau(tau):
+    with pytest.raises(StructuralError, match="tau must be finite and >= 0"):
+        CodeParams(n=2, tau=tau)
+    plan = plan_to_json(build_plan(pure_overlap_channel(0.5), CodeParams(n=1, tau=1.0)))
+    plan["params"]["tau"] = tau
+    with pytest.raises(LoadError, match="^plan: params: tau must be finite and >= 0"):
+        plan_from_json(plan)
+
+
+def test_plan_from_json_names_an_unreadable_file(tmp_path):
+    (tmp_path / "bad.json").write_text("[1,")
+    for name in ("missing.json", "bad.json"):
+        path = tmp_path / name
+        with pytest.raises(LoadError, match="^" + re.escape(f"cannot read plan JSON {path}: ")):
+            plan_from_json(str(path))
