@@ -634,19 +634,34 @@ def _state_from_json(spec, k: int, name) -> HybridState:
     return HybridState(branches)
 
 
-def load_channel(source) -> CqChannel:
-    """Load and validate a channel from a JSON file path, string, or dict."""
+def is_json_text(source) -> bool:
+    """Whether a channel or plan source is JSON text rather than a file path."""
+    return isinstance(source, str) and source.startswith("{")
+
+
+def read_json(source, what: str):
+    """A dict as given; JSON text that starts with '{'; anything else is a file path.
+
+    The one reader of channel and plan files.  An error names ``what`` and the
+    path it could not read.
+    """
     if isinstance(source, dict):
-        obj = source
-    else:
-        text = source
-        try:
-            if "\n" not in str(source) and str(source).endswith(".json"):
-                with open(source) as fh:
-                    text = fh.read()
-            obj = json.loads(text)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise LoadError(f"cannot read channel JSON: {exc}") from exc
+        return source
+    is_text = is_json_text(source)
+    try:
+        if is_text:
+            return json.loads(source)
+        with open(source) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        where = "" if is_text else f" {source}"
+        raise LoadError(f"cannot read {what} JSON{where}: {reason}") from exc
+
+
+def load_channel(source) -> CqChannel:
+    """Load and validate a channel from a dict, JSON text or a file path (see read_json)."""
+    obj = read_json(source, "channel")
     try:
         g = FiniteAbelianGroup(_integers(obj["group"], "group"))
         k = _scalar(obj["k"], "an integer", "k")

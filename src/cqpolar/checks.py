@@ -619,7 +619,11 @@ def _stable_hash(text: str) -> int:
     return h
 
 
-def run_all(seed: int = 0, trials: int = 10, qs=(2, 3, 4), ks=(2, 3), checks=None):
+#: The fuzz grid of input alphabet sizes q and output dimensions k.
+GRID_QS, GRID_KS = (2, 3, 4), (2, 3)
+
+
+def run_all(seed: int = 0, trials: int = 10, qs=GRID_QS, ks=GRID_KS, checks=None):
     """Run every (or the named) check over a fuzz grid of channel sizes."""
     if trials < 1:
         raise StructuralError(f"a verify run needs at least one trial, got {trials}")

@@ -13,7 +13,6 @@ error bound, conservation) are unaffected by the reversal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -26,6 +25,7 @@ from .channel import (
     _scalar,
     channel_to_json,
     load_channel,
+    read_json,
 )
 from .config import ResourceCaps, default_caps
 from .errors import LoadError, StructuralError
@@ -51,16 +51,24 @@ from .polarize import (
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Construction parameters; N = 2^n."""
+    """Construction parameters; N = 2^n.
+
+    The fields and their defaults are also the options of ``cqpolar
+    construct``.  ``beta`` is recorded in the plan and checked against
+    ``beta_prime`` (0 < beta < beta' < 1/2), but no computation reads it.
+    """
+
+    MODES = ("best-effort", "paper-strict")
+    SECTIONS = ("random", "zero")
 
     n: int
     delta: float = 0.25
     beta: float = 0.2
     beta_prime: float = 0.4
     seed: int = 0
-    mode: str = "best-effort"  # or "paper-strict"
+    mode: str = "best-effort"
     tau: float = 1e-3  # best-effort fidelity budget
-    sections: str = "random"  # or "zero"
+    sections: str = "random"
 
     def __post_init__(self):
         if self.n < 1:
@@ -71,9 +79,9 @@ class CodeParams:
             raise StructuralError(f"tau must be finite and >= 0, got {self.tau!r}")
         if not 0 < self.beta < self.beta_prime < 0.5:
             raise StructuralError("need 0 < beta < beta' < 1/2")
-        if self.mode not in ("best-effort", "paper-strict"):
+        if self.mode not in self.MODES:
             raise StructuralError(f"unknown mode {self.mode!r}")
-        if self.sections not in ("random", "zero"):
+        if self.sections not in self.SECTIONS:
             raise StructuralError(f"unknown section policy {self.sections!r}")
 
     @property
@@ -346,15 +354,9 @@ def _number(obj: dict, key: str) -> float:
     return float(_scalar(obj[key], "a number", key))
 
 
-def plan_from_json(obj) -> CodePlan:
-    """Load and validate a plan from a JSON file path or dict."""
-    if isinstance(obj, str):
-        try:
-            with open(obj) as fh:
-                obj = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-            reason = exc.strerror if isinstance(exc, OSError) else exc
-            raise LoadError(f"cannot read plan JSON {obj}: {reason}") from exc
+def plan_from_json(source) -> CodePlan:
+    """Load and validate a plan from a dict, JSON text or a file path (see read_json)."""
+    obj = read_json(source, "plan")
     try:
         _require_keys(obj, _PLAN_KEYS, "top level")
         g = FiniteAbelianGroup(_integers(obj["group"], "group"))

@@ -99,8 +99,6 @@ class DecodeTrace:
 
 
 def _wilson(p_hat: float, n: int, z: float):
-    if n == 0:
-        return 0.0, 1.0
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2 * n)) / denom
     half = z * np.sqrt(p_hat * (1 - p_hat) / n + z * z / (4 * n * n)) / denom

@@ -142,30 +142,19 @@ class DiagonalChannel:
     # -- transforms --------------------------------------------------------------
     def minus_transform(self, caps: ResourceCaps = None) -> "DiagonalChannel":
         """P-(u1; y1 y2) = (1/q) sum_u2 P(u1+u2; y1) P(u2; y2), rotated, merged."""
-        q, m = self.q, self.alphabet_size
-        (caps or default_caps()).check_columns(m * m, "minus transform joint alphabet")
-        tab = self.alphabet.add_table
-        # A[u1, u2, y1] = P[u1+u2, y1]
-        A = self.table[tab]
-        joint = np.einsum("uvy,vz->uyz", A, self.table)
-        joint /= q
-        joint = self._shift_canonical(joint.reshape(q, m * m))
-        return DiagonalChannel(self.alphabet, merge_columns(joint), shifted=True)
+        return self._transform("minus", self.alphabet_size**2, "uvy,vz->uyz", caps)
 
     def plus_transform(self, caps: ResourceCaps = None) -> "DiagonalChannel":
         """P+(u2; y1 y2 u1) = (1/q) P(u1+u2; y1) P(u2; y2), rotated, merged."""
-        q, m = self.q, self.alphabet_size
-        (caps or default_caps()).check_columns(q * m * m, "plus transform joint alphabet")
-        tab = self.alphabet.add_table
-        out = np.empty((q, q, m, m))
-        for u1 in range(q):
-            # rows tab[u1, u2] give P[u1+u2, y1]
-            out[:, u1, :, :] = np.einsum(
-                "uy,uz->uyz", self.table[tab[u1]], self.table
-            )
-        out /= q
-        out = self._shift_canonical(out.reshape(q, q * m * m))
-        return DiagonalChannel(self.alphabet, merge_columns(out), shifted=True)
+        return self._transform("plus", self.q * self.alphabet_size**2, "uvy,uz->uvyz", caps)
+
+    def _transform(self, name: str, columns: int, spec: str, caps) -> "DiagonalChannel":
+        """(1/q) einsum(spec, A, P) with A[u, v, y] = P[u+v, y], rotated and merged."""
+        (caps or default_caps()).check_columns(columns, f"{name} transform joint alphabet")
+        joint = np.einsum(spec, self.table[self.alphabet.add_table], self.table)
+        joint /= self.q
+        joint = self._shift_canonical(joint.reshape(self.q, columns))
+        return DiagonalChannel(self.alphabet, merge_columns(joint), shifted=True)
 
     def _shift_canonical(self, table: np.ndarray) -> np.ndarray:
         """Rotate each column by a group shift so its first argmax row comes first."""

@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -650,6 +653,61 @@ def test_mac_region_names_a_csv_in_a_missing_directory(tmp_path, capsys):
     assert err.startswith(f"validation error: cannot write {bad}: "), err
 
 
+@pytest.mark.parametrize("command", ["polarize", "decode-sim", "mac-region"])
+def test_no_output_is_written_when_another_cannot_be(tmp_path, capsys, z4_plan, command):
+    # each once left its first report on disk when its second could not be written
+    plan, first, bad = tmp_path / "plan.json", tmp_path / "first", tmp_path / "missing" / "f"
+    plan.write_text(json.dumps(z4_plan))
+    argv = {
+        "polarize": ["polarize", "--preset", "pure-states", "--angles", "0,0.9", "--n", "1",
+                     "--json"],
+        "decode-sim": ["decode-sim", "--plan", str(plan), "--trials", "3", "--profile-csv"],
+        "mac-region": ["mac-region", "--users", "2;2", "--n", "1", "--csv"],
+    }[command]
+    code, err = _main(capsys, *argv, str(bad), "--out", str(first))
+    assert code == 1
+    assert err.startswith(f"validation error: cannot write {bad}: "), err
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_are_created_under_the_umask(tmp_path, capsys, umask, mode):
+    # every report was once created with mode 0600, whatever the umask
+    old = os.umask(umask)
+    try:
+        code, err = _main(capsys, "polarize", "--preset", "pure-states", "--angles", "0,0.9",
+                          "--n", "1", "--out", str(tmp_path / "s.csv"))
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"s.csv": mode, "s.csv.json": mode}
+
+
+def test_a_channel_file_is_read_whatever_its_name(tmp_path, capsys):
+    # a path not ending in .json was once parsed as JSON text, and the error named no file
+    path = tmp_path / "z4.txt"
+    preset = ["channel", "preset", "--preset", "random", "--q", "4", "--k", "2"]
+    assert _main(capsys, *preset, "--out", str(path))[0] == 0
+    assert _main(capsys, "channel", "validate", str(path))[0] == 0
+    scan = ["polarize", "--channel", str(path), "--n", "1", "--out", str(tmp_path / "s.csv")]
+    assert _main(capsys, *scan)[0] == 0
+    path.unlink()
+    for argv in (["channel", "validate", str(path)], scan):
+        code, err = _main(capsys, *argv)
+        assert code == 1
+        reason = "No such file or directory"
+        assert err == f"validation error: cannot read channel JSON {path}: {reason}\n"
+
+
+def test_a_plan_given_as_json_text_is_hashed_as_text(tmp_path, capsys, z4_plan):
+    text = json.dumps(z4_plan)
+    out = tmp_path / "r.json"
+    assert _main(capsys, "decode-sim", "--plan", text, "--trials", "3", "--out", str(out))[0] == 0
+    hashes = json.loads(out.read_text())["manifest"]["input_hashes"]
+    assert hashes == {text: hashlib.sha256(text.encode()).hexdigest()}
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [(["channel", "validate"], "channel validate needs FILE"),
@@ -681,3 +739,54 @@ def test_decode_sim_refuses_a_plan_with_a_negative_tau(tmp_path, capsys, z4_plan
     code, err = _main(capsys, "decode-sim", "--plan", str(plan), "--out", str(tmp_path / "r"))
     assert code == 1
     assert err.startswith("validation error: plan: params: tau must be finite and >= 0"), err
+
+
+# A fast call set in the order it runs, and the SHA-256 prefix of each output
+# with its manifest removed (the JSON is checked to be in the written format
+# first), and of everything the calls printed; paths are relative to the run's
+# directory.  These outputs matched byte for byte before the subcommands
+# returned their outputs to one writer.
+_GOLDEN_CALLS = [
+    ["channel", "preset", "--preset", "random", "--q", "4", "--k", "2", "--out", "z4.json"],
+    ["polarize", "--preset", "pure-states", "--angles", "0,0.9", "--n", "2", "--out", "pure.csv"],
+    ["polarize", "--preset", "classical-symmetric", "--q", "2", "--p", "0.11", "--n", "4",
+     "--out", "bsc.csv"],
+    ["polarize", "--channel", "z4.json", "--n", "1", "--units", "bits", "--out", "z4.csv",
+     "--json", "z4-scan.json"],
+    ["construct", "--preset", "classical-symmetric", "--q", "2", "--p", "0.11", "--n", "3",
+     "--tau", "0.5", "--out", "plan.json"],
+    ["decode-sim", "--plan", "plan.json", "--trials", "50", "--out", "decode.json",
+     "--profile-csv", "profile.csv"],
+    ["mac-region", "--users", "2;2", "--n", "1", "--out", "mac.json", "--csv", "mac.csv"],
+    ["verify", "--trials", "1", "--out", "verify.jsonl"],
+]
+_GOLDEN = {
+    "z4.json": "b51424925501", "pure.csv": "74101aad0a2b", "pure.csv.json": "1cca80b9a6e5",
+    "bsc.csv": "578fb36039bc", "bsc.csv.json": "8d29640dffa7", "z4.csv": "686200af6f88",
+    "z4-scan.json": "465e5b874be6", "plan.json": "4f0ca1d83d07", "decode.json": "fb622e55a41e",
+    "profile.csv": "60c020a079ea", "mac.json": "a9dd0ce04735", "mac.csv": "19ea4c32349e",
+    "verify.jsonl": "97bd818ded1f", "stdout": "1160af839003",
+}
+
+
+def _golden_digest(path) -> str:
+    text = path.read_text()
+    if path.suffix == ".json":
+        obj = json.loads(text)
+        assert text == json.dumps(obj, indent=1, sort_keys=True) + "\n", path.name
+        obj.pop("manifest", None)
+        text = json.dumps(obj, indent=1, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    from cqpolar.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for argv in _GOLDEN_CALLS:
+        assert main(argv) == 0, argv
+        printed.append(capsys.readouterr().out)
+    got = {path.name: _golden_digest(path) for path in sorted(tmp_path.iterdir())}
+    got["stdout"] = hashlib.sha256("".join(printed).encode()).hexdigest()[:12]
+    assert got == _GOLDEN

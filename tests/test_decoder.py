@@ -33,6 +33,7 @@ from cqpolar.decoder import (
     JointOutputState,
     SCDecoder,
     _Likelihoods,
+    decode,
     error_experiment,
     step_povm,
 )
@@ -40,8 +41,8 @@ from cqpolar.config import ResourceCaps
 from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, random_section_map
 from cqpolar.linalg import pgm_effects
-from cqpolar.polarize import synthesize, reverse_label
-from cqpolar.states import to_dense
+from cqpolar.polarize import decode_index, synthesize, reverse_label
+from cqpolar.states import pure_state, to_dense
 
 
 def test_noiseless_exact_recovery():
@@ -653,6 +654,48 @@ def test_experiment_matches_the_one_trial_at_a_time_oracle(key):
             assert error_experiment(w, plan, trials, seed, randomize_sections=randomize) == (
                 experiment_one_trial_at_a_time(w, plan, trials, seed, randomize)
             )
+
+
+def _two_label_pure_channel():
+    """A Z2 channel whose outputs carry two labels, each with a pure state."""
+    ket = lambda a: pure_state([np.cos(a), np.sin(a)])  # noqa: E731
+    return CqChannel(FiniteAbelianGroup([2]), [
+        HybridState([(0.7, "a", ket(0.0)), (0.3, "b", ket(0.3))]),
+        HybridState([(0.7, "a", ket(0.9)), (0.3, "b", ket(1.6))]),
+    ])
+
+
+def test_a_channel_with_several_labels_decodes_as_its_flattened_channel():
+    # the decoder flattens such a channel into one block-diagonal mixed state
+    w = _two_label_pure_channel()
+    plan = build_plan(w, CodeParams(n=1, tau=0.5))
+    assert any(d.subgroup.order == 1 for d in plan.decisions)  # an information slot
+    assert SCDecoder(plan, w).kind == "mixed"
+    for seed in range(3):
+        report = error_experiment(w, plan, 200, seed)
+        assert report == error_experiment(w.flatten_dense(), plan, 200, seed)
+        assert report == experiment_one_trial_at_a_time(w, plan, 200, seed)
+
+
+def test_step_povm_takes_a_branch_label_for_its_decode_position():
+    w, plan, _, _ = _noisy_plan("pure-0.6-n3")
+    i = next(j for j, d in enumerate(plan.decisions) if len(d.subgroup.cosets) > 1 and j > 0)
+    label, prefix = plan.decisions[i].branch, [1] * i
+    assert decode_index(label) == i
+    want = step_povm(plan, i, prefix, w).effects
+    assert np.array_equal(step_povm(plan, label, prefix, w).effects, want)
+
+
+def test_one_shot_decode_is_the_decoders_decode():
+    w, plan, _, _ = _noisy_plan("pure-0.6-n3")
+    eng = SCDecoder(plan)
+    rng = np.random.default_rng(3)
+    received = eng.transmit(random_message(plan, rng), rng)
+    (message, trace), (want_message, want_trace) = (
+        decode(plan, received, 5), eng.decode(received, 5)
+    )
+    assert [c.rep_index for c in message.cosets] == [c.rep_index for c in want_message.cosets]
+    assert trace == want_trace
 
 
 @pytest.mark.parametrize("key", ["symmetric-q4-0.25-n3", "bsc-0.2-n6"])
