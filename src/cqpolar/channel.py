@@ -18,8 +18,11 @@ transforms of :mod:`.polarize` record (parent W, rule) as the child's
 tensor products: H(avg W[H]) = H(avg W); H(avg W^-) = 2 H(avg W); and, W^+(x)
 being a uniform u1 register times rho_{u1+x} ⊗ rho_x, H(W^+|X) = log q +
 2 H(W|X) and F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W).  A child drops W once
-every value its rule feeds is cached.  A channel built from a child's
-outputs has no origin: it evaluates everything itself (so do the checks).
+every value its rule feeds is cached.  Siblings built together (see
+:func:`~.polarize.children`) add one rule: the block of avg W^+ under
+register u1 is W^-(u1)/q, so H(avg W^+) = log q + H(W^-|X), and W^+ drops its
+minus sibling once it has read it.  A channel built from a child's outputs
+has no origin: it evaluates everything itself (so do the checks).
 """
 
 from __future__ import annotations
@@ -285,6 +288,8 @@ class CqChannel:
         self._avg_entropy = None
         self._cond_entropy = None
         self._origin = origin  # (parent, rule) until every value the rule feeds is read
+        self._sibling = None  # a plus child's minus sibling, until H(avg output) is read
+        self._pairs = None  # the pair products polarize.children stages for both children
 
     # -- conveniences ---------------------------------------------------------
     @property
@@ -322,13 +327,18 @@ class CqChannel:
         return max(0.0, self.average_output_entropy() - self.conditional_output_entropy())
 
     def average_output_entropy(self) -> float:
-        """H(avg output); a quotient or minus child reads it off its parent."""
+        """H(avg output); a quotient or minus child reads it off its parent, a
+        plus child built with its sibling off that minus sibling."""
         if self._avg_entropy is None:
             parent, rule = self._origin or (None, None)
             if rule in ("quotient", "minus"):  # avg W[H] = avg W, avg W^- = avg W ⊗ avg W
                 scale = 2.0 if rule == "minus" else 1.0
                 self._avg_entropy = scale * parent.average_output_entropy()
                 self._origin = None  # the one value these rules feed
+            elif self._sibling is not None:  # avg W^+ = (1/q) sum_u1 |u1><u1| ⊗ W^-(u1)
+                log_q = float(np.log(self.q))
+                self._avg_entropy = log_q + self._sibling.conditional_output_entropy()
+                self._sibling = None
             else:
                 self._avg_entropy = self._average_entropy_fast()
         return self._avg_entropy

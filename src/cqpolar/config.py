@@ -23,9 +23,12 @@ def _env_dim_cap() -> int:
     if raw is None:
         return DEFAULT_DIM_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise CapacityError(f"CQPOLAR_DIM_CAP must be an integer, got {raw!r}")
+        cap = None
+    if cap is None or cap < 1:  # a cap below 1 would refuse every transform and blame it
+        raise CapacityError(f"CQPOLAR_DIM_CAP must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,18 @@ A hybrid child reads H(avg W^-) = 2 H(avg W), H(W^+|X) = log q + 2 H(W|X)
 and F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W) off its parent (see :mod:`.channel`);
 the table engine does not, as its shifted tables' matrix entries are not the
 channel's (see :mod:`.diagonal`).
+
+The scans and process_sample build both children of a parent by
+:func:`children`: W^- groups the q^2 pair products rho_{u1+u2} ⊗ rho_{u2} by
+u1 and W^+ relabels them by u2, so it builds them once for both, and W^+ reads
+H(avg W^+) off its minus sibling.  The decoder and the checks build one child
+at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +102,16 @@ def _pair_branches(W, u1: int, u2: int, pos: dict):
                 yield w, (i1, i2), tensor_states(s1, s2)
 
 
+def _pair_products(W):
+    """The rows u1 of pairs[u1][u2], the branches of input pair (u1, u2):
+    the list :func:`children` staged on W for both siblings, or rows built
+    one at a time."""
+    if W._pairs is not None:
+        return W._pairs
+    pos = W.label_positions()
+    return ([list(_pair_branches(W, u1, u2, pos)) for u2 in range(W.q)] for u1 in range(W.q))
+
+
 def minus_transform(W, caps: ResourceCaps = None):
     """The worse channel of the pair: u1 -> average over u2 of
     rho_{u1+u2} ⊗ rho_{u2}."""
@@ -102,11 +119,9 @@ def minus_transform(W, caps: ResourceCaps = None):
         return W.minus_transform(caps)
     caps = caps or default_caps()
     caps.check_dim(W.k * W.k, "minus transform")
-    pos = W.label_positions()
     outputs = []
-    for u1 in range(W.q):
-        pairs = (_pair_branches(W, u1, u2, pos) for u2 in range(W.q))
-        groups = _label_groups(itertools.chain.from_iterable(pairs))
+    for row in _pair_products(W):
+        groups = _label_groups(itertools.chain.from_iterable(row))
         caps.check_branches(len(groups), "minus transform")
         outputs.append(_mixed_hybrid(groups))
     return CqChannel(W.alphabet, outputs, origin=(W, "minus"))
@@ -119,28 +134,58 @@ def plus_transform(W, caps: ResourceCaps = None):
         return W.plus_transform(caps)
     caps = caps or default_caps()
     caps.check_dim(W.k * W.k, "plus transform")
-    pos = W.label_positions()
+    pairs = list(_pair_products(W))
     outputs = []
     for u2 in range(W.q):
-        branches = [
-            (w, lab + (u1,), st)
-            for u1 in range(W.q)
-            for w, lab, st in _pair_branches(W, u1, u2, pos)
-        ]
+        branches = [(w, lab + (u1,), st) for u1, row in enumerate(pairs) for w, lab, st in row[u2]]
         caps.check_branches(len(branches), "plus transform")
         outputs.append(HybridState(branches))
     return CqChannel(W.alphabet, outputs, origin=(W, "plus"))
 
 
-def _child(W, signs: BranchLabel, caps: ResourceCaps):
-    """W^signs from its parent W; a capacity error names the branch and its depth."""
-    transform = minus_transform if signs[-1] == MINUS else plus_transform
+@contextmanager
+def _naming(signs: BranchLabel):
+    """A capacity error raised inside names the branch W^signs and its depth."""
     try:
-        return transform(W, caps)
+        yield
     except CapacityError as exc:
         raise CapacityError(
             f"branch {format_label(signs)} at depth {len(signs)}: {exc}"
         ) from exc
+
+
+def _child(W, signs: BranchLabel, caps: ResourceCaps):
+    """W^signs from its parent W; a capacity error names the branch and its depth."""
+    transform = minus_transform if signs[-1] == MINUS else plus_transform
+    with _naming(signs):
+        return transform(W, caps)
+
+
+def children(W, caps: ResourceCaps = None, signs: BranchLabel = ()):
+    """(W^-, W^+) of W = W^signs; a capacity error names the child and its depth.
+
+    In the hybrid engine both siblings are built from one set of pair
+    products, and W^+ reads H(avg W^+) = log q + H(W^-|X) off its minus
+    sibling (see :mod:`.channel`).  W^+ is built first.  It mixes nothing,
+    and its largest branch count bounds every label count of W^-, so both
+    caps are checked before W^- mixes.  The dimension, the same for both, is
+    checked once first, for W^-.  The table engine builds the two children
+    with its own transforms.
+    """
+    caps = caps or default_caps()
+    minus_signs, plus_signs = signs + (MINUS,), signs + (PLUS,)
+    if isinstance(W, DiagonalChannel):
+        return _child(W, minus_signs, caps), _child(W, plus_signs, caps)
+    with _naming(minus_signs):
+        caps.check_dim(W.k * W.k, "minus transform")
+    W._pairs = list(_pair_products(W))
+    try:
+        plus = _child(W, plus_signs, caps)
+        minus = _child(W, minus_signs, caps)
+    finally:
+        W._pairs = None
+    plus._sibling = minus
+    return minus, plus
 
 
 def synthesize(W, signs: BranchLabel, caps: ResourceCaps = None):
@@ -220,8 +265,9 @@ def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None):
         if len(signs) == n:
             yield signs, channel
             return
-        for sign in (MINUS, PLUS):
-            yield from rec(_child(channel, signs + (sign,), caps), signs + (sign,))
+        siblings = list(children(channel, caps, signs))
+        for sign in (MINUS, PLUS):  # each sibling is held only while its subtree runs
+            yield from rec(siblings.pop(0), signs + (sign,))
 
     return rec(_routed(W), ())
 
@@ -268,10 +314,11 @@ def process_sample(
     """
     caps = caps or default_caps()
     base = _routed(W)
+    base_quot_I = {H: base.quotient(H).holevo_information() for H in subgroups}
     paths = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        channel = base
+        channel, quot_I = base, base_quot_I
         record = PathRecord(
             signs=(),
             I=[channel.holevo_information()],
@@ -281,25 +328,17 @@ def process_sample(
             quot_child_I=[],
         )
         for _ in range(n):
-            minus = _child(channel, record.signs + (MINUS,), caps)
-            plus = _child(channel, record.signs + (PLUS,), caps)
-            record.child_I.append((minus.holevo_information(), plus.holevo_information()))
-            record.child_fmax.append((minus.f_max(), plus.f_max()))
+            pair = children(channel, caps, record.signs)
+            record.child_I.append(tuple(c.holevo_information() for c in pair))
+            record.child_fmax.append(tuple(c.f_max() for c in pair))
+            kids_I = {H: tuple(c.quotient(H).holevo_information() for c in pair) for H in subgroups}
             if subgroups:
-                record.quot_child_I.append(
-                    {
-                        H: (
-                            channel.quotient(H).holevo_information(),
-                            minus.quotient(H).holevo_information(),
-                            plus.quotient(H).holevo_information(),
-                        )
-                        for H in subgroups
-                    }
-                )
-            sign = PLUS if rng.integers(2) else MINUS
-            channel = plus if sign == PLUS else minus
-            record.signs = record.signs + (sign,)
-            record.I.append(record.child_I[-1][1 if sign == PLUS else 0])
-            record.fmax.append(record.child_fmax[-1][1 if sign == PLUS else 0])
+                record.quot_child_I.append({H: (quot_I[H],) + kids_I[H] for H in subgroups})
+            side = int(rng.integers(2))  # 1: the plus child
+            channel = pair[side]
+            quot_I = {H: kids_I[H][side] for H in subgroups}  # the chosen child's, reused
+            record.signs = record.signs + ((MINUS, PLUS)[side],)
+            record.I.append(record.child_I[-1][side])
+            record.fmax.append(record.child_fmax[-1][side])
         paths.append(record)
     return paths

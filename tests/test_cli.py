@@ -244,6 +244,19 @@ def test_capacity_exit_code(tmp_path):
     assert "capacity" in res.stderr.lower()
 
 
+@pytest.mark.parametrize("cap", ["-3", "0", "four"])
+def test_a_dim_cap_setting_below_1_is_refused_when_read(tmp_path, capsys, monkeypatch, cap):
+    # a cap below 1 once let every transform fail with "quantum dimension 4
+    # exceeds cap -3", which blamed the transform instead of the setting
+    monkeypatch.setenv("CQPOLAR_DIM_CAP", cap)
+    out = tmp_path / "scan.csv"
+    code, err = _main(capsys, "polarize", "--preset", "pure-states", "--angles", "0,0.9",
+                      "--n", "1", "--out", str(out))
+    assert code == 2
+    assert err == f"capacity error: CQPOLAR_DIM_CAP must be an integer >= 1, got {cap!r}\n"
+    assert not out.exists()
+
+
 def test_capacity_error_names_branch_and_depth(tmp_path):
     res = run_cli(
         "polarize", "--preset", "pure-states", "--angles", "0,0.9",
@@ -745,7 +758,10 @@ def test_decode_sim_refuses_a_plan_with_a_negative_tau(tmp_path, capsys, z4_plan
 # with its manifest removed (the JSON is checked to be in the written format
 # first), and of everything the calls printed; paths are relative to the run's
 # directory.  These outputs matched byte for byte before the subcommands
-# returned their outputs to one writer.
+# returned their outputs to one writer.  The hybrid outputs (pure.*, z4.csv,
+# z4-scan.json, mac.*) were re-pinned when the scans began to build siblings
+# together: W^+ reads H(avg W^+) off its minus sibling, a sum in another order,
+# and every value that moved moved by at most 6.7e-16.
 _GOLDEN_CALLS = [
     ["channel", "preset", "--preset", "random", "--q", "4", "--k", "2", "--out", "z4.json"],
     ["polarize", "--preset", "pure-states", "--angles", "0,0.9", "--n", "2", "--out", "pure.csv"],
@@ -761,10 +777,10 @@ _GOLDEN_CALLS = [
     ["verify", "--trials", "1", "--out", "verify.jsonl"],
 ]
 _GOLDEN = {
-    "z4.json": "b51424925501", "pure.csv": "74101aad0a2b", "pure.csv.json": "1cca80b9a6e5",
-    "bsc.csv": "578fb36039bc", "bsc.csv.json": "8d29640dffa7", "z4.csv": "686200af6f88",
-    "z4-scan.json": "465e5b874be6", "plan.json": "4f0ca1d83d07", "decode.json": "fb622e55a41e",
-    "profile.csv": "60c020a079ea", "mac.json": "a9dd0ce04735", "mac.csv": "19ea4c32349e",
+    "z4.json": "b51424925501", "pure.csv": "bced6dcf15de", "pure.csv.json": "a3fd9b817d91",
+    "bsc.csv": "578fb36039bc", "bsc.csv.json": "8d29640dffa7", "z4.csv": "b02e10a8ac62",
+    "z4-scan.json": "b861e5ae4dd9", "plan.json": "4f0ca1d83d07", "decode.json": "fb622e55a41e",
+    "profile.csv": "60c020a079ea", "mac.json": "e8960972a1d6", "mac.csv": "5af5ce60bb42",
     "verify.jsonl": "97bd818ded1f", "stdout": "1160af839003",
 }
 

@@ -13,13 +13,18 @@ from oracles import (
 
 import cqpolar.channel as channel_mod
 from cqpolar.channel import CqChannel, HybridState, preset_channel
+from cqpolar.checks import _direct
 from cqpolar.config import ResourceCaps
 from cqpolar.diagonal import from_cq_channel
 from cqpolar.errors import CapacityError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups
 import cqpolar.polarize as polarize_mod
 from cqpolar.polarize import (
+    MINUS,
+    PLUS,
+    PathRecord,
     branch_order,
+    children,
     decode_index,
     format_label,
     iter_synthetic_channels,
@@ -197,7 +202,8 @@ def test_process_sample_capacity_error_names_the_branch_and_depth():
 
 def test_minus_transform_checks_the_branch_cap_before_mixing(monkeypatch):
     # W^+ of a pure qubit channel has two labels per output, so its minus
-    # transform has four labels per output and no mixture is needed to know it
+    # transform has four labels per output and no mixture is needed to know it;
+    # its plus transform has 2 x 2 branches per input pair, 8 per output
     w = plus_transform(pure_overlap_channel(0.5))
     mixes, real_mix = [], channel_mod.mix_states
 
@@ -209,8 +215,81 @@ def test_minus_transform_checks_the_branch_cap_before_mixing(monkeypatch):
     with pytest.raises(CapacityError, match="classical branch count 4 exceeds cap 3"):
         minus_transform(w, ResourceCaps(branch_cap=3))
     assert not mixes
+    # siblings built together: W^- fits, W^+ does not, and W^- has not mixed yet
+    with pytest.raises(CapacityError, match=r"^branch \+\+ at depth 2: plus transform: "
+                       r"classical branch count 8 exceeds cap 5$"):
+        children(w, ResourceCaps(branch_cap=5), ("+",))
+    assert not mixes and w._pairs is None
     minus_transform(w, ResourceCaps(branch_cap=4))
     assert mixes  # the counter sees the transform's mixtures
+
+
+def _two_label_channel() -> CqChannel:
+    """Two labels whose weights depend on the input."""
+    return CqChannel(FiniteAbelianGroup([2]), [
+        HybridState([(0.7, "a", np.diag([1.0, 0.0]).astype(complex)),
+                     (0.3, "b", np.diag([0.5, 0.5]).astype(complex))]),
+        HybridState([(0.2, "a", np.diag([0.0, 1.0]).astype(complex)),
+                     (0.8, "b", np.diag([0.5, 0.5]).astype(complex))]),
+    ])
+
+
+def _half_mixed_channel() -> CqChannel:
+    """A pure |0> and a rank-2 mixed qubit output: cheap at n = 3, but mixed."""
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    rho1 = 0.8 * np.outer(plus, plus) + 0.2 * np.diag([0.0, 1.0])
+    return CqChannel(FiniteAbelianGroup([2]), [
+        HybridState([(1.0, (), np.diag([1.0, 0.0]).astype(complex))]),
+        HybridState([(1.0, (), rho1.astype(complex))]),
+    ])
+
+
+def _assert_records_close(a, b, tol):
+    assert a.branch == b.branch
+    for name in ("I", "f", "fmax"):
+        assert getattr(a, name) == pytest.approx(getattr(b, name), abs=tol), name
+    for name in ("fd", "quot_I", "quot_F"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.keys() == want.keys(), name
+        for key in got:
+            assert got[key] == pytest.approx(want[key], abs=tol), (name, key)
+    assert a.best_H == b.best_H
+
+
+_SIBLING_CHANNELS = {
+    "pure-z2": lambda: pure_overlap_channel(0.6),
+    "mixed-z4": lambda: random_mixed_channel(np.random.default_rng(41), 4, 2),
+    "z2xz2": lambda: random_mixed_channel(np.random.default_rng(42), 4, 2, group=[2, 2]),
+    "two-label": _two_label_channel,
+    "diagonal": lambda: preset_channel("classical-symmetric", q=3, p=0.2),
+    "diagonal-table": lambda: from_cq_channel(preset_channel("classical-symmetric", q=3, p=0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIBLING_CHANNELS))
+def test_children_agree_with_the_one_child_transforms(name):
+    W = _SIBLING_CHANNELS[name]()
+    subgroups = enumerate_subgroups(W.alphabet)
+    hybrid = isinstance(W, CqChannel)
+    minus, plus = children(W)
+    if hybrid:
+        assert plus._sibling is minus and W._pairs is None
+    for sign, got, want in (("-", minus, minus_transform(W)), ("+", plus, plus_transform(W))):
+        _assert_records_close(make_record(got, (sign,), subgroups),
+                              make_record(want, (sign,), subgroups), 1e-13)
+    if hybrid:
+        assert plus._sibling is None  # read once, then dropped
+        assert plus.average_output_entropy() == pytest.approx(
+            _direct(plus).average_output_entropy(), abs=1e-13
+        )
+
+
+def test_scan_records_match_the_one_child_path():
+    W = _half_mixed_channel()
+    subgroups = enumerate_subgroups(W.alphabet)
+    for record in polarization_scan(W, 3):
+        one_child = make_record(synthesize(W, record.branch), record.branch, subgroups)
+        _assert_records_close(record, one_child, 1e-13)
 
 
 def test_process_sample_martingale_and_submartingale():
@@ -230,6 +309,32 @@ def test_process_sample_martingale_and_submartingale():
     for a, b in zip(paths, again):
         assert a.signs == b.signs
         np.testing.assert_allclose(a.I, b.I, atol=0)
+    # each step's parent entry is the chosen child's, reused: the same values,
+    # bit for bit, as the quotients of the channel rebuilt along the path
+    assert paths == _paths_with_rebuilt_quotients(w, paths, subs)
+
+
+def _paths_with_rebuilt_quotients(W, paths, subgroups) -> list:
+    """``paths`` recomputed along their signs, each parent quotient built anew."""
+    out = []
+    for path in paths:
+        channel = W
+        record = PathRecord((), [channel.holevo_information()], [channel.f_max()], [], [], [])
+        for sign in path.signs:
+            pair = children(channel, signs=record.signs)
+            record.child_I.append(tuple(c.holevo_information() for c in pair))
+            record.child_fmax.append(tuple(c.f_max() for c in pair))
+            record.quot_child_I.append({
+                H: tuple(c.quotient(H).holevo_information() for c in (channel,) + pair)
+                for H in subgroups
+            })
+            side = (MINUS, PLUS).index(sign)
+            channel = pair[side]
+            record.signs += (sign,)
+            record.I.append(record.child_I[-1][side])
+            record.fmax.append(record.child_fmax[-1][side])
+        out.append(record)
+    return out
 
 
 def test_all_plus_path_squares_fmax():
@@ -270,22 +375,7 @@ def test_diagonal_auto_routing_matches_hybrid():
 
 
 def test_transform_with_input_dependent_weights():
-    g = FiniteAbelianGroup([2])
-    outs = [
-        HybridState(
-            [
-                (0.7, "a", np.diag([1.0, 0.0]).astype(complex)),
-                (0.3, "b", np.diag([0.5, 0.5]).astype(complex)),
-            ]
-        ),
-        HybridState(
-            [
-                (0.2, "a", np.diag([0.0, 1.0]).astype(complex)),
-                (0.8, "b", np.diag([0.5, 0.5]).astype(complex)),
-            ]
-        ),
-    ]
-    w = CqChannel(g, outs)
+    w = _two_label_channel()
     minus, plus = minus_transform(w), plus_transform(w)
     assert minus.holevo_information() + plus.holevo_information() == pytest.approx(
         2 * w.holevo_information(), abs=1e-8
