@@ -12,17 +12,12 @@ as spectrum, so its entropy needs no decomposition.
 
 I(W) = H(avg output) - H(W|X), H(W|X) = (1/q) sum_x H(W(x)), and every
 fidelity functional (F_d, F, F_max, nested F_max) reads one q x q matrix of
-pairwise fidelities; all three are cached.  A full quotient and the
-transforms of :mod:`.polarize` record (parent W, rule) as the child's
-*origin* and read them off W, as entropy adds and fidelity multiplies over
-tensor products: H(avg W[H]) = H(avg W); H(avg W^-) = 2 H(avg W); and, W^+(x)
-being a uniform u1 register times rho_{u1+x} ⊗ rho_x, H(W^+|X) = log q +
-2 H(W|X) and F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W).  A child drops W once
-every value its rule feeds is cached.  Siblings built together (see
-:func:`~.polarize.children`) add one rule: the block of avg W^+ under
-register u1 is W^-(u1)/q, so H(avg W^+) = log q + H(W^-|X), and W^+ drops its
-minus sibling once it has read it.  A channel built from a child's outputs
-has no origin: it evaluates everything itself (so do the checks).
+pairwise fidelities; all three are cached.  A channel built from a relative
+(a full quotient here, the transforms in :mod:`.polarize`, which lists their
+rules) carries *rules*: functions that read one of these values off the
+relative.  Each rule is read at most once and then dropped, and the relative
+with it.  A value with no rule is evaluated (so is every value of a channel
+built from a child's outputs, as the checks do).
 """
 
 from __future__ import annotations
@@ -268,11 +263,12 @@ class CqChannel:
         polarization transforms and the d-indexed fidelities.
     outputs : list of HybridState
         One output per input index.
-    origin : (CqChannel, str), optional
-        The parent and the rule, "quotient", "minus" or "plus", that built it.
+    rules : dict, optional
+        Value name ("avg_entropy", "cond_entropy" or "fidelity_matrix") ->
+        a function that reads the value off a relative; see ``_derived``.
     """
 
-    def __init__(self, alphabet: GroupOps, outputs, origin: tuple = None):
+    def __init__(self, alphabet: GroupOps, outputs, rules: dict = None):
         if len(outputs) != alphabet.order:
             raise StructuralError("channel must define an output for every input")
         dims = {h.dim for h in outputs}
@@ -287,9 +283,7 @@ class CqChannel:
         self._diag_flag = None
         self._avg_entropy = None
         self._cond_entropy = None
-        self._origin = origin  # (parent, rule) until every value the rule feeds is read
-        self._sibling = None  # a plus child's minus sibling, until H(avg output) is read
-        self._pairs = None  # the pair products polarize.children stages for both children
+        self._rules = rules or {}
 
     # -- conveniences ---------------------------------------------------------
     @property
@@ -326,21 +320,16 @@ class CqChannel:
         """Symmetric Holevo information in nats: H(avg output) - avg H(output)."""
         return max(0.0, self.average_output_entropy() - self.conditional_output_entropy())
 
+    def _derived(self, name: str, evaluate):
+        """The value ``name`` read off a relative by its rule, which is dropped
+        once read (and the relative with it), or, with no rule, ``evaluate()``."""
+        rule = self._rules.pop(name, None)
+        return evaluate() if rule is None else rule()
+
     def average_output_entropy(self) -> float:
-        """H(avg output); a quotient or minus child reads it off its parent, a
-        plus child built with its sibling off that minus sibling."""
+        """H(avg output)."""
         if self._avg_entropy is None:
-            parent, rule = self._origin or (None, None)
-            if rule in ("quotient", "minus"):  # avg W[H] = avg W, avg W^- = avg W ⊗ avg W
-                scale = 2.0 if rule == "minus" else 1.0
-                self._avg_entropy = scale * parent.average_output_entropy()
-                self._origin = None  # the one value these rules feed
-            elif self._sibling is not None:  # avg W^+ = (1/q) sum_u1 |u1><u1| ⊗ W^-(u1)
-                log_q = float(np.log(self.q))
-                self._avg_entropy = log_q + self._sibling.conditional_output_entropy()
-                self._sibling = None
-            else:
-                self._avg_entropy = self._average_entropy_fast()
+            self._avg_entropy = self._derived("avg_entropy", self._average_entropy_fast)
         return self._avg_entropy
 
     def _average_entropy_fast(self) -> float:
@@ -350,39 +339,29 @@ class CqChannel:
         return _block_entropy([parts for _, _, parts in groups])
 
     def conditional_output_entropy(self) -> float:
-        """H(W|X) = (1/q) sum_x H(W(x)); a plus child reads it off its parent."""
+        """H(W|X) = (1/q) sum_x H(W(x))."""
         if self._cond_entropy is None:
-            parent, rule = self._origin or (None, None)
-            if rule == "plus":
-                log_q = float(np.log(self.q))
-                self._cond_entropy = log_q + 2.0 * parent.conditional_output_entropy()
-                if self._fidelity_matrix is not None:  # the plus rule feeds both
-                    self._origin = None
-            else:
-                self._cond_entropy = sum(h.entropy() for h in self.outputs) / self.q
+            self._cond_entropy = self._derived(
+                "cond_entropy", lambda: sum(h.entropy() for h in self.outputs) / self.q
+            )
         return self._cond_entropy
 
     def pairwise_fidelity(self, x, y) -> float:
         return hybrid_fidelity(self.output_of(x), self.output_of(y))
 
     def pairwise_fidelity_matrix(self) -> np.ndarray:
-        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y, or, for
-        a plus child, F_W(x, y) F_{y-x}(W) on the upper triangle, mirrored."""
+        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y."""
         if self._fidelity_matrix is None:
-            parent, rule = self._origin or (None, None)
-            if rule == "plus":
-                fd = np.array([parent.fd(d) for d in range(self.q)])
-                diff = self.alphabet.add_table[self.alphabet.neg_table]  # diff[x, y] = y - x
-                upper = np.triu(parent.pairwise_fidelity_matrix() * fd[diff], 1)
-                mat = upper + upper.T
-            else:
-                mat = np.eye(self.q)
-                for x, y in itertools.combinations(range(self.q), 2):
-                    mat[x, y] = mat[y, x] = self.pairwise_fidelity(x, y)
-            self._fidelity_matrix = _frozen(mat)
-            if rule == "plus" and self._cond_entropy is not None:
-                self._origin = None
+            self._fidelity_matrix = _frozen(
+                self._derived("fidelity_matrix", self._evaluated_fidelity_matrix)
+            )
         return self._fidelity_matrix
+
+    def _evaluated_fidelity_matrix(self) -> np.ndarray:
+        mat = np.eye(self.q)
+        for x, y in itertools.combinations(range(self.q), 2):
+            mat[x, y] = mat[y, x] = self.pairwise_fidelity(x, y)
+        return mat
 
     fd = _profile_fd
     fd_table = _profile_fd_table
@@ -396,9 +375,9 @@ class CqChannel:
         return CqChannel(alphabet, outputs)
 
     def quotient(self, H: Subgroup) -> "CqChannel":
-        """W[H]; it inherits H(avg output) from W (see average_output_entropy)."""
+        """W[H]; its average output is W's, so it reads H(avg output) off W."""
         quot = _profile_quotient(self, H)
-        quot._origin = (self, "quotient")
+        quot._rules["avg_entropy"] = self.average_output_entropy
         return quot
 
     nested_fmax = _profile_nested_fmax

@@ -235,7 +235,7 @@ def check_sequential_union_bound(inst: Instance):
 
 
 def _direct(child: CqChannel) -> CqChannel:
-    """``child`` without its origin: evaluated, not read off W by the rules under test."""
+    """``child`` without its rules: evaluated, not read off W by the rules under test."""
     return CqChannel(child.alphabet, child.outputs)
 
 

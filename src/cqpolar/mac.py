@@ -17,8 +17,9 @@ import numpy as np
 from .channel import CqChannel, random_cq_channel
 from .config import ResourceCaps, default_caps
 from .errors import StructuralError
-from .groups import FiniteAbelianGroup, Subgroup
+from .groups import FiniteAbelianGroup, Subgroup, _residue_index
 from .linalg import EQ_TOL
+from .polarize import iter_synthetic_channels
 
 
 def _subset_rate(channel, info: float, gs: Subgroup) -> float:
@@ -40,11 +41,6 @@ class MacChannel:
         g = self.channel.alphabet
         if not isinstance(g, FiniteAbelianGroup) or list(g.cyclic_orders) != flat:
             raise StructuralError("channel group is not the product of the user groups")
-        self._slices = []
-        at = 0
-        for orders in self.user_orders:
-            self._slices.append(slice(at, at + len(orders)))
-            at += len(orders)
 
     @property
     def num_users(self) -> int:
@@ -56,19 +52,11 @@ class MacChannel:
 
     def user_subgroup(self, users) -> Subgroup:
         """G_S: all elements with zero coordinates outside the users in S."""
-        users = set(users)
         g = self.group
-        idx = []
-        for i in range(g.order):
-            res = g.label_of(i)
-            ok = True
-            for u in range(self.num_users):
-                if u not in users and any(r != 0 for r in res[self._slices[u]]):
-                    ok = False
-                    break
-            if ok:
-                idx.append(i)
-        return Subgroup(g, tuple(idx))
+        owner = np.repeat(range(self.num_users), [len(o) for o in self.user_orders])
+        outside = ~np.isin(owner, list(users))  # the factors of users not in S
+        keep = ~_residue_index(g.cyclic_orders)[2][:, outside].any(axis=1)
+        return Subgroup(g, tuple(np.flatnonzero(keep).tolist()))
 
     # -- rate quantities ----------------------------------------------------------
     def sum_rate(self) -> float:
@@ -137,8 +125,6 @@ def polarized_region_estimate(
     actually needs are computed.
     """
     caps = caps or default_caps()
-    from .polarize import iter_synthetic_channels
-
     subsets = [s for s in _subsets(mac.num_users) if s]
     needed = {frozenset(s): mac.user_subgroup(s) for s in subsets}
     sums = {frozenset(s): 0.0 for s in subsets}

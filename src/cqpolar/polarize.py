@@ -11,21 +11,27 @@ joins them: the scans, the synthetic-channel iterator and process_sample
 send a diagonal CqChannel to the table engine once, at the start.  The
 transforms and synthesize stay in the engine of the channel they are given.
 Both engines check the caps passed to each transform.
-A hybrid child reads H(avg W^-) = 2 H(avg W), H(W^+|X) = log q + 2 H(W|X)
-and F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W) off its parent (see :mod:`.channel`);
-the table engine does not, as its shifted tables' matrix entries are not the
-channel's (see :mod:`.diagonal`).
+
+A hybrid child carries rules that read its values off a relative (see
+:class:`~.channel.CqChannel`), as entropy adds and fidelity multiplies over
+tensor products: H(avg W^-) = 2 H(avg W); W^+(x) being a uniform u1 register
+times rho_{u1+x} ⊗ rho_x, H(W^+|X) = log q + 2 H(W|X) and F_{W^+}(x, y) =
+F_W(x, y) F_{y-x}(W); and, a full quotient's average output being W's,
+H(avg W[H]) = H(avg W).  The table engine has no rules, as its shifted
+tables' matrix entries are not the channel's (see :mod:`.diagonal`).
 
 The scans and process_sample build both children of a parent by
 :func:`children`: W^- groups the q^2 pair products rho_{u1+u2} ⊗ rho_{u2} by
-u1 and W^+ relabels them by u2, so it builds them once for both, and W^+ reads
-H(avg W^+) off its minus sibling.  The decoder and the checks build one child
-at a time.
+u1 and W^+ relabels them by u2, so it builds them once for both.  It adds one
+rule: the block of avg W^+ under register u1 is W^-(u1)/q, so
+H(avg W^+) = log q + H(W^-|X) is read off the minus sibling.  The decoder
+and the checks build one child at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -60,10 +66,18 @@ def decode_index(label: BranchLabel) -> int:
     return sum(1 << j for j, s in enumerate(label) if s == PLUS)
 
 
+def _depth(n) -> int:
+    """``n`` if it is a depth, an integer >= 0; a StructuralError names any other value."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise StructuralError(f"depth n must be an integer, got {n!r}")
+    if n < 0:
+        raise StructuralError(f"depth n must be >= 0, got {n}")
+    return int(n)
+
+
 def branch_order(n: int) -> list:
     """All 2^n labels sorted ascending in the decode order."""
-    if n < 0:
-        raise StructuralError("depth must be nonnegative")
+    n = _depth(n)
     return [label_from_index(i, n) for i in range(1 << n)]
 
 
@@ -103,44 +117,58 @@ def _pair_branches(W, u1: int, u2: int, pos: dict):
 
 
 def _pair_products(W):
-    """The rows u1 of pairs[u1][u2], the branches of input pair (u1, u2):
-    the list :func:`children` staged on W for both siblings, or rows built
+    """The rows u1 of pairs[u1][u2], the branches of input pair (u1, u2), built
     one at a time."""
-    if W._pairs is not None:
-        return W._pairs
     pos = W.label_positions()
     return ([list(_pair_branches(W, u1, u2, pos)) for u2 in range(W.q)] for u1 in range(W.q))
 
 
-def minus_transform(W, caps: ResourceCaps = None):
+def minus_transform(W, caps: ResourceCaps = None, pairs: list = None):
     """The worse channel of the pair: u1 -> average over u2 of
-    rho_{u1+u2} ⊗ rho_{u2}."""
+    rho_{u1+u2} ⊗ rho_{u2}.  ``pairs`` are the rows of pair products that
+    :func:`children` built for both siblings; without them each row is built
+    and mixed in turn."""
     if isinstance(W, DiagonalChannel):
         return W.minus_transform(caps)
     caps = caps or default_caps()
     caps.check_dim(W.k * W.k, "minus transform")
     outputs = []
-    for row in _pair_products(W):
+    for row in pairs or _pair_products(W):
         groups = _label_groups(itertools.chain.from_iterable(row))
         caps.check_branches(len(groups), "minus transform")
         outputs.append(_mixed_hybrid(groups))
-    return CqChannel(W.alphabet, outputs, origin=(W, "minus"))
+    return CqChannel(W.alphabet, outputs, rules={
+        "avg_entropy": lambda: 2.0 * W.average_output_entropy(),
+    })
 
 
-def plus_transform(W, caps: ResourceCaps = None):
+def plus_transform(W, caps: ResourceCaps = None, pairs: list = None):
     """The better channel: u2 -> rho_{u1+u2} ⊗ rho_{u2} with u1 revealed as a
-    classical register (a new label coordinate of weight 1/q)."""
+    classical register (a new label coordinate of weight 1/q).  ``pairs`` as
+    for :func:`minus_transform`."""
     if isinstance(W, DiagonalChannel):
         return W.plus_transform(caps)
     caps = caps or default_caps()
     caps.check_dim(W.k * W.k, "plus transform")
-    pairs = list(_pair_products(W))
+    pairs = pairs or list(_pair_products(W))
     outputs = []
     for u2 in range(W.q):
         branches = [(w, lab + (u1,), st) for u1, row in enumerate(pairs) for w, lab, st in row[u2]]
         caps.check_branches(len(branches), "plus transform")
         outputs.append(HybridState(branches))
-    return CqChannel(W.alphabet, outputs, origin=(W, "plus"))
+    log_q = float(np.log(W.q))
+    return CqChannel(W.alphabet, outputs, rules={
+        "cond_entropy": lambda: log_q + 2.0 * W.conditional_output_entropy(),
+        "fidelity_matrix": lambda: _plus_fidelity_matrix(W),
+    })
+
+
+def _plus_fidelity_matrix(W) -> np.ndarray:
+    """F_{W^+}(x, y) = F_W(x, y) F_{y-x}(W) on the upper triangle, mirrored."""
+    fd = np.array([W.fd(d) for d in range(W.q)])
+    diff = W.alphabet.add_table[W.alphabet.neg_table]  # diff[x, y] = y - x
+    upper = np.triu(W.pairwise_fidelity_matrix() * fd[diff], 1)
+    return upper + upper.T
 
 
 @contextmanager
@@ -154,11 +182,11 @@ def _naming(signs: BranchLabel):
         ) from exc
 
 
-def _child(W, signs: BranchLabel, caps: ResourceCaps):
+def _child(W, signs: BranchLabel, caps: ResourceCaps, pairs: list = None):
     """W^signs from its parent W; a capacity error names the branch and its depth."""
     transform = minus_transform if signs[-1] == MINUS else plus_transform
     with _naming(signs):
-        return transform(W, caps)
+        return transform(W, caps, pairs)
 
 
 def children(W, caps: ResourceCaps = None, signs: BranchLabel = ()):
@@ -166,11 +194,10 @@ def children(W, caps: ResourceCaps = None, signs: BranchLabel = ()):
 
     In the hybrid engine both siblings are built from one set of pair
     products, and W^+ reads H(avg W^+) = log q + H(W^-|X) off its minus
-    sibling (see :mod:`.channel`).  W^+ is built first.  It mixes nothing,
-    and its largest branch count bounds every label count of W^-, so both
-    caps are checked before W^- mixes.  The dimension, the same for both, is
-    checked once first, for W^-.  The table engine builds the two children
-    with its own transforms.
+    sibling.  W^+ is built first.  It mixes nothing, and its largest branch
+    count bounds every label count of W^-, so both caps are checked before
+    W^- mixes.  The dimension, the same for both, is checked once first, for
+    W^-.  The table engine builds the two children with its own transforms.
     """
     caps = caps or default_caps()
     minus_signs, plus_signs = signs + (MINUS,), signs + (PLUS,)
@@ -178,18 +205,19 @@ def children(W, caps: ResourceCaps = None, signs: BranchLabel = ()):
         return _child(W, minus_signs, caps), _child(W, plus_signs, caps)
     with _naming(minus_signs):
         caps.check_dim(W.k * W.k, "minus transform")
-    W._pairs = list(_pair_products(W))
-    try:
-        plus = _child(W, plus_signs, caps)
-        minus = _child(W, minus_signs, caps)
-    finally:
-        W._pairs = None
-    plus._sibling = minus
+    pairs = list(_pair_products(W))
+    plus = _child(W, plus_signs, caps, pairs)
+    minus = _child(W, minus_signs, caps, pairs)
+    log_q = float(np.log(W.q))
+    plus._rules["avg_entropy"] = lambda: log_q + minus.conditional_output_entropy()
     return minus, plus
 
 
 def synthesize(W, signs: BranchLabel, caps: ResourceCaps = None):
     """W^s: apply the sign transforms left to right; empty signs returns W."""
+    for sign in signs:
+        if sign not in (MINUS, PLUS):
+            raise StructuralError(f"bad sign {sign!r} in {signs!r}: want {MINUS!r} or {PLUS!r}")
     caps = caps or default_caps()
     out = W
     for depth in range(1, len(signs) + 1):
@@ -255,10 +283,9 @@ def make_record(channel, branch: BranchLabel, subgroups) -> PolarizationRecord:
 def iter_synthetic_channels(W, n: int, caps: ResourceCaps = None):
     """Depth-first generator of (signs, W^signs) over all depth-n branches.
 
-    A negative depth is refused here, when it is called, before any transform.
+    A bad depth is refused here, when it is called, before any transform.
     """
-    if n < 0:
-        raise StructuralError(f"depth n must be >= 0, got {n}")
+    n = _depth(n)
     caps = caps or default_caps()
 
     def rec(channel, signs):
@@ -312,6 +339,7 @@ def process_sample(
     Each step synthesizes both children, so the per-step martingale and
     sub-martingale quantities are exact; only the path is random.
     """
+    n = _depth(n)
     caps = caps or default_caps()
     base = _routed(W)
     base_quot_I = {H: base.quotient(H).holevo_information() for H in subgroups}

@@ -30,7 +30,13 @@ from cqpolar.decoder import SCDecoder
 from cqpolar.diagonal import from_cq_channel, merge_columns
 from cqpolar.errors import LoadError, StructuralError
 from cqpolar.groups import FiniteAbelianGroup, Subgroup, enumerate_subgroups, quotient_cosets
-from cqpolar.polarize import make_record, minus_transform, plus_transform, polarization_scan
+from cqpolar.polarize import (
+    children,
+    make_record,
+    minus_transform,
+    plus_transform,
+    polarization_scan,
+)
 from cqpolar.states import factor_fidelity, pure_state, to_dense
 
 Z2 = FiniteAbelianGroup([2])
@@ -482,24 +488,37 @@ _RULE_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("name", list(_RULE_CHANNELS))
-def test_product_rules_match_a_direct_evaluation(name):
+def _one_child_level(level) -> list:
+    return [t(ch) for ch in level for t in (minus_transform, plus_transform)]
+
+
+def _sibling_level(level) -> list:
+    return [child for ch in level for child in children(ch)]
+
+
+@pytest.mark.parametrize("name, build", [
+    *(pytest.param(name, _one_child_level, id=name) for name in _RULE_CHANNELS),
+    *(pytest.param(name, _sibling_level, id=f"{name}-children") for name in _RULE_CHANNELS),
+])
+def test_product_rules_match_a_direct_evaluation(name, build):
     # every synthetic channel to the depth reads its values off its parent
     # (2 H(avg W) for W^-; log q + 2 H(W|X) and F_W(x, y) F_{y-x}(W) for
-    # W^+; H(avg W) for quotients); the same outputs with no origin evaluate
-    # them directly
+    # W^+; H(avg W) for quotients) or, built by children, H(avg W^+) off its
+    # minus sibling; the same outputs with no rules evaluate them directly
     make, depth = _RULE_CHANNELS[name]
     level = [make(np.random.default_rng(40))]
     for _ in range(depth):
-        level = [t(ch) for ch in level for t in (minus_transform, plus_transform)]
+        level = build(level)
         for ch in level:
             inherited, mat = _profile(ch), ch.pairwise_fidelity_matrix()
-            assert ch._origin is None  # every value the rule feeds was read
+            assert not ch._rules  # every rule was read, and dropped
             assert np.array_equal(mat, mat.T)
             direct = CqChannel(ch.alphabet, ch.outputs)
             assert np.abs(inherited - _profile(direct)).max() <= 1e-12
             for H in enumerate_subgroups(ch.alphabet):
-                quot_I = ch.quotient(H).holevo_information()
+                quot = ch.quotient(H)
+                quot_I = quot.holevo_information()
+                assert not quot._rules
                 assert abs(quot_I - direct.quotient(H).holevo_information()) <= 1e-12
 
 
@@ -538,5 +557,26 @@ def test_a_scanned_channel_is_freed_without_the_cycle_collector():
         del unread, W
         assert ref() is None
         assert read.holevo_information() >= 0.0
+    finally:
+        gc.enable()
+
+
+def test_the_rules_release_what_they_hold():
+    # W is held by its children's rules until the last is read, and the
+    # minus sibling by W^+'s H(avg output) rule until that is read
+    W = random_mixed_channel(np.random.default_rng(34), 4, 2)
+    subgroups = enumerate_subgroups(W.alphabet)
+    gc.disable()
+    try:
+        parent = weakref.ref(W)
+        minus, plus = children(W)
+        sibling = weakref.ref(minus)
+        make_record(minus, ("-",), subgroups)
+        del minus, W
+        assert parent() is not None and sibling() is not None
+        plus.average_output_entropy()
+        assert sibling() is None
+        make_record(plus, ("+",), subgroups)
+        assert parent() is None
     finally:
         gc.enable()

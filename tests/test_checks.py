@@ -151,7 +151,7 @@ def test_reports_serialize():
 
 def _perturbed(transform, rng):
     """``transform`` with its child's first output state moved by 1e-6: mixed
-    with weight 1e-6 into a random state.  The child keeps W as its origin."""
+    with weight 1e-6 into a random state.  The child keeps its rules, which read W."""
 
     def run(W):
         child = transform(W)

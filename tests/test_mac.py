@@ -55,6 +55,18 @@ def test_user_subgroup():
     assert mac.user_subgroup(set()).order == 1
 
 
+@pytest.mark.parametrize("user_orders", [[[2], [2]], [[2, 2], [4]], [[3], [2], [2]], [[4], [2, 2]]],
+                         ids=str)
+def test_user_subgroup_keeps_the_elements_zero_outside_the_subset(user_orders):
+    mac = random_mac(user_orders, 1, seed=0)
+    g = mac.group
+    owner = [u for u, orders in enumerate(user_orders) for _ in orders]
+    for users in _subsets(len(user_orders)):
+        want = tuple(i for i in range(g.order)
+                     if all(r == 0 for r, u in zip(g.label_of(i), owner) if u not in users))
+        assert mac.user_subgroup(users).indices == want
+
+
 def test_subset_information_basic():
     mac = random_mac([[2], [2]], 2, seed=2)
     assert mac.subset_information(()) == 0.0

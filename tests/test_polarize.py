@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -143,20 +145,51 @@ def test_synthesize_capacity_error():
         synthesize(w, parse_label("-----"), ResourceCaps(dim_cap=8))
 
 
+@pytest.fixture
+def no_transform(monkeypatch):
+    """A transform that runs fails the test."""
+    def refuse(*args):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(polarize_mod, "_child", refuse)
+
+
 @pytest.mark.parametrize(
     "W",
     [preset_channel("classical-symmetric", q=2, p=0.1), pure_overlap_channel(0.5)],
     ids=["bsc", "pure"],
 )
-def test_negative_depth_is_refused_before_any_transform(monkeypatch, W):
-    def no_transform(*args):
-        raise AssertionError("a transform ran")
-
-    monkeypatch.setattr(polarize_mod, "_child", no_transform)
+def test_negative_depth_is_refused_before_any_transform(no_transform, W):
     with pytest.raises(StructuralError, match="depth n must be >= 0"):
         iter_synthetic_channels(W, -1)
     with pytest.raises(StructuralError, match="depth n must be >= 0"):
         polarization_scan(W, -3)
+
+
+@pytest.mark.parametrize("n", [-2, 1.0, 1.5, "2", True], ids=["negative", "float", "fraction",
+                                                           "string", "bool"])
+def test_a_bad_depth_is_refused_before_any_transform(no_transform, n):
+    # polarization_scan(BSC, 1.0) once ran the whole scan and then failed in
+    # branch_order; with a dimension cap a 1.5 scan failed at depth 3; and a
+    # negative depth gave process_sample paths with no steps
+    message = "depth n must be >= 0, got -2" if n == -2 else f"depth n must be an integer, got {n!r}"
+    bsc = preset_channel("classical-symmetric", q=2, p=0.1)
+    calls = [lambda: polarization_scan(bsc, n),
+             lambda: polarization_scan(pure_overlap_channel(0.5), n, ResourceCaps(dim_cap=64)),
+             lambda: iter_synthetic_channels(bsc, n),
+             lambda: process_sample(bsc, n, 1, 0),
+             lambda: branch_order(n)]
+    for call in calls:
+        with pytest.raises(StructuralError) as err:
+            call()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("signs", [("x",), ("-", "x"), ("+", None)])
+def test_synthesize_refuses_a_bad_sign_before_any_transform(no_transform, signs):
+    # ("x",) once built W^+, as every sign other than "-" read as "+"
+    with pytest.raises(StructuralError, match=re.escape(f"bad sign {signs[-1]!r} in {signs!r}")):
+        synthesize(pure_overlap_channel(0.5), signs)
 
 
 def test_scan_fixture_is_homomorphism_endpoint(z4_homomorphism_channel):
@@ -219,7 +252,7 @@ def test_minus_transform_checks_the_branch_cap_before_mixing(monkeypatch):
     with pytest.raises(CapacityError, match=r"^branch \+\+ at depth 2: plus transform: "
                        r"classical branch count 8 exceeds cap 5$"):
         children(w, ResourceCaps(branch_cap=5), ("+",))
-    assert not mixes and w._pairs is None
+    assert not mixes
     minus_transform(w, ResourceCaps(branch_cap=4))
     assert mixes  # the counter sees the transform's mixtures
 
@@ -273,12 +306,12 @@ def test_children_agree_with_the_one_child_transforms(name):
     hybrid = isinstance(W, CqChannel)
     minus, plus = children(W)
     if hybrid:
-        assert plus._sibling is minus and W._pairs is None
+        assert set(plus._rules) == {"avg_entropy", "cond_entropy", "fidelity_matrix"}
     for sign, got, want in (("-", minus, minus_transform(W)), ("+", plus, plus_transform(W))):
         _assert_records_close(make_record(got, (sign,), subgroups),
                               make_record(want, (sign,), subgroups), 1e-13)
     if hybrid:
-        assert plus._sibling is None  # read once, then dropped
+        assert not plus._rules  # each read once, then dropped
         assert plus.average_output_entropy() == pytest.approx(
             _direct(plus).average_output_entropy(), abs=1e-13
         )
