@@ -5,10 +5,14 @@ A channel maps each group element to a :class:`HybridState`: a list of
 output ``sum_l w_l |l><l| ⊗ rho_l``.  Labels stay symbolic instead of being
 expanded into tensor factors, which is what keeps repeated plus-transforms
 affordable.  Every branch state is a factored :class:`~.states.PureMixture`;
-a dense matrix handed in is factored once, when its ``HybridState`` is built.
+a dense matrix handed in is factored once, when its ``HybridState`` is built
+(a random or loaded channel factors all of its dense branches together).
 All information/fidelity functionals respect the block structure exactly.
 A branch with orthonormal factor rows (see :mod:`.states`) has its weights
-as spectrum, so its entropy needs no decomposition.
+as spectrum, so its entropy needs no decomposition.  A channel decomposes
+per shape, not per matrix (the sites are listed in :mod:`.linalg`), and sums
+each output's or pair's terms in one order whatever shares its stack, so a
+lone ``HybridState.entropy`` or ``hybrid_fidelity`` gives the same value.
 
 I(W) = H(avg output) - H(W|X), H(W|X) = (1/q) sum_x H(W(x)), and every
 fidelity functional (F_d, F, F_max, nested F_max) reads one q x q matrix of
@@ -23,7 +27,6 @@ built from a child's outputs, as the checks do).
 from __future__ import annotations
 
 import ast
-import itertools
 import json
 
 import numpy as np
@@ -38,20 +41,21 @@ from .groups import (
     QuotientGroup,
     Subgroup,
     refine,
+    require_subgroups_of,
 )
 from .linalg import (
     EQ_TOL,
     LIKELIHOOD_SUM_TOL,
-    STACK_ENTRIES,
     entropy_of_probs,
     factor_fidelity,
+    stack_runs,
     validate_density_matrix,
 )
 from .states import (
     PureMixture,
-    as_mixture,
+    as_mixtures,
     batched_mixture_entropies,
-    mix_states,
+    batched_mixtures,
     pure_state,
     state_is_diagonal,
     to_dense,
@@ -72,7 +76,9 @@ class HybridState:
     __slots__ = ("branches", "_dict")
 
     def __init__(self, branches):
-        cleaned = [(float(w), lab, as_mixture(st)) for w, lab, st in branches if w > 0.0]
+        kept = [(float(w), lab, st) for w, lab, st in branches if w > 0.0]
+        mixtures = as_mixtures([st for _, _, st in kept])
+        cleaned = [(w, lab, mix) for (w, lab, _), mix in zip(kept, mixtures)]
         cleaned.sort(key=lambda b: _label_key(b[1]))
         self.branches = cleaned
         self._dict = None
@@ -95,44 +101,62 @@ class HybridState:
         return self._dict
 
     def entropy(self) -> float:
-        """H(weights) + sum of weighted branch entropies (see ``_block_entropy``)."""
-        return _block_entropy([((w, st),) for w, _, st in self.branches])
+        """H(weights) + sum of weighted branch entropies (see ``_hybrid_entropies``)."""
+        return _hybrid_entropies([self])[0]
 
 
-def _block_entropy(blocks) -> float:
-    """Entropy of a block-diagonal state: the sum over its blocks X of -Tr X log X.
+def _hybrid_entropies(hybrids) -> list:
+    """The entropy of each block-diagonal state, one block per branch."""
+    return _block_entropies([[((w, st),) for w, _, st in h.branches] for h in hybrids])
 
-    A block is its weighted parts [(w, mixture)], X = sum of w rho.  A one-part
-    block gives -w log w, summed as the Shannon entropy of those weights, plus
-    w H(rho), read off the weights of an orthonormal mixture in one pass.  The
-    other blocks are decomposed, those of one component shape in one stacked
-    eigvalsh call (per-block dispatch would dominate channels with thousands of
-    labels): the stacked components sqrt(w) V of its parts, or a mixture's own.
+
+def _block_entropies(states) -> list:
+    """Entropies of block-diagonal states: per state, the sum over its blocks X
+    of -Tr X log X.
+
+    A state is its blocks, a block its weighted parts [(w, mixture)], X = sum
+    of w rho.  A one-part block gives -w log w, summed as the Shannon entropy of
+    those weights, plus w H(rho), read off the weights of an orthonormal
+    mixture in one pass.  The other blocks are decomposed, those of one
+    component shape, across all the states, in one stacked eigvalsh call
+    (per-block dispatch would dominate channels with thousands of labels): the
+    stacked components sqrt(w) V of its parts, or a mixture's own.  A state adds
+    its decomposed blocks shape by shape, in the order it first holds each.
     """
-    weights, spectra, scales = [], [], []
-    groups: dict = {}
-    for parts in blocks:
-        if len(parts) > 1:
-            comps = np.vstack([np.sqrt(w) * st.scaled_components() for w, st in parts])
-            groups.setdefault(comps.shape, []).append((1.0, comps))
-            continue
-        ((w, st),) = parts
-        weights.append(w)
-        if st.rank_bound == 1:
-            continue
-        if st.orthonormal:
-            spectra.append(st.weights)
-            scales.append(np.full(st.rank_bound, w))
-        else:
-            groups.setdefault(st.vecs.shape, []).append((w, st.scaled_components()))
-    total = entropy_of_probs(np.array(weights)) if weights else 0.0
-    if spectra:
-        p = np.concatenate(spectra)
-        total -= float(np.concatenate(scales) @ (p * np.log(np.where(p > 0.0, p, 1.0))))
-    for items in groups.values():
-        ent = batched_mixture_entropies([c for _, c in items])
-        total += float(np.array([w for w, _ in items]) @ ent)
-    return total
+    totals, spans = [], []
+    groups: dict = {}  # component shape -> [(w, components)] of all the states
+    for blocks in states:
+        weights, spectra, scales, starts = [], [], [], {}
+        for parts in blocks:
+            if len(parts) > 1:
+                comps = np.vstack([np.sqrt(w) * st.scaled_components() for w, st in parts])
+                item = (1.0, comps)
+            else:
+                ((w, st),) = parts
+                weights.append(w)
+                if st.rank_bound == 1:
+                    continue
+                if st.orthonormal:
+                    spectra.append(st.weights)
+                    scales.append(np.full(st.rank_bound, w))
+                    continue
+                item = (w, st.scaled_components())
+            items = groups.setdefault(item[1].shape, [])
+            starts.setdefault(item[1].shape, len(items))
+            items.append(item)
+        total = entropy_of_probs(np.array(weights)) if weights else 0.0
+        if spectra:
+            p = np.concatenate(spectra)
+            total -= float(np.concatenate(scales) @ (p * np.log(np.where(p > 0.0, p, 1.0))))
+        totals.append(total)
+        spans.append({shape: (lo, len(groups[shape])) for shape, lo in starts.items()})
+    ents = {shape: batched_mixture_entropies([c for _, c in items])
+            for shape, items in groups.items()}
+    for s, own in enumerate(spans):
+        for shape, (lo, hi) in own.items():
+            weights = np.array([w for w, _ in groups[shape][lo:hi]])
+            totals[s] += float(weights @ ents[shape][lo:hi])
+    return totals
 
 
 def _label_groups(branches) -> list:
@@ -145,51 +169,71 @@ def _label_groups(branches) -> list:
     return list(groups.values())
 
 
-def _mixed_hybrid(groups) -> HybridState:
-    """One branch per label group: its total weight and the mixture of its states."""
-    return HybridState(
-        [(t, lab, mix_states([(w / t, st) for w, st in parts])) for lab, t, parts in groups]
-    )
+def _mixed_hybrids(group_lists) -> list:
+    """Per list of label groups, a state with one branch per group: its total
+    weight and the mixture of its states.  All the mixtures are built together."""
+    mixtures = iter(batched_mixtures(
+        [[(w / t, st) for w, st in parts] for groups in group_lists for _, t, parts in groups]
+    ))
+    return [HybridState([(t, lab, next(mixtures)) for lab, t, _ in groups])
+            for groups in group_lists]
 
 
 def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
-    """Fidelity of two block-diagonal states: sum over shared labels of
-    sqrt(w w') F(rho, rho').  Pairs of pure branches are batched into one
-    vectorized overlap computation; the other pairs go through
-    :func:`~.linalg.factor_fidelity`, pairs of one shape in stacked SVDs of
-    at most ``STACK_ENTRIES`` factor entries (see :mod:`.linalg`), and are
-    summed in label order."""
-    db = b.as_dict()
-    left, right, scales = [], [], []
-    shapes: dict = {}  # (ra, rb) -> [(term position, sa, sb)]
-    for key, (wa, sa) in a.as_dict().items():
-        hit = db.get(key)
-        if hit is None:
-            continue
-        wb, sb = hit
-        if sa.rank_bound == 1 and sb.rank_bound == 1:
-            left.append(np.sqrt(wa) * sa.scaled_components()[0])
-            right.append(np.sqrt(wb) * sb.scaled_components()[0])
-        else:
-            shapes.setdefault((sa.rank_bound, sb.rank_bound), []).append((len(scales), sa, sb))
-            scales.append(np.sqrt(wa * wb))
+    """Fidelity of two block-diagonal states (see ``hybrid_fidelities``)."""
+    return float(hybrid_fidelities([(a, b)])[0])
+
+
+def hybrid_fidelities(pairs) -> np.ndarray:
+    """Fidelities of pairs of block-diagonal states: per pair, the sum over
+    shared labels of sqrt(w w') F(rho, rho').
+
+    Pairs of pure branches take one vectorized overlap computation; the other
+    pairs of branches go through :func:`~.linalg.factor_fidelity`, those of
+    one shape, across all the pairs, in stacked SVDs.  A pair sums its SVD
+    terms in label order, then adds the sum of its pure overlaps.  All states
+    have one dimension, as the outputs of one channel do.
+    """
+    left, right, scales, spans = [], [], [], []
+    shapes: dict = {}  # factor shapes -> [(term position, sa, sb)]
+    for a, b in pairs:
+        db = b.as_dict()
+        lo, pure_lo = len(scales), len(left)
+        for key, (wa, sa) in a.as_dict().items():
+            hit = db.get(key)
+            if hit is None:
+                continue
+            wb, sb = hit
+            if sa.rank_bound == 1 and sb.rank_bound == 1:
+                left.append(np.sqrt(wa) * sa.scaled_components()[0])
+                right.append(np.sqrt(wb) * sb.scaled_components()[0])
+            else:
+                shapes.setdefault((sa.vecs.shape, sb.vecs.shape), []).append((len(scales), sa, sb))
+                scales.append(np.sqrt(wa * wb))
+        spans.append((lo, len(scales), pure_lo, len(left)))
     fids = np.empty(len(scales))
     for items in shapes.values():
         _, first_a, first_b = items[0]
-        chunk = max(1, STACK_ENTRIES // (first_a.vecs.size + first_b.vecs.size))
-        for lo in range(0, len(items), chunk):
-            part = items[lo : lo + chunk]
-            fids[[i for i, _, _ in part]] = factor_fidelity(
-                np.stack([sa.scaled_components() for _, sa, _ in part]),
-                np.stack([sb.scaled_components() for _, _, sb in part]),
+        for run in stack_runs(items, first_a.vecs.size + first_b.vecs.size):
+            fids[[i for i, _, _ in run]] = factor_fidelity(
+                np.stack([sa.scaled_components() for _, sa, _ in run]),
+                np.stack([sb.scaled_components() for _, _, sb in run]),
             )
-    # a running sum in label order: the value is bit-identical to adding each
-    # pair's term as its label is reached
-    total = sum((np.array(scales) * fids).tolist())
-    if left:
-        overlaps = np.abs((np.stack(left) * np.stack(right).conj()).sum(axis=1))
-        total += float(overlaps.sum())
-    return float(min(1.0, total))
+    dim = left[0].size if left else 1
+    overlaps = np.concatenate([np.zeros(0)] + [
+        np.abs((np.stack(u) * np.stack(v).conj()).sum(axis=1))
+        for u, v in zip(stack_runs(left, 2 * dim), stack_runs(right, 2 * dim))
+    ])
+    terms = (np.array(scales) * fids).tolist()
+    out = np.empty(len(spans))
+    for p, (lo, hi, pure_lo, pure_hi) in enumerate(spans):
+        # a running sum in label order: bit-identical to adding each term as
+        # its label is reached
+        total = sum(terms[lo:hi])
+        if pure_hi > pure_lo:
+            total += float(overlaps[pure_lo:pure_hi].sum())
+        out[p] = min(1.0, total)
+    return out
 
 
 # -- the shared profile -------------------------------------------------------------
@@ -236,6 +280,7 @@ def _profile_f_max(W) -> float:
 
 def _profile_nested_fmax(W, M: Subgroup, H: Subgroup) -> float:
     """max of F_d over d in H but not in M."""
+    require_subgroups_of(W.alphabet, M, H)
     if not M.is_subset_of(H):
         raise StructuralError("M must be a subgroup of H")
     ds = [i for i in H.indices if not M.contains_index(i)]
@@ -336,13 +381,13 @@ class CqChannel:
         # the average output's label blocks, their parts left unmixed
         q = self.q
         groups = _label_groups((w / q, lab, st) for h in self.outputs for w, lab, st in h.branches)
-        return _block_entropy([parts for _, _, parts in groups])
+        return _block_entropies([[parts for _, _, parts in groups]])[0]
 
     def conditional_output_entropy(self) -> float:
         """H(W|X) = (1/q) sum_x H(W(x))."""
         if self._cond_entropy is None:
             self._cond_entropy = self._derived(
-                "cond_entropy", lambda: sum(h.entropy() for h in self.outputs) / self.q
+                "cond_entropy", lambda: sum(_hybrid_entropies(self.outputs)) / self.q
             )
         return self._cond_entropy
 
@@ -350,7 +395,8 @@ class CqChannel:
         return hybrid_fidelity(self.output_of(x), self.output_of(y))
 
     def pairwise_fidelity_matrix(self) -> np.ndarray:
-        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y."""
+        """F(rho_x, rho_y) for all x, y: one evaluation per pair x < y, all
+        pairs evaluated together."""
         if self._fidelity_matrix is None:
             self._fidelity_matrix = _frozen(
                 self._derived("fidelity_matrix", self._evaluated_fidelity_matrix)
@@ -358,9 +404,10 @@ class CqChannel:
         return self._fidelity_matrix
 
     def _evaluated_fidelity_matrix(self) -> np.ndarray:
+        x, y = np.triu_indices(self.q, 1)
         mat = np.eye(self.q)
-        for x, y in itertools.combinations(range(self.q), 2):
-            mat[x, y] = mat[y, x] = self.pairwise_fidelity(x, y)
+        out = self.outputs
+        mat[x, y] = mat[y, x] = hybrid_fidelities([(out[i], out[j]) for i, j in zip(x, y)])
         return mat
 
     fd = _profile_fd
@@ -371,8 +418,10 @@ class CqChannel:
     # -- quotient constructions --------------------------------------------------
     def _average_cells(self, alphabet: GroupOps, cells) -> "CqChannel":
         """The channel over ``alphabet`` whose i-th output averages cells[i]."""
-        outputs = [_average_hybrid([self.outputs[i] for i in c]) for c in cells]
-        return CqChannel(alphabet, outputs)
+        return CqChannel(alphabet, _mixed_hybrids([
+            _label_groups((w / len(c), lab, st) for i in c for w, lab, st in self.outputs[i].branches)
+            for c in cells
+        ]))
 
     def quotient(self, H: Subgroup) -> "CqChannel":
         """W[H]; its average output is W's, so it reads H(avg output) off W."""
@@ -388,6 +437,7 @@ class CqChannel:
         Its average output is the average over D, not W's, so unlike a full
         quotient it computes its own H(avg output).
         """
+        require_subgroups_of(self.alphabet, M, D.subgroup)
         if not M.is_subset_of(D.subgroup):
             raise StructuralError("M must be contained in the subgroup defining D")
         cells = refine(D, M)
@@ -432,13 +482,6 @@ class CqChannel:
         return CqChannel(self.alphabet, outputs)
 
 
-def _average_hybrid(hybrids) -> HybridState:
-    n = len(hybrids)
-    return _mixed_hybrid(
-        _label_groups((w / n, lab, st) for h in hybrids for w, lab, st in h.branches)
-    )
-
-
 # -- random channels and presets ---------------------------------------------------
 
 
@@ -457,14 +500,12 @@ def random_cq_channel(group, k: int, mixed: bool, rng) -> CqChannel:
     """
     if k < 1:
         raise StructuralError(f"output dimension k must be >= 1, got {k}")
-    outputs = []
-    for _ in range(group.order):
-        if mixed:
-            state = random_density(rng, k)
-        else:
-            state = pure_state(rng.normal(size=k) + 1j * rng.normal(size=k))
-        outputs.append(HybridState([(1.0, (), state)]))
-    return CqChannel(group, outputs)
+    if mixed:
+        states = as_mixtures([random_density(rng, k) for _ in range(group.order)])
+    else:
+        states = [pure_state(rng.normal(size=k) + 1j * rng.normal(size=k))
+                  for _ in range(group.order)]
+    return CqChannel(group, [HybridState([(1.0, (), st)]) for st in states])
 
 
 def preset_channel(name: str, seed=None, **params) -> CqChannel:
@@ -593,8 +634,9 @@ def _real_matrix(value, k: int, what: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _state_from_json(spec, k: int, name) -> HybridState:
-    """Input ``name``'s state entry: weighted, labelled ``branches``, or one bare matrix.
+def _branches_from_json(spec, k: int, name) -> list:
+    """Input ``name``'s state entry as (weight, label, validated matrix) branches:
+    weighted, labelled ``branches``, or one bare matrix.
 
     A bare matrix reads as one branch of weight 1 labelled ().  The weights
     must sum to 1 within LIKELIHOOD_SUM_TOL, as a diagonal channel's likelihood
@@ -620,7 +662,7 @@ def _state_from_json(spec, k: int, name) -> HybridState:
     total = sum(w for w, _, _ in branches)
     if abs(total - 1.0) > LIKELIHOOD_SUM_TOL:
         raise LoadError(f"branch weights must sum to 1: input {name} sums to {total!r}")
-    return HybridState(branches)
+    return branches
 
 
 def is_json_text(source) -> bool:
@@ -659,22 +701,30 @@ def load_channel(source) -> CqChannel:
         raise LoadError(f"channel JSON missing required field: {exc}") from exc
     except StructuralError as exc:
         raise LoadError(f"channel JSON: {exc}") from exc
-    outputs: list = [None] * g.order
+    inputs: list = [None] * g.order  # (key, branches) per input index
     for key, spec in raw_states.items():
         idx = _parse_input_key(key, g)
-        if outputs[idx] is not None:
+        if inputs[idx] is not None:
             raise LoadError(f"input {key}: another key already names this input")
         try:
-            outputs[idx] = _state_from_json(spec, k, g.label_of(idx))
+            inputs[idx] = (key, _branches_from_json(spec, k, g.label_of(idx)))
         except LoadError:
             raise  # it names the input already
         except StructuralError as exc:
             raise LoadError(f"input {key}: {exc}") from exc
-    missing = [i for i, h in enumerate(outputs) if h is None]
+    missing = [i for i, entry in enumerate(inputs) if entry is None]
     if missing:
         shown = ", ".join(repr(g.element_by_index(i)) for i in missing[:5])
         more = ", ..." if len(missing) > 5 else ""
         raise LoadError(f"channel does not define inputs: {shown}{more} ({len(missing)} missing)")
+    # the channel's dense branches are factored together
+    factors = iter(as_mixtures([st for _, branches in inputs for _, _, st in branches]))
+    outputs = []
+    for key, branches in inputs:
+        try:
+            outputs.append(HybridState([(w, lab, next(factors)) for w, lab, _ in branches]))
+        except StructuralError as exc:
+            raise LoadError(f"input {key}: {exc}") from exc
     return CqChannel(g, outputs)
 
 

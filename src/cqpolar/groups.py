@@ -349,10 +349,16 @@ class Coset:
         return f"{self.representative!r}+{self.subgroup!r}"
 
 
+def require_subgroups_of(G: GroupOps, *subgroups: Subgroup) -> None:
+    """A StructuralError unless every subgroup is one of ``G`` itself, not of
+    another group (of the same order, say)."""
+    if any(H.parent != G for H in subgroups):
+        raise StructuralError("subgroup does not belong to this group")
+
+
 def quotient_cosets(G: FiniteAbelianGroup, H: Subgroup) -> list[Coset]:
     """The partition of ``G`` into cosets of ``H``, sorted by representative index."""
-    if H.parent != G:
-        raise StructuralError("subgroup does not belong to this group")
+    require_subgroups_of(G, H)
     return list(H.cosets)
 
 

@@ -27,9 +27,14 @@ table's total mass q relative to q, as its merges sum up to millions of
 entries.
 
 STACK_ENTRIES (2^18) bounds the entries one stacked LAPACK call of the hybrid
-engine takes (a fidelity SVD's factors, an entropy eigvalsh's matrices): small
-matrices share a call, large ones are not all copied at once.  It bounds
-memory, not results: a stacked call decomposes each matrix as a lone call would.
+engine takes (see ``stack_runs``): small matrices share a call, large ones are
+not all copied at once.  It bounds memory, not results: a stacked call
+decomposes each matrix as a lone call would.  A channel is decomposed per
+shape, not per matrix, at four sites: its dense branch states are factored in
+one stacked eigh when it is built or read; the overcomplete label mixtures of
+a quotient's cells, or of a minus transform built with its sibling, are
+re-factored in one stacked eigh; its pairwise fidelities take one stacked SVD;
+and H(W|X) takes one stacked eigvalsh.
 """
 
 from __future__ import annotations
@@ -49,6 +54,19 @@ CHECK_ULPS = 1024
 LIKELIHOOD_NEG_TOL = 1e-12
 LIKELIHOOD_SUM_TOL = 1e-8
 STACK_ENTRIES = 1 << 18
+
+
+def stack_size(entries: int) -> int:
+    """How many items of ``entries`` entries one stack takes: STACK_ENTRIES //
+    ``entries``, one at least."""
+    return max(1, STACK_ENTRIES // entries)
+
+
+def stack_runs(items, entries: int) -> list:
+    """``items`` cut into consecutive runs of ``stack_size(entries)`` items (the
+    last may be shorter): the stacks of one LAPACK call each."""
+    step = stack_size(entries)
+    return [items[i : i + step] for i in range(0, len(items), step)]
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:

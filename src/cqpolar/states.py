@@ -16,10 +16,13 @@ Only the constructors that know the rows are orthonormal set the flag:
 mixture) and :func:`tensor_states` of two flagged factors.  Every other
 mixture, a mixture of several states above all, is unflagged.
 
-A dense matrix enters only through :func:`as_mixture`, which replaces it by
+A dense matrix enters only through :func:`as_mixtures`, which replaces it by
 its eigen-factor (an exactly diagonal matrix by one-hot rows, without an
 eigendecomposition).  A mixture with more vectors than its dimension is
 re-factored the same way, so the vector count never exceeds the dimension.
+Both take a batch: its matrices of one shape are decomposed in one stacked
+eigh (see :func:`~.linalg.stack_runs`), which gives each the factor a lone
+call would.  :func:`as_mixture` and :func:`mix_states` are batches of one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .linalg import PSD_TOL, STACK_ENTRIES, eigh_psd, factor_fidelity
+from .linalg import PSD_TOL, eigh_psd, factor_fidelity, stack_runs, stack_size
 
 _EPS = np.finfo(float).eps
 
@@ -77,31 +80,49 @@ def pure_state(vec) -> PureMixture:
     return _orthonormal(np.array([1.0]), (v / n)[None, :])
 
 
-def _eigen_factor(mat: np.ndarray) -> PureMixture:
-    """A dense state as the mixture of its eigenvectors.
+def _eigen_factors(mats) -> list:
+    """Dense states as mixtures of their eigenvectors.
 
     Eigenvalues at rounding level (at most dim * eps * the largest) are
     dropped, so a numerically rank-1 matrix becomes a pure state.  An exactly
     diagonal matrix keeps its positive diagonal as weights of one-hot rows,
-    which reproduces the diagonal bit for bit.
+    which reproduces the diagonal bit for bit.  The other matrices of one
+    shape are decomposed together, in stacked eigh calls.
     """
-    d = mat.shape[0]
-    diag = np.real(np.diag(mat))
-    if not np.any(mat - np.diag(diag)):
+    out = [None] * len(mats)
+    shapes: dict = {}  # shape -> positions of the matrices to decompose
+    for i, mat in enumerate(mats):
+        diag = np.real(np.diag(mat))
+        if np.any(mat - np.diag(diag)):
+            shapes.setdefault(mat.shape, []).append(i)
+            continue
         if diag.size and diag.min() < -PSD_TOL * max(1.0, float(diag.max())):
             raise StructuralError(f"matrix is not PSD: min eigenvalue {diag.min():.3e}")
         keep = diag > 0.0
-        return _orthonormal(diag[keep], np.eye(d, dtype=complex)[keep])
-    vals, vecs = eigh_psd(mat)
-    keep = vals > d * _EPS * vals[-1]
-    return _orthonormal(vals[keep], vecs[:, keep].T)
+        out[i] = _orthonormal(diag[keep], np.eye(diag.size, dtype=complex)[keep])
+    for (d, _), positions in shapes.items():
+        for run in stack_runs(positions, d * d):
+            vals, vecs = eigh_psd(np.stack([mats[i] for i in run]))
+            for i, val, vec in zip(run, vals, vecs):
+                keep = val > d * _EPS * val[-1]
+                out[i] = _orthonormal(val[keep], vec[:, keep].T)
+    return out
+
+
+def as_mixtures(states) -> list:
+    """Branch states (mixtures or dense matrices) in factored form; the dense
+    ones are factored together."""
+    out = list(states)
+    dense = [i for i, st in enumerate(out) if not isinstance(st, PureMixture)]
+    factors = _eigen_factors([np.asarray(out[i], dtype=complex) for i in dense])
+    for i, mix in zip(dense, factors):
+        out[i] = mix
+    return out
 
 
 def as_mixture(state) -> PureMixture:
     """Any branch state (a mixture or a dense matrix) in factored form."""
-    if isinstance(state, PureMixture):
-        return state
-    return _eigen_factor(np.asarray(state, dtype=complex))
+    return as_mixtures([state])[0]
 
 
 def to_dense(state: PureMixture) -> np.ndarray:
@@ -124,31 +145,56 @@ def tensor_states(a: PureMixture, b: PureMixture) -> PureMixture:
     return PureMixture(w, v)
 
 
+def batched_mixtures(weighted_lists) -> list:
+    """Convex mixtures, one per list of (weight, state) pairs.
+
+    The mixtures with more vectors than their dimension are re-factored,
+    those of one dimension together.  Each is held as its dense matrix until
+    its stack fills, so no more than one stack of dense matrices is held.
+    """
+    out, pending = [], {}  # dimension -> positions in out of dense matrices
+
+    def refactor(positions):
+        for i, mix in zip(positions, _eigen_factors([out[i] for i in positions])):
+            out[i] = mix
+        positions.clear()
+
+    for weighted in weighted_lists:
+        weighted = [(w, s) for w, s in weighted if w > 0.0]
+        if not weighted:
+            raise StructuralError("cannot mix an empty set of states")
+        mix = PureMixture(
+            np.concatenate([w * s.weights for w, s in weighted]),
+            np.vstack([s.vecs for _, s in weighted]),
+        )
+        if mix.rank_bound <= mix.dim:
+            out.append(mix)
+            continue
+        positions = pending.setdefault(mix.dim, [])
+        positions.append(len(out))
+        out.append(to_dense(mix))
+        if len(positions) == stack_size(mix.dim**2):
+            refactor(positions)
+    for positions in pending.values():
+        refactor(positions)
+    return out
+
+
 def mix_states(weighted) -> PureMixture:
     """Convex mixture of states given as (weight, state) pairs."""
-    weighted = [(w, s) for w, s in weighted if w > 0.0]
-    if not weighted:
-        raise StructuralError("cannot mix an empty set of states")
-    mix = PureMixture(
-        np.concatenate([w * s.weights for w, s in weighted]),
-        np.vstack([s.vecs for _, s in weighted]),
-    )
-    if mix.rank_bound > mix.dim:
-        return _eigen_factor(to_dense(mix))
-    return mix
+    return batched_mixtures([weighted])[0]
 
 
 def batched_mixture_entropies(mats) -> np.ndarray:
     """Entropies of mixtures given as equal-shape (r, d) scaled component arrays.
 
     Uses whichever of the Gram (r x r) or dense (d x d) forms is smaller, in
-    stacked eigvalsh calls of at most ``STACK_ENTRIES`` component entries.
+    stacked eigvalsh calls.
     """
     r, d = mats[0].shape
-    chunk = max(1, STACK_ENTRIES // (r * d))
     out = []
-    for i in range(0, len(mats), chunk):
-        stacked = np.stack(mats[i : i + chunk])
+    for run in stack_runs(mats, r * d):
+        stacked = np.stack(run)
         if r <= d:
             small = stacked @ stacked.conj().transpose(0, 2, 1)
         else:

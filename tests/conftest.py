@@ -16,6 +16,13 @@ from cqpolar.groups import FiniteAbelianGroup
 from cqpolar.states import pure_state
 
 
+def pytest_configure(config):
+    # a cast that drops an imaginary part fails the suite, as a RuntimeWarning
+    # does (pyproject.toml); numpy 1.25 moved the class to numpy.exceptions
+    warning = getattr(np, "exceptions", np).ComplexWarning
+    config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__name__}")
+
+
 @pytest.fixture
 def z4_homomorphism_channel():
     """The multilevel fixture: Z4 inputs, outputs determined by x mod {0,2}."""

@@ -11,13 +11,14 @@ import math
 
 import numpy as np
 
-from cqpolar.channel import CqChannel, HybridState, _average_hybrid
+from cqpolar.channel import CqChannel, HybridState
 from cqpolar.codes import random_message
 from cqpolar.decoder import SCDecoder, _experiment_report
 from cqpolar.diagonal import _MERGE_DECIMALS
 from cqpolar.errors import StructuralError
 from cqpolar.groups import FiniteAbelianGroup, random_section_map
 from cqpolar.linalg import entropy_of_probs, hermitize
+from cqpolar.states import mix_states
 
 
 def mutual_information_table(table) -> float:
@@ -361,8 +362,17 @@ def state_entropy(state) -> float:
 
 
 def average_output(W) -> HybridState:
-    """The average output (1/q) sum_x W(x) of a hybrid channel."""
-    return _average_hybrid(W.outputs)
+    """The average output (1/q) sum_x W(x) of a hybrid channel: under each
+    label, the mixture of the outputs' branch states."""
+    parts: dict = {}
+    for h in W.outputs:
+        for w, lab, st in h.branches:
+            parts.setdefault(repr(lab), (lab, []))[1].append((w / W.q, st))
+    branches = []
+    for lab, weighted in parts.values():
+        total = sum(w for w, _ in weighted)
+        branches.append((total, lab, mix_states([(w / total, st) for w, st in weighted])))
+    return HybridState(branches)
 
 
 def scan_conservation_defect(records, base_I: float, n: int) -> float:

@@ -16,7 +16,7 @@ from oracles import (
     qary_symmetric_pair_fidelity,
 )
 
-import cqpolar.channel as channel_module
+from cqpolar import linalg
 from cqpolar.channel import (
     CqChannel,
     HybridState,
@@ -125,6 +125,31 @@ def test_restricted_quotient_requires_nesting(z4_homomorphism_channel):
     d = quotient_cosets(Z4, h)[0]
     with pytest.raises(StructuralError):
         z4_homomorphism_channel.restricted_quotient(Subgroup(Z4, (0, 1, 2, 3)), d)
+
+
+@pytest.mark.parametrize("engine", ["hybrid", "diagonal"])
+def test_a_subgroup_of_another_group_is_refused(engine):
+    # Z2xZ2 has the order of Z4, so its subgroups' element indices are in range
+    if engine == "hybrid":
+        w = random_pure_channel(np.random.default_rng(70), 4, 2)
+    else:
+        w = from_cq_channel(preset_channel("classical-symmetric", q=4, p=0.1))
+    other = FiniteAbelianGroup([2, 2])
+    foreign, own = Subgroup(other, (0, 1)), Subgroup(Z4, (0,))
+    refused = [
+        lambda: w.quotient(foreign),
+        lambda: w.nested_fmax(Subgroup(other, (0,)), foreign),
+        lambda: w.nested_fmax(own, foreign),
+    ]
+    if engine == "hybrid":
+        refused += [
+            lambda: w.restricted_quotient(Subgroup(other, (0,)), foreign.cosets[0]),
+            lambda: w.restricted_quotient(own, foreign.cosets[1]),
+            lambda: w.restricted_quotient(foreign, quotient_cosets(Z4, Subgroup(Z4, (0, 1, 2, 3)))[0]),
+        ]
+    for call in refused:
+        with pytest.raises(StructuralError, match="^subgroup does not belong to this group$"):
+            call()
 
 
 def test_nested_information(z4_homomorphism_channel):
@@ -526,7 +551,7 @@ def test_product_rules_match_a_direct_evaluation(name, build):
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_stacked_branch_fidelities_are_the_per_pair_sum(kind, stack_entries, monkeypatch):
     if stack_entries is not None:
-        monkeypatch.setattr(channel_module, "STACK_ENTRIES", stack_entries)
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", stack_entries)
     make = random_mixed_channel if kind == "mixed" else random_pure_channel
     W = make(np.random.default_rng(32), 3, 2)
     for channel in (minus_transform(plus_transform(W)), plus_transform(minus_transform(W))):
@@ -540,6 +565,28 @@ def test_stacked_branch_fidelities_are_the_per_pair_sum(kind, stack_entries, mon
                 if key in db
             )
             assert abs(hybrid_fidelity(a, b) - min(1.0, expected)) <= 1e-14
+
+
+def _stacked_results():
+    """Values from every stacked site: a random mixed channel's dense branches,
+    its depth-2 scan (rules, quotient mixtures), and each depth-2 channel's
+    pairwise fidelities, H(W|X) and quotient records evaluated directly."""
+    W = random_mixed_channel(np.random.default_rng(35), 4, 2)
+    subgroups = enumerate_subgroups(W.alphabet)
+    out = [polarization_scan(W, 2)]
+    for minus_child in children(W):
+        for child in children(minus_child):
+            direct = CqChannel(child.alphabet, child.outputs)
+            out += [direct.pairwise_fidelity_matrix().tolist(),
+                    direct.conditional_output_entropy(), make_record(direct, (), subgroups)]
+    return out
+
+
+@pytest.mark.parametrize("entries", [1, 17])
+def test_results_do_not_depend_on_the_stack_bound(entries, monkeypatch):
+    expected = _stacked_results()
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", entries)
+    assert _stacked_results() == expected
 
 
 def test_a_scanned_channel_is_freed_without_the_cycle_collector():

@@ -785,6 +785,11 @@ _GOLDEN = {
 }
 
 
+# The SHA-256 of the whole default-grid verify JSONL at seed 0 (20 trials):
+# every check's instances, sides and margins, byte for byte.
+_VERIFY_SEED0 = "a73684717be3c9e10215a6061d75763121d1445139b2ffdd4a7288452cee2615"
+
+
 def _golden_digest(path) -> str:
     text = path.read_text()
     if path.suffix == ".json":
@@ -806,3 +811,11 @@ def test_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
     got = {path.name: _golden_digest(path) for path in sorted(tmp_path.iterdir())}
     got["stdout"] = hashlib.sha256("".join(printed).encode()).hexdigest()[:12]
     assert got == _GOLDEN
+
+
+def test_default_verify_output_is_pinned(tmp_path):
+    from cqpolar.cli import main
+
+    out = tmp_path / "verify.jsonl"
+    assert main(["verify", "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_SEED0

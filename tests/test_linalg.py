@@ -16,8 +16,10 @@ from cqpolar.linalg import (
     Povm,
     angle,
     eigh_psd,
+    factor_fidelity,
     fidelity,
     helstrom_error,
+    hermitize,
     pgm_effects,
     povm_error_probability,
     pretty_good_measurement,
@@ -471,3 +473,32 @@ def test_pure_state_fidelity_is_overlap(seed):
     a, b = pure_state(u), pure_state(v)
     expected = abs(np.vdot(u / np.linalg.norm(u), v / np.linalg.norm(v)))
     assert state_fidelity(a, b) == pytest.approx(expected, abs=1e-10)
+
+
+def _gaussian(rng, *shape) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_a_stacked_decomposition_is_each_lone_one(d):
+    # the hybrid engine decomposes a channel's matrices of one shape in one
+    # stacked call; every result it reports is bit-identical only because a
+    # stacked call gives each matrix exactly what a lone call gives
+    rng = np.random.default_rng(d)
+    mats = hermitize(_gaussian(rng, 5, d, d))
+    vals, vecs = np.linalg.eigh(mats)
+    spectra = np.linalg.eigvalsh(mats)
+    for i, mat in enumerate(mats):
+        lone_vals, lone_vecs = np.linalg.eigh(mat)
+        assert np.array_equal(vals[i], lone_vals) and np.array_equal(vecs[i], lone_vecs)
+        assert np.array_equal(spectra[i], np.linalg.eigvalsh(mat))
+    for r in range(1, 2 * d + 1):
+        va, vb = _gaussian(rng, 5, r, d), _gaussian(rng, 5, 2 * d + 1 - r, d)
+        cross = va @ vb.conj().swapaxes(-1, -2)
+        singular = np.linalg.svd(cross, compute_uv=False)
+        fids = factor_fidelity(va, vb)
+        for i in range(5):
+            lone = va[i] @ vb[i].conj().T
+            assert np.array_equal(cross[i], lone)
+            assert np.array_equal(singular[i], np.linalg.svd(lone, compute_uv=False))
+            assert fids[i] == factor_fidelity(va[i], vb[i])

@@ -238,13 +238,13 @@ def test_minus_transform_checks_the_branch_cap_before_mixing(monkeypatch):
     # transform has four labels per output and no mixture is needed to know it;
     # its plus transform has 2 x 2 branches per input pair, 8 per output
     w = plus_transform(pure_overlap_channel(0.5))
-    mixes, real_mix = [], channel_mod.mix_states
+    mixes, real_mix = [], channel_mod.batched_mixtures
 
-    def counting_mix(weighted):
+    def counting_mix(weighted_lists):
         mixes.append(1)
-        return real_mix(weighted)
+        return real_mix(weighted_lists)
 
-    monkeypatch.setattr(channel_mod, "mix_states", counting_mix)
+    monkeypatch.setattr(channel_mod, "batched_mixtures", counting_mix)
     with pytest.raises(CapacityError, match="classical branch count 4 exceeds cap 3"):
         minus_transform(w, ResourceCaps(branch_cap=3))
     assert not mixes

@@ -15,6 +15,7 @@ import pytest
 from conftest import random_mixed_channel, random_pure_channel
 from oracles import average_output, classical_fd, state_entropy
 
+from cqpolar import channel as channel_mod
 from cqpolar import states as states_mod
 from cqpolar.channel import CqChannel, HybridState, hybrid_fidelity, preset_channel
 from cqpolar.diagonal import DiagonalChannel, from_cq_channel
@@ -215,22 +216,18 @@ def test_engines_agree_on_classical_channel(gname, g, table, narrow):
 # -- work saved -------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, cls, attr):
-    calls = []
-    original = cls.__dict__[attr]
-
-    def counted(self, *args):
-        calls.append(args)
-        return original(self, *args)
-
-    monkeypatch.setattr(cls, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name,W", CHANNELS, ids=IDS)
 def test_each_pair_evaluated_once(monkeypatch, name, W):
     W = CqChannel(W.alphabet, W.outputs)  # a fresh, uncached channel
-    calls = _count_calls(monkeypatch, CqChannel, "pairwise_fidelity")
+    # every pair's fidelity goes through the stacked evaluator
+    calls, original = [], channel_mod.hybrid_fidelities
+    position = {id(h): x for x, h in enumerate(W.outputs)}
+
+    def counted(pairs):
+        calls.extend((position[id(a)], position[id(b)]) for a, b in pairs)
+        return original(pairs)
+
+    monkeypatch.setattr(channel_mod, "hybrid_fidelities", counted)
     full = Subgroup(W.alphabet, tuple(range(W.q)))
     for _ in range(3):
         W.fd_table()
@@ -246,15 +243,18 @@ def test_each_pair_evaluated_once(monkeypatch, name, W):
 def test_each_dense_branch_decomposed_once(monkeypatch):
     # a dense branch is factored when its HybridState is built, and never again
     calls = []
-    original = states_mod._eigen_factor
+    original = states_mod._eigen_factors
 
-    def counted(mat):
-        calls.append(mat.shape)
-        return original(mat)
+    def counted(mats):
+        calls.extend(mat.shape for mat in mats)
+        return original(mats)
 
-    monkeypatch.setattr(states_mod, "_eigen_factor", counted)
+    monkeypatch.setattr(states_mod, "_eigen_factors", counted)
     W = _mixed_branch_channel(np.random.default_rng(3), [4])
     assert calls == [(2, 2)] * W.q  # one dense branch per output
+    calls.clear()
+    W = random_mixed_channel(np.random.default_rng(3), 4, 2)
+    assert calls == [(2, 2)] * W.q  # factored together, each once
     calls.clear()
     for _ in range(2):
         W.holevo_information()
