@@ -5,14 +5,13 @@ A channel maps each group element to a :class:`HybridState`: a list of
 output ``sum_l w_l |l><l| ⊗ rho_l``.  Labels stay symbolic instead of being
 expanded into tensor factors, which is what keeps repeated plus-transforms
 affordable.  Every branch state is a factored :class:`~.states.PureMixture`;
-a dense matrix handed in is factored once, when its ``HybridState`` is built
-(a random or loaded channel factors all of its dense branches together).
+a dense matrix handed in is factored once, when its ``HybridState`` is built.
 All information/fidelity functionals respect the block structure exactly.
 A branch with orthonormal factor rows (see :mod:`.states`) has its weights
-as spectrum, so its entropy needs no decomposition.  A channel decomposes
-per shape, not per matrix (the sites are listed in :mod:`.linalg`), and sums
-each output's or pair's terms in one order whatever shares its stack, so a
-lone ``HybridState.entropy`` or ``hybrid_fidelity`` gives the same value.
+as spectrum, so its entropy needs no decomposition.  A channel's matrices of
+one shape share stacked LAPACK calls (see :mod:`.linalg`); each output or
+pair sums its own terms in one order, so a lone ``HybridState.entropy`` or
+``hybrid_fidelity`` gives the same value.
 
 I(W) = H(avg output) - H(W|X), H(W|X) = (1/q) sum_x H(W(x)), and every
 fidelity functional (F_d, F, F_max, nested F_max) reads one q x q matrix of
@@ -76,9 +75,10 @@ class HybridState:
     __slots__ = ("branches", "_dict")
 
     def __init__(self, branches):
-        kept = [(float(w), lab, st) for w, lab, st in branches if w > 0.0]
-        mixtures = as_mixtures([st for _, _, st in kept])
-        cleaned = [(w, lab, mix) for (w, lab, _), mix in zip(kept, mixtures)]
+        cleaned = [(float(w), lab, st) for w, lab, st in branches if w > 0.0]
+        if not all(isinstance(st, PureMixture) for _, _, st in cleaned):
+            mixtures = as_mixtures([st for _, _, st in cleaned])
+            cleaned = [(w, lab, mix) for (w, lab, _), mix in zip(cleaned, mixtures)]
         cleaned.sort(key=lambda b: _label_key(b[1]))
         self.branches = cleaned
         self._dict = None
@@ -118,19 +118,17 @@ def _block_entropies(states) -> list:
     of w rho.  A one-part block gives -w log w, summed as the Shannon entropy of
     those weights, plus w H(rho), read off the weights of an orthonormal
     mixture in one pass.  The other blocks are decomposed, those of one
-    component shape, across all the states, in one stacked eigvalsh call
-    (per-block dispatch would dominate channels with thousands of labels): the
+    component shape across all the states in stacked eigvalsh calls: the
     stacked components sqrt(w) V of its parts, or a mixture's own.  A state adds
-    its decomposed blocks shape by shape, in the order it first holds each.
+    them shape by shape, in the order it first holds each.
     """
     totals, spans = [], []
-    groups: dict = {}  # component shape -> [(w, components)] of all the states
+    groups: dict = {}  # component shape -> ([w], [components]) of all the states
     for blocks in states:
         weights, spectra, scales, starts = [], [], [], {}
         for parts in blocks:
             if len(parts) > 1:
-                comps = np.vstack([np.sqrt(w) * st.scaled_components() for w, st in parts])
-                item = (1.0, comps)
+                w, comps = 1.0, np.vstack([np.sqrt(v) * st.scaled_components() for v, st in parts])
             else:
                 ((w, st),) = parts
                 weights.append(w)
@@ -140,22 +138,21 @@ def _block_entropies(states) -> list:
                     spectra.append(st.weights)
                     scales.append(np.full(st.rank_bound, w))
                     continue
-                item = (w, st.scaled_components())
-            items = groups.setdefault(item[1].shape, [])
-            starts.setdefault(item[1].shape, len(items))
-            items.append(item)
+                comps = st.scaled_components()
+            ws, cs = groups.setdefault(comps.shape, ([], []))
+            starts.setdefault(comps.shape, len(ws))
+            ws.append(w)
+            cs.append(comps)
         total = entropy_of_probs(np.array(weights)) if weights else 0.0
         if spectra:
             p = np.concatenate(spectra)
             total -= float(np.concatenate(scales) @ (p * np.log(np.where(p > 0.0, p, 1.0))))
         totals.append(total)
-        spans.append({shape: (lo, len(groups[shape])) for shape, lo in starts.items()})
-    ents = {shape: batched_mixture_entropies([c for _, c in items])
-            for shape, items in groups.items()}
+        spans.append([(shape, lo, len(groups[shape][0])) for shape, lo in starts.items()])
+    ents = {shape: batched_mixture_entropies(cs) for shape, (_, cs) in groups.items()}
     for s, own in enumerate(spans):
-        for shape, (lo, hi) in own.items():
-            weights = np.array([w for w, _ in groups[shape][lo:hi]])
-            totals[s] += float(weights @ ents[shape][lo:hi])
+        for shape, lo, hi in own:
+            totals[s] += float(np.array(groups[shape][0][lo:hi]) @ ents[shape][lo:hi])
     return totals
 
 
@@ -171,12 +168,18 @@ def _label_groups(branches) -> list:
 
 def _mixed_hybrids(group_lists) -> list:
     """Per list of label groups, a state with one branch per group: its total
-    weight and the mixture of its states.  All the mixtures are built together."""
-    mixtures = iter(batched_mixtures(
-        [[(w / t, st) for w, st in parts] for groups in group_lists for _, t, parts in groups]
-    ))
-    return [HybridState([(t, lab, next(mixtures)) for lab, t, _ in groups])
-            for groups in group_lists]
+    weight and the mixture of its states.  The mixtures are built together, as
+    ``group_lists`` yields each list, so a generator's lists are held in turn."""
+    heads = []  # per list, its groups' labels and total weights
+
+    def weighted():
+        for groups in group_lists:
+            heads.append([(lab, t) for lab, t, _ in groups])
+            for _, t, parts in groups:
+                yield [(w / t, st) for w, st in parts]
+
+    mixtures = iter(batched_mixtures(weighted()))
+    return [HybridState([(t, lab, next(mixtures)) for lab, t in head]) for head in heads]
 
 
 def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
@@ -185,14 +188,13 @@ def hybrid_fidelity(a: HybridState, b: HybridState) -> float:
 
 
 def hybrid_fidelities(pairs) -> np.ndarray:
-    """Fidelities of pairs of block-diagonal states: per pair, the sum over
-    shared labels of sqrt(w w') F(rho, rho').
+    """Fidelities of pairs of block-diagonal states of one dimension: per pair,
+    the sum over shared labels of sqrt(w w') F(rho, rho').
 
-    Pairs of pure branches take one vectorized overlap computation; the other
-    pairs of branches go through :func:`~.linalg.factor_fidelity`, those of
-    one shape, across all the pairs, in stacked SVDs.  A pair sums its SVD
-    terms in label order, then adds the sum of its pure overlaps.  All states
-    have one dimension, as the outputs of one channel do.
+    Pairs of pure branches take a vectorized overlap; the other pairs of
+    branches go through :func:`~.linalg.factor_fidelity`, those of one shape
+    across all the pairs in stacked SVDs.  A pair sums its SVD terms in label
+    order, then adds the sum of its pure overlaps.
     """
     left, right, scales, spans = [], [], [], []
     shapes: dict = {}  # factor shapes -> [(term position, sa, sb)]
@@ -216,24 +218,23 @@ def hybrid_fidelities(pairs) -> np.ndarray:
         _, first_a, first_b = items[0]
         for run in stack_runs(items, first_a.vecs.size + first_b.vecs.size):
             fids[[i for i, _, _ in run]] = factor_fidelity(
-                np.stack([sa.scaled_components() for _, sa, _ in run]),
-                np.stack([sb.scaled_components() for _, _, sb in run]),
+                np.array([sa.scaled_components() for _, sa, _ in run]),
+                np.array([sb.scaled_components() for _, _, sb in run]),
             )
-    dim = left[0].size if left else 1
-    overlaps = np.concatenate([np.zeros(0)] + [
-        np.abs((np.stack(u) * np.stack(v).conj()).sum(axis=1))
-        for u, v in zip(stack_runs(left, 2 * dim), stack_runs(right, 2 * dim))
-    ])
     terms = (np.array(scales) * fids).tolist()
-    out = np.empty(len(spans))
-    for p, (lo, hi, pure_lo, pure_hi) in enumerate(spans):
+    runs = zip(stack_runs(left, 2 * left[0].size), stack_runs(right, 2 * left[0].size)) if left else []
+    overlaps = np.concatenate([np.zeros(0)] + [
+        np.abs((np.array(u) * np.array(v).conj()).sum(axis=1)) for u, v in runs
+    ])
+    out = []
+    for lo, hi, pure_lo, pure_hi in spans:
         # a running sum in label order: bit-identical to adding each term as
         # its label is reached
         total = sum(terms[lo:hi])
         if pure_hi > pure_lo:
             total += float(overlaps[pure_lo:pure_hi].sum())
-        out[p] = min(1.0, total)
-    return out
+        out.append(min(1.0, total))
+    return np.array(out)
 
 
 # -- the shared profile -------------------------------------------------------------
@@ -634,9 +635,8 @@ def _real_matrix(value, k: int, what: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _branches_from_json(spec, k: int, name) -> list:
-    """Input ``name``'s state entry as (weight, label, validated matrix) branches:
-    weighted, labelled ``branches``, or one bare matrix.
+def _state_from_json(spec, k: int, name) -> HybridState:
+    """Input ``name``'s state entry: weighted, labelled ``branches``, or one bare matrix.
 
     A bare matrix reads as one branch of weight 1 labelled ().  The weights
     must sum to 1 within LIKELIHOOD_SUM_TOL, as a diagonal channel's likelihood
@@ -662,7 +662,7 @@ def _branches_from_json(spec, k: int, name) -> list:
     total = sum(w for w, _, _ in branches)
     if abs(total - 1.0) > LIKELIHOOD_SUM_TOL:
         raise LoadError(f"branch weights must sum to 1: input {name} sums to {total!r}")
-    return branches
+    return HybridState(branches)
 
 
 def is_json_text(source) -> bool:
@@ -701,30 +701,22 @@ def load_channel(source) -> CqChannel:
         raise LoadError(f"channel JSON missing required field: {exc}") from exc
     except StructuralError as exc:
         raise LoadError(f"channel JSON: {exc}") from exc
-    inputs: list = [None] * g.order  # (key, branches) per input index
+    outputs: list = [None] * g.order
     for key, spec in raw_states.items():
         idx = _parse_input_key(key, g)
-        if inputs[idx] is not None:
+        if outputs[idx] is not None:
             raise LoadError(f"input {key}: another key already names this input")
         try:
-            inputs[idx] = (key, _branches_from_json(spec, k, g.label_of(idx)))
+            outputs[idx] = _state_from_json(spec, k, g.label_of(idx))
         except LoadError:
             raise  # it names the input already
         except StructuralError as exc:
             raise LoadError(f"input {key}: {exc}") from exc
-    missing = [i for i, entry in enumerate(inputs) if entry is None]
+    missing = [i for i, h in enumerate(outputs) if h is None]
     if missing:
         shown = ", ".join(repr(g.element_by_index(i)) for i in missing[:5])
         more = ", ..." if len(missing) > 5 else ""
         raise LoadError(f"channel does not define inputs: {shown}{more} ({len(missing)} missing)")
-    # the channel's dense branches are factored together
-    factors = iter(as_mixtures([st for _, branches in inputs for _, _, st in branches]))
-    outputs = []
-    for key, branches in inputs:
-        try:
-            outputs.append(HybridState([(w, lab, next(factors)) for w, lab, _ in branches]))
-        except StructuralError as exc:
-            raise LoadError(f"input {key}: {exc}") from exc
     return CqChannel(g, outputs)
 
 

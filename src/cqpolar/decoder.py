@@ -64,7 +64,7 @@ from .codes import (
     section_values,
 )
 from .polarize import MINUS, PLUS, _child, decode_index, format_label
-from .states import mix_states, to_dense
+from .states import batched_mixtures, to_dense
 
 _SURVIVAL_FLOOR = 1e-300
 #: Received data of the trials decoded together, and what one POVM builder call
@@ -499,10 +499,10 @@ class SCDecoder:
         d = self.plan.decisions[i]
         key = _label_key(self._label(d.faced, prefix))
         outputs, weight = self._faced(d.faced).outputs, 1.0 / d.subgroup.order
-        return [
-            mix_states([(weight, outputs[v].as_dict()[key][1]) for v in members])
+        return batched_mixtures([
+            [(weight, outputs[v].as_dict()[key][1]) for v in members]
             for members in self._members[i]
-        ]
+        ])
 
     def _checked_prefix(self, i: int, prefix) -> tuple:
         """``prefix`` as element indices; refused unless step i is in [0, N) and

@@ -26,15 +26,15 @@ LIKELIHOOD_SUM_TOL (1e-8) bounds the defect of each row sum, or of a shifted
 table's total mass q relative to q, as its merges sum up to millions of
 entries.
 
-STACK_ENTRIES (2^18) bounds the entries one stacked LAPACK call of the hybrid
-engine takes (see ``stack_runs``): small matrices share a call, large ones are
-not all copied at once.  It bounds memory, not results: a stacked call
-decomposes each matrix as a lone call would.  A channel is decomposed per
-shape, not per matrix, at four sites: its dense branch states are factored in
-one stacked eigh when it is built or read; the overcomplete label mixtures of
-a quotient's cells, or of a minus transform built with its sibling, are
-re-factored in one stacked eigh; its pairwise fidelities take one stacked SVD;
-and H(W|X) takes one stacked eigvalsh.
+STACK_ENTRIES (2^13) bounds the entries one stacked LAPACK call of the hybrid
+engine takes (see ``stack_runs``): small matrices share a call, in stacks of
+at most 128 KiB of complex entries, and a large one goes alone.  Larger stacks
+bring no speed and leave a larger peak RSS.  It bounds memory, not results: a
+stacked call decomposes each matrix as a lone call would.  A channel's
+matrices of one shape share calls at four sites: a random channel's dense
+branch states and the overcomplete label mixtures of a quotient, a minus
+transform or a decoder step (eigh), its pairwise fidelities (SVD) and H(W|X)
+(eigvalsh).
 """
 
 from __future__ import annotations
@@ -53,18 +53,16 @@ RCOND = 1e-12
 CHECK_ULPS = 1024
 LIKELIHOOD_NEG_TOL = 1e-12
 LIKELIHOOD_SUM_TOL = 1e-8
-STACK_ENTRIES = 1 << 18
+STACK_ENTRIES = 1 << 13
 
 
 def stack_size(entries: int) -> int:
-    """How many items of ``entries`` entries one stack takes: STACK_ENTRIES //
-    ``entries``, one at least."""
+    """How many items of ``entries`` entries one stack takes (one at least)."""
     return max(1, STACK_ENTRIES // entries)
 
 
 def stack_runs(items, entries: int) -> list:
-    """``items`` cut into consecutive runs of ``stack_size(entries)`` items (the
-    last may be shorter): the stacks of one LAPACK call each."""
+    """``items`` cut into consecutive stacks of ``stack_size(entries)`` items."""
     step = stack_size(entries)
     return [items[i : i + step] for i in range(0, len(items), step)]
 

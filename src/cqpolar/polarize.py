@@ -126,23 +126,19 @@ def _pair_products(W):
 def minus_transform(W, caps: ResourceCaps = None, pairs: list = None):
     """The worse channel of the pair: u1 -> average over u2 of
     rho_{u1+u2} ⊗ rho_{u2}.  ``pairs`` are the rows of pair products that
-    :func:`children` built for both siblings, and the label mixtures of all
-    rows are built together; without them each row is built and mixed in
-    turn, so only one row is held at a time.  Every row's label count is
-    checked before that row mixes."""
+    :func:`children` built for both siblings; without them each row is built
+    and mixed in turn.  A row's label count is checked before it mixes."""
     if isinstance(W, DiagonalChannel):
         return W.minus_transform(caps)
     caps = caps or default_caps()
     caps.check_dim(W.k * W.k, "minus transform")
 
-    def grouped(rows):
-        for row in rows:
-            groups = _label_groups(itertools.chain.from_iterable(row))
-            caps.check_branches(len(groups), "minus transform")
-            yield groups
+    def grouped(row):
+        groups = _label_groups(itertools.chain.from_iterable(row))
+        caps.check_branches(len(groups), "minus transform")
+        return groups
 
-    batches = [list(grouped(pairs))] if pairs else ([g] for g in grouped(_pair_products(W)))
-    outputs = [h for batch in batches for h in _mixed_hybrids(batch)]
+    outputs = _mixed_hybrids(map(grouped, pairs or _pair_products(W)))
     return CqChannel(W.alphabet, outputs, rules={
         "avg_entropy": lambda: 2.0 * W.average_output_entropy(),
     })

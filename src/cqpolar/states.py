@@ -20,9 +20,8 @@ A dense matrix enters only through :func:`as_mixtures`, which replaces it by
 its eigen-factor (an exactly diagonal matrix by one-hot rows, without an
 eigendecomposition).  A mixture with more vectors than its dimension is
 re-factored the same way, so the vector count never exceeds the dimension.
-Both take a batch: its matrices of one shape are decomposed in one stacked
-eigh (see :func:`~.linalg.stack_runs`), which gives each the factor a lone
-call would.  :func:`as_mixture` and :func:`mix_states` are batches of one.
+Both take a batch, whose matrices of one shape share stacked eigh calls;
+:func:`as_mixture` and :func:`mix_states` are batches of one.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ def _eigen_factors(mats) -> list:
     Eigenvalues at rounding level (at most dim * eps * the largest) are
     dropped, so a numerically rank-1 matrix becomes a pure state.  An exactly
     diagonal matrix keeps its positive diagonal as weights of one-hot rows,
-    which reproduces the diagonal bit for bit.  The other matrices of one
-    shape are decomposed together, in stacked eigh calls.
+    which reproduces the diagonal bit for bit.
     """
     out = [None] * len(mats)
     shapes: dict = {}  # shape -> positions of the matrices to decompose
@@ -102,7 +100,7 @@ def _eigen_factors(mats) -> list:
         out[i] = _orthonormal(diag[keep], np.eye(diag.size, dtype=complex)[keep])
     for (d, _), positions in shapes.items():
         for run in stack_runs(positions, d * d):
-            vals, vecs = eigh_psd(np.stack([mats[i] for i in run]))
+            vals, vecs = eigh_psd(np.array([mats[i] for i in run]))
             for i, val, vec in zip(run, vals, vecs):
                 keep = val > d * _EPS * val[-1]
                 out[i] = _orthonormal(val[keep], vec[:, keep].T)
@@ -110,8 +108,7 @@ def _eigen_factors(mats) -> list:
 
 
 def as_mixtures(states) -> list:
-    """Branch states (mixtures or dense matrices) in factored form; the dense
-    ones are factored together."""
+    """Branch states (mixtures or dense matrices) in factored form."""
     out = list(states)
     dense = [i for i, st in enumerate(out) if not isinstance(st, PureMixture)]
     factors = _eigen_factors([np.asarray(out[i], dtype=complex) for i in dense])
@@ -146,12 +143,9 @@ def tensor_states(a: PureMixture, b: PureMixture) -> PureMixture:
 
 
 def batched_mixtures(weighted_lists) -> list:
-    """Convex mixtures, one per list of (weight, state) pairs.
-
-    The mixtures with more vectors than their dimension are re-factored,
-    those of one dimension together.  Each is held as its dense matrix until
-    its stack fills, so no more than one stack of dense matrices is held.
-    """
+    """Convex mixtures, one per list of (weight, state) pairs.  Those with more
+    vectors than their dimension are re-factored as each stack of their dense
+    matrices fills, so at most one stack per dimension is held."""
     out, pending = [], {}  # dimension -> positions in out of dense matrices
 
     def refactor(positions):

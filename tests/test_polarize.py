@@ -241,8 +241,8 @@ def test_minus_transform_checks_the_branch_cap_before_mixing(monkeypatch):
     mixes, real_mix = [], channel_mod.batched_mixtures
 
     def counting_mix(weighted_lists):
-        mixes.append(1)
-        return real_mix(weighted_lists)
+        # counts each mixture as it is taken to be built
+        return real_mix(mixes.append(1) or weighted for weighted in weighted_lists)
 
     monkeypatch.setattr(channel_mod, "batched_mixtures", counting_mix)
     with pytest.raises(CapacityError, match="classical branch count 4 exceeds cap 3"):

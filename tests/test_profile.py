@@ -253,14 +253,15 @@ def test_each_dense_branch_decomposed_once(monkeypatch):
     W = _mixed_branch_channel(np.random.default_rng(3), [4])
     assert calls == [(2, 2)] * W.q  # one dense branch per output
     calls.clear()
-    W = random_mixed_channel(np.random.default_rng(3), 4, 2)
-    assert calls == [(2, 2)] * W.q  # factored together, each once
+    R = random_mixed_channel(np.random.default_rng(3), 4, 2)
+    assert calls == [(2, 2)] * R.q  # factored together, each once
     calls.clear()
-    for _ in range(2):
-        W.holevo_information()
-        W.pairwise_fidelity_matrix()
-        for h in W.outputs:
-            h.entropy()
+    for ch in (W, R):
+        for _ in range(2):
+            ch.holevo_information()
+            ch.pairwise_fidelity_matrix()
+            for h in ch.outputs:
+                h.entropy()
     assert calls == []
 
 
