@@ -4,8 +4,11 @@ A channel maps each group element to a :class:`HybridState`: a list of
 ``(weight, label, quantum state)`` branches representing a block-diagonal
 output ``sum_l w_l |l><l| ⊗ rho_l``.  Labels stay symbolic instead of being
 expanded into tensor factors, which is what keeps repeated plus-transforms
-affordable.  Every branch state is a factored :class:`~.states.PureMixture`;
-a dense matrix handed in is factored once, when its ``HybridState`` is built.
+affordable.  A label is a hashable value, ordered among the labels of its
+channel.  Synthetic labels (and a preset's, ``()``) are tuples of ints; a
+loaded channel's labels are its file's strings, ``"()"`` for a bare matrix.
+Every branch state is a factored :class:`~.states.PureMixture`; a dense
+matrix handed in is factored once, when its ``HybridState`` is built.
 All information/fidelity functionals respect the block structure exactly.
 A branch with orthonormal factor rows (see :mod:`.states`) has its weights
 as spectrum, so its entropy needs no decomposition.  A channel's matrices of
@@ -61,15 +64,12 @@ from .states import (
 )
 
 
-#: How a branch label is keyed in dicts and ordered: by its repr.
-_label_key = repr
-
-
 class HybridState:
     """A block-diagonal output state: branches of (weight, label, state).
 
-    Branch states may be given as mixtures or dense matrices; each is stored
-    as a :class:`PureMixture`.
+    Branches are sorted by label, and no label repeats.  Branch states may be
+    given as mixtures or dense matrices; each is stored as a
+    :class:`PureMixture`.
     """
 
     __slots__ = ("branches", "_dict")
@@ -79,11 +79,11 @@ class HybridState:
         if not all(isinstance(st, PureMixture) for _, _, st in cleaned):
             mixtures = as_mixtures([st for _, _, st in cleaned])
             cleaned = [(w, lab, mix) for (w, lab, _), mix in zip(cleaned, mixtures)]
-        cleaned.sort(key=lambda b: _label_key(b[1]))
+        cleaned.sort(key=lambda b: b[1])
         self.branches = cleaned
         self._dict = None
         labels = [lab for _, lab, _ in cleaned]
-        if len(set(map(_label_key, labels))) != len(labels):
+        if len(set(labels)) != len(labels):
             raise StructuralError("duplicate branch labels")
         total = sum(w for w, _, _ in cleaned)
         if abs(total - 1.0) > EQ_TOL:
@@ -97,7 +97,7 @@ class HybridState:
 
     def as_dict(self) -> dict:
         if self._dict is None:
-            self._dict = {_label_key(lab): (w, st) for w, lab, st in self.branches}
+            self._dict = {lab: (w, st) for w, lab, st in self.branches}
         return self._dict
 
     def entropy(self) -> float:
@@ -160,7 +160,7 @@ def _label_groups(branches) -> list:
     """Branches (w, label, state) as [label, total weight, [(w, state)]], in first-seen order."""
     groups: dict = {}
     for w, lab, st in branches:
-        ent = groups.setdefault(_label_key(lab), [lab, 0.0, []])
+        ent = groups.setdefault(lab, [lab, 0.0, []])
         ent[1] += w
         ent[2].append((w, st))
     return list(groups.values())
@@ -324,7 +324,6 @@ class CqChannel:
         self.outputs = list(outputs)
         self.k = dims.pop()
         self._fidelity_matrix = None
-        self._label_union = None
         self._label_positions = None
         self._diag_flag = None
         self._avg_entropy = None
@@ -341,18 +340,12 @@ class CqChannel:
 
     _index = _profile_index
 
-    def label_union(self) -> list:
-        """Every output's labels, each once, in key order; cached."""
-        if self._label_union is None:
-            seen = {_label_key(lab): lab for h in self.outputs for _, lab, _ in h.branches}
-            self._label_union = [seen[key] for key in sorted(seen)]
-        return self._label_union
-
     def label_positions(self) -> dict:
-        """Map label key -> position in the sorted label union; cached."""
+        """Every output's labels, each once, in sorted order, mapped to their
+        positions; cached."""
         if self._label_positions is None:
-            union = self.label_union()
-            self._label_positions = {_label_key(lab): i for i, lab in enumerate(union)}
+            union = sorted({lab for h in self.outputs for _, lab, _ in h.branches})
+            self._label_positions = {lab: i for i, lab in enumerate(union)}
         return self._label_positions
 
     def is_diagonal(self) -> bool:
@@ -473,7 +466,7 @@ class CqChannel:
         for h in self.outputs:
             weights, rows = [], []
             for w, lab, st in h.branches:
-                j = pos[_label_key(lab)]
+                j = pos[lab]
                 block = np.zeros((st.rank_bound, len(pos) * k), dtype=complex)
                 block[:, j * k : (j + 1) * k] = st.vecs
                 weights.append(w * st.weights)
@@ -638,10 +631,13 @@ def _real_matrix(value, k: int, what: str) -> np.ndarray:
 def _state_from_json(spec, k: int, name) -> HybridState:
     """Input ``name``'s state entry: weighted, labelled ``branches``, or one bare matrix.
 
-    A bare matrix reads as one branch of weight 1 labelled ().  The weights
-    must sum to 1 within LIKELIHOOD_SUM_TOL, as a diagonal channel's likelihood
-    rows must: each transform multiplies the sums, and the dimension cap stops
-    hybrid scans with k >= 2 at n = 3, where (1 + 1e-8)^8 - 1 is below EQ_TOL.
+    A branch keeps its file's label as a string (its position when it has
+    none); a bare matrix reads as one branch of weight 1 labelled "()", the
+    string ``channel_to_json`` writes for ().  Each weight must be finite and
+    >= 0, and the weights must sum to 1 within LIKELIHOOD_SUM_TOL, as a
+    diagonal channel's likelihood rows must: each transform multiplies the
+    sums, and the dimension cap stops hybrid scans with k >= 2 at n = 3, where
+    (1 + 1e-8)^8 - 1 is below EQ_TOL.
     """
     bare = "branches" not in _expect(spec, dict, "the state")
     raw = [dict(spec, w=1.0)] if bare else _expect(spec["branches"], list, "branches")
@@ -649,8 +645,8 @@ def _state_from_json(spec, k: int, name) -> HybridState:
     for j, br in enumerate(raw):
         at = "" if bare else f"branch {j} "
         w = _scalar(_expect(br, dict, f"branch {j}").get("w"), "a number", f"{at}w")
-        if not np.isfinite(w):
-            raise StructuralError(f"{at}w must be finite, got {w!r}")
+        if not (np.isfinite(w) and w >= 0):
+            raise StructuralError(f"{at}w must be finite and >= 0, got {w!r}")
         mat = _real_matrix(br.get("re"), k, f"{at}re").astype(complex)
         if br.get("im") is not None:
             mat.imag = _real_matrix(br["im"], k, f"{at}im")
@@ -658,7 +654,7 @@ def _state_from_json(spec, k: int, name) -> HybridState:
             mat = validate_density_matrix(mat)
         except StructuralError as exc:
             raise StructuralError(f"{at}{exc}") from exc
-        branches.append((float(w), () if bare else str(br.get("label", j)), mat))
+        branches.append((float(w), "()" if bare else str(br.get("label", j)), mat))
     total = sum(w for w, _, _ in branches)
     if abs(total - 1.0) > LIKELIHOOD_SUM_TOL:
         raise LoadError(f"branch weights must sum to 1: input {name} sums to {total!r}")
@@ -721,7 +717,8 @@ def load_channel(source) -> CqChannel:
 
 
 def channel_to_json(W: CqChannel) -> dict:
-    """Serialize a channel (labels flattened to strings) for files and plans."""
+    """Serialize a channel for files and plans; each label is written as its
+    ``str``, so a loaded channel's labels come back unchanged."""
     g = _require_product_group(W)
     states = {}
     for i in range(W.q):
@@ -731,7 +728,7 @@ def channel_to_json(W: CqChannel) -> dict:
             branches.append(
                 {
                     "w": w,
-                    "label": _label_key(lab),
+                    "label": str(lab),
                     "re": np.real(m).tolist(),
                     "im": np.imag(m).tolist(),
                 }

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CqChannel, _label_key
+from .channel import CqChannel
 from .config import ResourceCaps, default_caps
 from .diagonal import from_cq_channel
 from .errors import StructuralError
@@ -378,9 +378,9 @@ class SCDecoder:
         if ch.is_diagonal():
             return "diagonal"
         # one shared label (whatever its name) means one branch per output
-        labels = ch.label_union()
-        if len(labels) > 1:
-            self.caps.check_dim(len(labels) * ch.k, "hybrid flatten")
+        n_labels = len(ch.label_positions())
+        if n_labels > 1:
+            self.caps.check_dim(n_labels * ch.k, "hybrid flatten")
             self.channel = ch.flatten_dense()
         pure = all(h.branches[0][2].rank_bound == 1 for h in self.channel.outputs)
         return "pure" if pure else "mixed"
@@ -398,7 +398,8 @@ class SCDecoder:
             for x, s in enumerate(self.leaf):
                 rows[x, : s.rank_bound], self._leaves[x, : s.rank_bound] = s.weights, s.vecs
             self._synthetic = {(): self.channel}  # sign prefix -> W^signs
-            self._labels = {((), ()): self.channel.label_union()[0]}  # (signs, decided) -> label
+            # (signs, decided) -> label
+            self._labels = {((), ()): next(iter(self.channel.label_positions()))}
         # Generator.choice(p=p) checks p once per call and draws one double u,
         # picking searchsorted(cdf, u, "right"); its cdf is kept per input row
         p = np.stack([row / row.sum() for row in rows])
@@ -497,10 +498,10 @@ class SCDecoder:
             )
         prefix = self._checked_prefix(i, prefix)
         d = self.plan.decisions[i]
-        key = _label_key(self._label(d.faced, prefix))
+        label = self._label(d.faced, prefix)
         outputs, weight = self._faced(d.faced).outputs, 1.0 / d.subgroup.order
         return batched_mixtures([
-            [(weight, outputs[v].as_dict()[key][1]) for v in members]
+            [(weight, outputs[v].as_dict()[label][1]) for v in members]
             for members in self._members[i]
         ])
 
@@ -531,7 +532,7 @@ class SCDecoder:
             pos = self._faced(parent).label_positions()
             sums = tuple(add(fixed[2 * j], fixed[2 * j + 1]) for j in range(t))
             a, b = self._label(parent, sums), self._label(parent, fixed[1 : 2 * t : 2])
-            out = (pos[_label_key(a)], pos[_label_key(b)]) + fixed[2 * t :]
+            out = (pos[a], pos[b]) + fixed[2 * t :]
             self._labels[(signs, fixed)] = out
         return out
 

@@ -46,7 +46,6 @@ import numpy as np
 from .channel import (
     CqChannel,
     _frozen,
-    _label_key,
     _profile_avg_fidelity,
     _profile_f_max,
     _profile_fd,
@@ -241,10 +240,5 @@ def from_cq_channel(W) -> DiagonalChannel:
     """Flatten a diagonal hybrid channel into a likelihood table."""
     if not isinstance(W, CqChannel) or not W.is_diagonal():
         raise StructuralError("channel is not diagonal")
-    pos, k = W.label_positions(), W.k
-    table = np.zeros((W.q, len(pos) * k))
-    for x, h in enumerate(W.outputs):
-        for w, lab, st in h.branches:
-            j = pos[_label_key(lab)]
-            table[x, j * k : (j + 1) * k] = w * np.real(np.diag(to_dense(st)))
-    return DiagonalChannel(W.alphabet, merge_columns(table))
+    table = [np.real(np.diag(to_dense(h.branches[0][2]))) for h in W.flatten_dense().outputs]
+    return DiagonalChannel(W.alphabet, merge_columns(np.array(table)))

@@ -41,7 +41,6 @@ from .channel import (
     CqChannel,
     HybridState,
     _label_groups,
-    _label_key,
     _mixed_hybrids,
     _require_product_group,
 )
@@ -107,9 +106,9 @@ def _pair_branches(W, u1: int, u2: int, pos: dict):
     keeps label size constant under repeated transforms.
     """
     q, left = W.q, W.outputs[W.alphabet.add_index(u1, u2)]
-    right = [(w2, pos[_label_key(l2)], s2) for w2, l2, s2 in W.outputs[u2].branches]
+    right = [(w2, pos[l2], s2) for w2, l2, s2 in W.outputs[u2].branches]
     for w1, l1, s1 in left.branches:
-        i1 = pos[_label_key(l1)]
+        i1 = pos[l1]
         for w2, i2, s2 in right:
             w = w1 * w2 / q
             if w > 0.0:

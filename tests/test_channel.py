@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pure_overlap_channel, random_mixed_channel, random_pure_channel
 from oracles import (
@@ -353,6 +355,9 @@ _M0, _M1 = {"re": [[1, 0], [0, 0]]}, {"re": [[0, 0], [0, 1]]}
         ({"(0)": _M0, "(1)": {"re": "x"}}, "input (1): re must be an array"),
         ({"(0)": _M0, "(1)": {"re": [["x", 0], [0, 1]]}}, "input (1): re entries must be a number"),
         ({"(0)": _M0, "(1)": {"re": [[0, 0], [0, 1, 0]]}}, "input (1): re is not 2x2"),
+        ({"(0)": _M0, "(1)": {"branches": [dict(_M1, w=1.0), dict(_M0, w=1e-9),
+                                           dict(_M0, w=-1e-9)]}},
+         "input (1): branch 2 w must be finite and >= 0, got -1e-09"),
     ],
 )
 def test_load_channel_refuses_bad_keys_and_entries(states, message):
@@ -366,11 +371,44 @@ def test_bare_matrix_is_one_branch_of_weight_one():
     bare = load_channel({"group": [2], "k": 2, "states": {"(0)": _M0, "1": _M1}})
     branch = {"branches": [dict(_M1, w=1, label="b")]}
     listed = load_channel({"group": [2], "k": 2, "states": {"(0)": _M0, "[1]": branch}})
-    assert [(w, lab) for w, lab, _ in bare.outputs[1].branches] == [(1.0, ())]
+    assert [(w, lab) for w, lab, _ in bare.outputs[1].branches] == [(1.0, "()")]
     assert [(w, lab) for w, lab, _ in listed.outputs[1].branches] == [(1.0, "b")]
     np.testing.assert_array_equal(
         to_dense(bare.outputs[1].branches[0][2]), to_dense(listed.outputs[1].branches[0][2])
     )
+
+
+_LABEL_NAMES = st.one_of(
+    st.text(alphabet="ab'\"\\019()", max_size=5),
+    st.sampled_from(["()", "'a'", '"a"', "\\", "2", "10"]),
+)
+_QUBITS = st.tuples(*[st.floats(-0.57, 0.57)] * 3).map(
+    lambda r: {"re": [[0.5 + r[2] / 2, r[0] / 2], [r[0] / 2, 0.5 - r[2] / 2]],
+               "im": [[0.0, -r[1] / 2], [r[1] / 2, 0.0]]}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_channel_file_labels_are_a_fixed_point_of_a_round_trip(data):
+    # a bare matrix beside named branches; the labels come back as the file
+    # names them, and once written, stay as written
+    names = data.draw(st.lists(_LABEL_NAMES, min_size=1, max_size=4, unique=True))
+    named = [dict(data.draw(_QUBITS), w=1.0 / len(names), label=name) for name in names]
+    obj = {"group": [2], "k": 2, "states": {"(0)": data.draw(_QUBITS), "(1)": {"branches": named}}}
+    once = channel_to_json(load_channel(obj))
+    twice = channel_to_json(load_channel(once))
+
+    def labels(js):
+        return [[br["label"] for br in s["branches"]] for s in js["states"].values()]
+
+    assert labels(once) == [["()"], sorted(names)]
+    assert labels(twice) == labels(once)
+    for a, b in zip(once["states"].values(), twice["states"].values()):
+        for x, y in zip(a["branches"], b["branches"]):
+            assert x["w"] == y["w"]
+            np.testing.assert_allclose(x["re"], y["re"], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(x["im"], y["im"], rtol=0, atol=1e-12)
 
 
 def test_missing_inputs_error_is_short():

@@ -122,21 +122,32 @@ def _leaf_densities(w):
     return [to_dense(h.branches[0][2]) for h in w.outputs]
 
 
+# n=3 cases: the channel whose plan gives the cells (any plan's will do, and
+# these scans are cheap), the steps and the prefixes per step checked
+_DEEP_CASES = {
+    "pure-qubit-0.9": (_ORACLE_CHANNELS["pure-qubit-0.9"], range(8), 16),
+    "mixed-z2": (_ORACLE_CHANNELS["pure-qubit-0.9"], range(8), 16),
+    # the parents W^{s[:-1]} of steps 5-7 hold 64 labels: positions reach 10
+    "pure-z4": (lambda: preset_channel("classical-symmetric", q=4, p=0.1), range(5, 8), 4),
+}
+
+
 @pytest.mark.parametrize("n, key", [(2, key) for key in _ORACLE_CHANNELS]
-                         + [(3, "pure-qubit-0.9"), (3, "mixed-z2")])
+                         + [(3, key) for key in _DEEP_CASES])
 def test_conditional_states_match_the_enumerated_kron_chains(n, key):
-    # at n=2 every prefix of every step, at n=3 the first 16 prefixes per step;
-    # the q=4 channels stop at n=2, where enumerating 4^7 later words per step
-    # of a 256-dimensional chain would take minutes.  The cells are any plan's:
-    # at n=3 both binary channels take the pure qubit's, whose scan is cheap
+    # at n=2 every prefix of every step.  At n=3 a step-i prefix of a q=4
+    # chain enumerates 4^(7-i) later words of a 256-dimensional state, so
+    # pure-z4 checks only the first prefixes of its last steps
     w = _ORACLE_CHANNELS[key]()
-    plan_key = key if n == 2 else "pure-qubit-0.9"
-    plan = build_plan(_ORACLE_CHANNELS[plan_key](), CodeParams(n=n, tau=1.0))
+    default = (_ORACLE_CHANNELS[key], range(4), None)
+    plan_channel, steps, count = _DEEP_CASES[key] if n == 3 else default
+    plan = build_plan(plan_channel(), CodeParams(n=n, tau=1.0))
     eng = SCDecoder(plan, w)
     leaves = _leaf_densities(w)
-    for i, d in enumerate(plan.decisions):
+    for i in steps:
+        d = plan.decisions[i]
         prefixes = itertools.product(range(w.q), repeat=i)
-        for prefix in itertools.islice(prefixes, 16 if n == 3 else None):
+        for prefix in itertools.islice(prefixes, count):
             got = [to_dense(s) for s in eng.conditional_states(i, prefix)]
             want = conditional_states_bruteforce(
                 leaves, w.alphabet.add_table, n, prefix, d.subgroup.partition[0]
